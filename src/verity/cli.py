@@ -14,15 +14,9 @@ import sys
 from typing import Optional, Sequence
 
 from .bdi import load_scenario, scan_misleading
-from .entail import (
-    DEFAULT_ASSIGNMENT_LIMIT,
-    ResourceLimit,
-    entails,
-    is_contradiction,
-    is_tautology,
-    satisfiable,
-)
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, satisfiable
 from .mr import (
+    And,
     Formula,
     MrError,
     Not,
@@ -51,6 +45,7 @@ from .taxonomy import (
     LegacyLabels,
     UnmappableVerdict,
     classify,
+    decide,
     legacy_labels,
 )
 
@@ -119,9 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", parents=[common], help="tally a corpus of MR pairs"
     )
     p.add_argument("corpus", metavar="CORPUS", help="JSON-lines corpus file")
-    p.add_argument(
-        "--jobs", type=int, metavar="N", help="classify records in N threads"
-    )
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser(
@@ -172,19 +164,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     input_mr = parse_formula(args.input, schema)
     output_mr = parse_formula(args.output, schema)
+    facts = decide(schema, input_mr, output_mr, limit=limit) if args.verbose else None
     if args.oracle:
         verdict = checked_classify(schema, input_mr, output_mr, limit=limit)
     else:
-        verdict = classify(schema, input_mr, output_mr, limit=limit)
+        verdict = facts.verdict if facts else classify(schema, input_mr, output_mr, limit=limit)
     lines = [verdict.value]
-    if args.verbose:
-        facts = (
-            ("input satisfiable", bool(satisfiable(schema, input_mr, limit=limit))),
-            ("input |= output", bool(entails(schema, input_mr, output_mr, limit=limit))),
-            ("output |= input", bool(entails(schema, output_mr, input_mr, limit=limit))),
-            ("input |= !output", bool(entails(schema, input_mr, Not(output_mr), limit=limit))),
-        )
-        lines.extend(f"{name}: {_yn(value)}" for name, value in facts)
+    if facts is not None:
+        lines.append(f"input satisfiable: {_yn(facts.input_satisfiable)}")
+        lines.append(f"input |= output: {_yn(facts.forward)}")
+        lines.append(f"output |= input: {_yn(facts.backward)}")
+        lines.append(f"input |= !output: {_yn(facts.conflict)}")
     if args.verbose or args.legacy:
         try:
             labels = legacy_labels(verdict)
@@ -207,50 +197,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     schema = _load_schema(args)
     limit = _resolve_limit(args)
     parsed = [parse_formula(text, schema) for text in args.formulas]
-    witness = None
-    if args.kind == "entails":
-        a, b = parsed
-        answer = (
-            checked_entails(schema, a, b, limit=limit)
-            if args.oracle
-            else bool(entails(schema, a, b, limit=limit))
-        )
-        label = "countermodel"
-        if not answer:
-            witness = entails(schema, a, b, limit=limit).witness
-    elif args.kind == "sat":
-        (f,) = parsed
-        answer = (
-            checked_satisfiable(schema, f, limit=limit)
-            if args.oracle
-            else bool(satisfiable(schema, f, limit=limit))
-        )
-        label = "witness"
-        if answer:
-            witness = satisfiable(schema, f, limit=limit).witness
-    elif args.kind == "taut":
-        (f,) = parsed
-        answer = (
-            checked_is_tautology(schema, f, limit=limit)
-            if args.oracle
-            else is_tautology(schema, f, limit=limit)
-        )
-        label = "countermodel"
-        if not answer:
-            witness = satisfiable(schema, Not(f), limit=limit).witness
-    else:
-        (f,) = parsed
-        answer = (
-            checked_is_contradiction(schema, f, limit=limit)
-            if args.oracle
-            else is_contradiction(schema, f, limit=limit)
-        )
-        label = "witness"
-        if not answer:
-            witness = satisfiable(schema, f, limit=limit).witness
+    # Each kind is one satisfiability question whose model is the witness;
+    # only sat answers yes when that question has a model.
+    f = parsed[0]
+    question, label, checked = {
+        "entails": (And(f, Not(parsed[-1])), "countermodel", checked_entails),
+        "sat": (f, "witness", checked_satisfiable),
+        "taut": (Not(f), "countermodel", checked_is_tautology),
+        "contra": (f, "witness", checked_is_contradiction),
+    }[args.kind]
+    result = satisfiable(schema, question, limit=limit)
+    answer = result.holds == (args.kind == "sat")
+    if args.oracle:
+        checked(schema, *parsed, limit=limit)  # raises OracleDivergence
     print(_yn(answer))
-    if args.verbose and witness is not None:
-        print(f"{label}: {format_model(witness)}")
+    if args.verbose and result.witness is not None:
+        print(f"{label}: {format_model(result.witness)}")
     return EXIT_OK
 
 
@@ -269,13 +231,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 checked_classify(schema, record.input, record.output, limit=limit)
             except ResourceLimit:
                 pass
-    counts = tally(
-        schema,
-        records,
-        parse_failures=len(errors),
-        limit=limit,
-        jobs=args.jobs,
-    )
+    counts = tally(schema, records, parse_failures=len(errors), limit=limit)
     sys.stdout.write(render_report(counts, args.format))
     return EXIT_OK
 

@@ -11,9 +11,10 @@ assignment-space size guards against combinatorial blowup.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .mr import (
     And,
@@ -24,11 +25,9 @@ from .mr import (
     Not,
     NumAtom,
     Schema,
-    categorical_keys,
     evaluate,
     iter_atoms,
-    numeric_keys,
-    validate_formula,
+    validate_atom,
 )
 
 DEFAULT_ASSIGNMENT_LIMIT = 10**6
@@ -71,34 +70,56 @@ def _samples(constants: list[Fraction]) -> list[Fraction]:
     return points
 
 
-def satisfiable(
-    schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> EntailmentResult:
-    """Decide whether some model over ``f``'s keys satisfies ``f``."""
-    validate_formula(schema, f)
-    cat_keys = sorted(categorical_keys(f))
-    num_keys = sorted(numeric_keys(f))
-    constants: dict[Key, set[Fraction]] = {k: set() for k in num_keys}
-    for atom in iter_atoms(f):
-        if isinstance(atom, NumAtom):
-            constants[atom.attr, atom.entity].add(atom.constant)
+def _models(schema: Schema, formulas: tuple[Formula, ...], limit: int) -> Iterator[Model]:
+    """Every model over the keys of ``formulas``, in sorted-key product order,
+    after one walk that validates the atoms and collects keys and constants."""
+    cat_set: set[Key] = set()
+    constants: dict[Key, set[Fraction]] = {}
+    for f in formulas:
+        for atom in iter_atoms(f):
+            validate_atom(schema, atom)
+            if isinstance(atom, NumAtom):
+                constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
+            else:
+                cat_set.add((atom.attr, atom.entity))
+    cat_keys = sorted(cat_set)
+    num_keys = sorted(constants)
     domains = [schema.domain(attr) for attr, _ in cat_keys]
     samples = [_samples(sorted(constants[k])) for k in num_keys]
 
-    required = 1
-    for values in itertools.chain(domains, samples):
-        required *= len(values)
+    required = math.prod(map(len, itertools.chain(domains, samples)))
     if required > limit:
         raise ResourceLimit(required, limit)
 
     n_cat = len(cat_keys)
     for choice in itertools.product(*domains, *samples):
-        model = Model(
-            dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:]))
-        )
+        yield Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
+
+
+def satisfiable(
+    schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
+) -> EntailmentResult:
+    """Decide whether some model over ``f``'s keys satisfies ``f``."""
+    for model in _models(schema, (f,), limit):
         if evaluate(model, f):
             return EntailmentResult(True, model)
     return EntailmentResult(False, None)
+
+
+def pair_cells(
+    schema: Schema, a: Formula, b: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
+) -> tuple[bool, bool, bool, bool]:
+    """Which of ``a & b``, ``a & !b``, ``!a & b`` and ``!a & !b`` have a model.
+
+    One pass over the joint keys.  It stops once the first three are seen,
+    so a False fourth cell proves nothing unless one of those is False.
+    """
+    seen = [False, False, False, False]
+    for model in _models(schema, (a, b), limit):
+        seen[2 * (not evaluate(model, a)) + (not evaluate(model, b))] = True
+        if seen[0] and seen[1] and seen[2]:
+            break
+    return tuple(seen)
 
 
 def entails(

@@ -247,22 +247,27 @@ def numeric_keys(formula: Formula) -> frozenset[Key]:
 def validate_formula(schema: Schema, formula: Formula) -> None:
     """Raise if any atom of ``formula`` is inconsistent with ``schema``."""
     for atom in iter_atoms(formula):
-        if isinstance(atom, CatAtom):
-            if schema.is_numeric(atom.attr):
-                raise CategoricalComparisonOnNumeric(
-                    f"attribute {atom.attr!r} is numeric, not categorical"
-                )
-            if atom.value not in schema.domain(atom.attr):
-                raise ValueNotInDomain(
-                    f"{atom.value!r} is not in the domain of {atom.attr!r}"
-                )
-        else:
-            if schema.is_categorical(atom.attr):
-                raise NumericComparisonOnCategorical(
-                    f"attribute {atom.attr!r} is categorical, not numeric"
-                )
-            if not schema.is_numeric(atom.attr):
-                raise UnknownAttribute(f"unknown attribute {atom.attr!r}")
+        validate_atom(schema, atom)
+
+
+def validate_atom(schema: Schema, atom: CatAtom | NumAtom) -> None:
+    """Raise if ``atom`` is inconsistent with ``schema``."""
+    if isinstance(atom, CatAtom):
+        if schema.is_numeric(atom.attr):
+            raise CategoricalComparisonOnNumeric(
+                f"attribute {atom.attr!r} is numeric, not categorical"
+            )
+        if atom.value not in schema.domain(atom.attr):
+            raise ValueNotInDomain(
+                f"{atom.value!r} is not in the domain of {atom.attr!r}"
+            )
+    else:
+        if schema.is_categorical(atom.attr):
+            raise NumericComparisonOnCategorical(
+                f"attribute {atom.attr!r} is categorical, not numeric"
+            )
+        if not schema.is_numeric(atom.attr):
+            raise UnknownAttribute(f"unknown attribute {atom.attr!r}")
 
 
 def validate_model(schema: Schema, model: Model) -> None:

@@ -11,7 +11,8 @@ feed the same record shape; nothing here would change.
 
 Tallying is order independent and merge homomorphic: tallying a
 concatenation equals merging the tallies of the parts.  That equation is
-what licenses the optional parallel tally.
+what lets a corpus be sharded across processes, each tallying its part, and
+the parts' counts merged with ``CategoryCounts.merge``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit
@@ -186,28 +185,12 @@ def tally(
     *,
     parse_failures: int = 0,
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-    jobs: Optional[int] = None,
 ) -> CategoryCounts:
     """Classify every record and count verdicts per category.
 
     A record that exceeds the assignment limit lands in the
-    resource_limited bucket instead of aborting the run.  ``jobs`` > 1
-    splits the records across threads and merges the partial counts; the
-    result is identical either way.
+    resource_limited bucket instead of aborting the run.
     """
-    if jobs is not None and jobs > 1 and len(records) > 1:
-        chunks = [records[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda chunk: _tally_chunk(schema, chunk, limit), chunks)
-            merged = reduce(CategoryCounts.merge, parts)
-    else:
-        merged = _tally_chunk(schema, records, limit)
-    return replace(merged, parse_failures=parse_failures)
-
-
-def _tally_chunk(
-    schema: Schema, records: Sequence[CorpusRecord], limit: int
-) -> CategoryCounts:
     counts = {v: 0 for v in Verdict}
     resource_limited = 0
     gold_matches = gold_total = 0
@@ -222,7 +205,7 @@ def _tally_chunk(
             gold_total += 1
             if verdict is record.gold:
                 gold_matches += 1
-    return CategoryCounts(counts, 0, resource_limited, gold_matches, gold_total)
+    return CategoryCounts(counts, parse_failures, resource_limited, gold_matches, gold_total)
 
 
 # ---------------------------------------------------------------------------

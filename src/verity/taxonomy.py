@@ -1,7 +1,9 @@
 """Eight-way classification of (input, output) MR pairs and legacy labels.
 
-The verdict is decided purely by entailment facts.  With f = input |= output
-and b = output |= input:
+The verdict is decided purely by entailment facts, which are fixed by which
+of the cells input & output, input & !output, !input & output and
+!input & !output have a model; ``decide`` finds the cells in one pass.
+With f = input |= output and b = output |= input:
 
     f and b          0-well-matched
     f and not b      1b-tautologous when the output is a tautology, else 1a-too-weak
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, entails, is_contradiction, is_tautology, satisfiable
-from .mr import Formula, MrError, Not, Schema
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, pair_cells, satisfiable
+from .mr import Formula, MrError, Schema, SourceError
 
 
 class Verdict(Enum):
@@ -69,6 +71,45 @@ class UnmappableVerdict(MrError):
     """The verdict has no legacy-label counterpart."""
 
 
+@dataclass(frozen=True)
+class PairFacts:
+    """The entailment facts that define a pair's verdict, and the verdict."""
+
+    input_satisfiable: bool
+    forward: bool  # input |= output
+    backward: bool  # output |= input
+    conflict: bool  # input |= !output
+    verdict: Verdict
+
+
+def decide(
+    schema: Schema,
+    input_mr: Formula,
+    output_mr: Formula,
+    *,
+    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+) -> PairFacts:
+    """The pair's facts and verdict, from one pass over its joint keys;
+    raises ResourceLimit when that joint space exceeds ``limit``."""
+    both, input_only, output_only, neither = pair_cells(schema, input_mr, output_mr, limit=limit)
+    consistent = both or input_only
+    forward = not input_only
+    backward = not output_only
+    if not consistent:
+        verdict = Verdict.INCONSISTENT_INPUT
+    elif forward and backward:
+        verdict = Verdict.WELL_MATCHED
+    elif forward:
+        verdict = Verdict.TOO_WEAK if neither else Verdict.TAUTOLOGOUS
+    elif backward:
+        verdict = Verdict.TOO_STRONG if both else Verdict.SELF_CONTRADICTORY
+    elif both:
+        verdict = Verdict.INDEPENDENT
+    else:
+        verdict = Verdict.CONFLICTING
+    return PairFacts(consistent, forward, backward, not both, verdict)
+
+
 def classify(
     schema: Schema,
     input_mr: Formula,
@@ -77,23 +118,14 @@ def classify(
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
 ) -> Verdict:
     """Assign the unique verdict for this (input, output) pair."""
-    if not satisfiable(schema, input_mr, limit=limit):
+    try:
+        return decide(schema, input_mr, output_mr, limit=limit).verdict
+    except (ResourceLimit, SourceError):
+        # A refused pair falls back to the input alone: it may still be
+        # inconsistent, or be refused with its own, smaller size.
+        if satisfiable(schema, input_mr, limit=limit):
+            raise
         return Verdict.INCONSISTENT_INPUT
-    forward = entails(schema, input_mr, output_mr, limit=limit)
-    backward = entails(schema, output_mr, input_mr, limit=limit)
-    if forward and backward:
-        return Verdict.WELL_MATCHED
-    if forward:
-        if is_tautology(schema, output_mr, limit=limit):
-            return Verdict.TAUTOLOGOUS
-        return Verdict.TOO_WEAK
-    if backward:
-        if is_contradiction(schema, output_mr, limit=limit):
-            return Verdict.SELF_CONTRADICTORY
-        return Verdict.TOO_STRONG
-    if entails(schema, input_mr, Not(output_mr), limit=limit):
-        return Verdict.CONFLICTING
-    return Verdict.INDEPENDENT
 
 
 # Each row is a theorem of the legacy definitions given the verdict's

@@ -213,13 +213,6 @@ def test_tally_merge_homomorphism():
         assert parts == whole
 
 
-def test_tally_jobs_parity():
-    records = _fixture_records() * 3
-    serial = tally(RESTAURANT, records, parse_failures=2)
-    for jobs in (1, 2, 3, 8):
-        assert tally(RESTAURANT, records, parse_failures=2, jobs=jobs) == serial
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 

@@ -25,6 +25,7 @@ from verity import (
     satisfiable,
     Not,
 )
+from verity.taxonomy import decide
 
 RESTAURANT = parse_schema(
     """
@@ -180,11 +181,20 @@ class TestVerdictLaws:
     @settings(max_examples=150)
     @given(schema_and_pair())
     def test_exactly_one_definition_holds(self, case):
-        """classify matches the unique verdict whose oracle-checked definition holds."""
+        """classify matches the unique verdict whose oracle-checked definition
+        holds, and decide's facts are the oracle's."""
         schema, i, o = case
         facts = _oracle_facts(schema, i, o)
         holding = [v for v, defn in _DEFINITIONS.items() if defn(facts)]
         assert holding == [classify(schema, i, o)]
+        decided = decide(schema, i, o)
+        assert decided.verdict is holding[0]
+        assert (
+            decided.input_satisfiable,
+            decided.forward,
+            decided.backward,
+            decided.conflict,
+        ) == (facts["sat_i"], facts["fwd"], facts["bwd"], facts["conflict"])
 
     @settings(max_examples=150)
     @given(schema_and_pair())
