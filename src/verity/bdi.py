@@ -46,6 +46,7 @@ from .mr import (
     parse_formula,
     parse_schema,
     print_formula,
+    read_source,
     validate_model,
 )
 
@@ -254,7 +255,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), parse_float=Fraction)
+        doc = json.loads(read_source(path), parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -268,8 +269,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
             raise ScenarioError(f"{path}: field {name!r} must be a {kind.__name__}")
         return value
 
-    schema_text = (path.parent / str(field("schema", str))).read_text(encoding="utf-8")
-    schema = parse_schema(schema_text)
+    schema = parse_schema(read_source(path.parent / str(field("schema", str))))
 
     def formula(name: str, text: str) -> Formula:
         try:

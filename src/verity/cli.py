@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from .bdi import load_scenario, scan_misleading
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, satisfiable
 from .mr import (
     And,
-    Formula,
     MrError,
     Not,
     ParseError,
@@ -25,14 +25,15 @@ from .mr import (
     format_model,
     parse_formula,
     parse_schema,
+    read_source,
 )
 from .oracle import (
     OracleDivergence,
     checked_classify,
+    checked_decide,
     checked_entails,
-    checked_is_contradiction,
-    checked_is_tautology,
     checked_satisfiable,
+    checked_tally,
 )
 from .report import (
     REPORT_FORMATS,
@@ -59,30 +60,31 @@ ENV_LIMIT = "VERITY_LIMIT"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-s", "--schema", metavar="PATH", help="schema file")
-    common.add_argument(
+    # Each subcommand takes only the flags its handler reads.
+    engine, schema, verbose, legacy, fmt = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    engine.add_argument(
         "--limit",
         type=int,
         metavar="N",
         help=f"assignment-space cap (default ${ENV_LIMIT} or {DEFAULT_ASSIGNMENT_LIMIT})",
     )
-    common.add_argument(
-        "--format",
-        default="text",
-        metavar="FMT",
-        help="report format: " + ", ".join(REPORT_FORMATS),
-    )
-    common.add_argument(
-        "--legacy", action="store_true", help="also print legacy labels"
-    )
-    common.add_argument(
+    engine.add_argument(
         "--oracle",
         action="store_true",
         help="cross-check every decision against the brute-force oracle",
     )
-    common.add_argument(
+    schema.add_argument("-s", "--schema", metavar="PATH", help="schema file")
+    verbose.add_argument(
         "-v", "--verbose", action="store_true", help="print supporting facts"
+    )
+    legacy.add_argument("--legacy", action="store_true", help="also print legacy labels")
+    fmt.add_argument(
+        "--format",
+        default="text",
+        metavar="FMT",
+        help="report format: " + ", ".join(REPORT_FORMATS),
     )
 
     parser = argparse.ArgumentParser(
@@ -94,14 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser(
-        "classify", parents=[common], help="classify an (input, output) MR pair"
+        "classify",
+        parents=[engine, schema, verbose, legacy],
+        help="classify an (input, output) MR pair",
     )
     p.add_argument("input", metavar="INPUT", help="input formula")
     p.add_argument("output", metavar="OUTPUT", help="output formula")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
-        "check", parents=[common], help="decide one entailment question"
+        "check", parents=[engine, schema, verbose], help="decide one entailment question"
     )
     p.add_argument(
         "kind", choices=("entails", "sat", "taut", "contra"), metavar="KIND",
@@ -111,13 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
-        "report", parents=[common], help="tally a corpus of MR pairs"
+        "report", parents=[engine, schema, fmt], help="tally a corpus of MR pairs"
     )
     p.add_argument("corpus", metavar="CORPUS", help="JSON-lines corpus file")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser(
-        "bdi", parents=[common], help="scan a scenario for misleading"
+        "bdi", parents=[engine], help="scan a scenario for misleading"
     )
     p.add_argument("scenario", metavar="SCENARIO", help="scenario file")
     p.set_defaults(func=_cmd_bdi)
@@ -141,8 +145,7 @@ def _resolve_limit(args: argparse.Namespace) -> int:
 def _load_schema(args: argparse.Namespace) -> Schema:
     if args.schema is None:
         raise ParseError(f"{args.command}: --schema is required")
-    with open(args.schema, "r", encoding="utf-8") as fh:
-        return parse_schema(fh.read())
+    return parse_schema(read_source(args.schema))
 
 
 def _yn(flag: bool) -> str:
@@ -164,11 +167,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     input_mr = parse_formula(args.input, schema)
     output_mr = parse_formula(args.output, schema)
-    facts = decide(schema, input_mr, output_mr, limit=limit) if args.verbose else None
-    if args.oracle:
-        verdict = checked_classify(schema, input_mr, output_mr, limit=limit)
+    pair = (schema, input_mr, output_mr)
+    if args.verbose:
+        facts = (checked_decide if args.oracle else decide)(*pair, limit=limit)
+        verdict = facts.verdict
     else:
-        verdict = facts.verdict if facts else classify(schema, input_mr, output_mr, limit=limit)
+        facts = None
+        verdict = (checked_classify if args.oracle else classify)(*pair, limit=limit)
     lines = [verdict.value]
     if facts is not None:
         lines.append(f"input satisfiable: {_yn(facts.input_satisfiable)}")
@@ -200,17 +205,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # Each kind is one satisfiability question whose model is the witness;
     # only sat answers yes when that question has a model.
     f = parsed[0]
-    question, label, checked = {
-        "entails": (And(f, Not(parsed[-1])), "countermodel", checked_entails),
-        "sat": (f, "witness", checked_satisfiable),
-        "taut": (Not(f), "countermodel", checked_is_tautology),
-        "contra": (f, "witness", checked_is_contradiction),
+    question, label = {
+        "entails": (And(f, Not(parsed[-1])), "countermodel"),
+        "sat": (f, "witness"),
+        "taut": (Not(f), "countermodel"),
+        "contra": (f, "witness"),
     }[args.kind]
-    result = satisfiable(schema, question, limit=limit)
-    answer = result.holds == (args.kind == "sat")
-    if args.oracle:
-        checked(schema, *parsed, limit=limit)  # raises OracleDivergence
-    print(_yn(answer))
+    result = (checked_satisfiable if args.oracle else satisfiable)(schema, question, limit=limit)
+    print(_yn(result.holds == (args.kind == "sat")))
     if args.verbose and result.witness is not None:
         print(f"{label}: {format_model(result.witness)}")
     return EXIT_OK
@@ -221,17 +223,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise UnknownFormat(args.format)
     schema = _load_schema(args)
     limit = _resolve_limit(args)
-    with open(args.corpus, "r", encoding="utf-8") as fh:
+    # Undecodable bytes survive as lone surrogates, which ingest_corpus
+    # turns into a LineError for that line alone.
+    with open(args.corpus, "r", encoding="utf-8", errors="surrogateescape") as fh:
         records, errors = ingest_corpus(fh, schema)
     for error in errors:
         print(f"line {error.line_no}: {error.message}", file=sys.stderr)
-    if args.oracle:
-        for record in records:
-            try:
-                checked_classify(schema, record.input, record.output, limit=limit)
-            except ResourceLimit:
-                pass
-    counts = tally(schema, records, parse_failures=len(errors), limit=limit)
+    counts = (checked_tally if args.oracle else tally)(
+        schema, records, parse_failures=len(errors), limit=limit
+    )
     sys.stdout.write(render_report(counts, args.format))
     return EXIT_OK
 
@@ -239,10 +239,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bdi(args: argparse.Namespace) -> int:
     scenario, candidates = load_scenario(args.scenario)
     limit = _resolve_limit(args)
-    entails_fn = None
-    if args.oracle:
-        def entails_fn(a: Formula, b: Formula) -> bool:
-            return checked_entails(scenario.schema, a, b, limit=limit)
+    entails_fn = partial(checked_entails, scenario.schema, limit=limit) if args.oracle else None
     findings = scan_misleading(
         scenario, candidates, limit=limit, entails_fn=entails_fn
     )

@@ -27,6 +27,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Union
 
 # ---------------------------------------------------------------------------
@@ -469,6 +470,14 @@ class _TokenStream:
 # Parsing
 
 
+def read_source(path: str | Path) -> str:
+    """Read a UTF-8 source file; bytes that do not decode are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def parse_schema(text: str) -> Schema:
     """Parse schema source: one declaration per line, ``#`` comments."""
     categorical: dict[str, tuple[str, ...]] = {}
@@ -626,4 +635,10 @@ def _parse_atom(stream: _TokenStream, schema: Schema) -> Formula:
             val_tok.col,
         )
     val_tok = stream.expect("number", what="numeric constant")
-    return NumAtom(attr, entity, op_tok.kind, Fraction(val_tok.text))
+    try:
+        constant = Fraction(val_tok.text)
+    except ZeroDivisionError:
+        raise ParseError(
+            f"zero denominator in {val_tok.text!r}", val_tok.line, val_tok.col
+        ) from None
+    return NumAtom(attr, entity, op_tok.kind, constant)

@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .entail import (
-    DEFAULT_ASSIGNMENT_LIMIT,
-    entails,
-    is_contradiction,
-    is_tautology,
-    satisfiable,
-)
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails, satisfiable
 from .mr import (
     Formula,
     Key,
@@ -37,7 +31,8 @@ from .mr import (
     print_formula,
     validate_formula,
 )
-from .taxonomy import Verdict, classify
+from .report import CategoryCounts, CorpusRecord, tally
+from .taxonomy import PairFacts, Verdict, classify, decide
 
 _BASE_GRID = tuple(Fraction(n, 2) for n in range(-2, 13))
 
@@ -114,62 +109,63 @@ def oracle_classify(schema: Schema, input_mr: Formula, output_mr: Formula) -> Ve
     return Verdict.INDEPENDENT
 
 
-def _diverged(operation: str, engine: object, reference: object, *formulas: Formula) -> OracleDivergence:
-    shown = ", ".join(repr(print_formula(f)) for f in formulas)
-    return OracleDivergence(
-        f"{operation}({shown}): engine says {engine}, oracle says {reference}"
-    )
+def _agree(operation: str, engine: object, reference: object, *formulas: Formula) -> None:
+    if engine != reference:
+        shown = ", ".join(repr(print_formula(f)) for f in formulas)
+        raise OracleDivergence(
+            f"{operation}({shown}): engine says {engine}, oracle says {reference}"
+        )
 
 
 def checked_satisfiable(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> bool:
-    engine = bool(satisfiable(schema, f, limit=limit))
-    reference = oracle_satisfiable(schema, f)
-    if engine != reference:
-        raise _diverged("satisfiable", engine, reference, f)
+) -> EntailmentResult:
+    engine = satisfiable(schema, f, limit=limit)
+    _agree("satisfiable", engine.holds, oracle_satisfiable(schema, f), f)
     return engine
 
 
 def checked_entails(
     schema: Schema, a: Formula, b: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> bool:
-    engine = bool(entails(schema, a, b, limit=limit))
-    reference = oracle_entails(schema, a, b)
-    if engine != reference:
-        raise _diverged("entails", engine, reference, a, b)
+) -> EntailmentResult:
+    engine = entails(schema, a, b, limit=limit)
+    _agree("entails", engine.holds, oracle_entails(schema, a, b), a, b)
     return engine
 
 
-def checked_is_tautology(
-    schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> bool:
-    engine = is_tautology(schema, f, limit=limit)
-    reference = oracle_is_tautology(schema, f)
-    if engine != reference:
-        raise _diverged("is_tautology", engine, reference, f)
-    return engine
-
-
-def checked_is_contradiction(
-    schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> bool:
-    engine = is_contradiction(schema, f, limit=limit)
-    reference = oracle_is_contradiction(schema, f)
-    if engine != reference:
-        raise _diverged("is_contradiction", engine, reference, f)
+def checked_decide(
+    schema: Schema, input_mr: Formula, output_mr: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
+) -> PairFacts:
+    engine = decide(schema, input_mr, output_mr, limit=limit)
+    reference = oracle_classify(schema, input_mr, output_mr)
+    _agree("classify", engine.verdict.value, reference.value, input_mr, output_mr)
     return engine
 
 
 def checked_classify(
-    schema: Schema,
-    input_mr: Formula,
-    output_mr: Formula,
-    *,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+    schema: Schema, input_mr: Formula, output_mr: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> Verdict:
     engine = classify(schema, input_mr, output_mr, limit=limit)
     reference = oracle_classify(schema, input_mr, output_mr)
-    if engine != reference:
-        raise _diverged("classify", engine.value, reference.value, input_mr, output_mr)
+    _agree("classify", engine.value, reference.value, input_mr, output_mr)
     return engine
+
+
+def checked_tally(
+    schema: Schema,
+    records: Sequence[CorpusRecord],
+    *,
+    parse_failures: int = 0,
+    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+) -> CategoryCounts:
+    """``tally`` one record at a time, checking each verdict against the
+    oracle; a resource-limited record has no verdict and is not checked."""
+    total = CategoryCounts({}, parse_failures)
+    for record in records:
+        counts = tally(schema, [record], limit=limit)
+        for verdict, n in counts.counts.items():
+            if n:
+                reference = oracle_classify(schema, record.input, record.output)
+                _agree("classify", verdict.value, reference.value, record.input, record.output)
+        total = total.merge(counts)
+    return total

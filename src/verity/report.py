@@ -118,7 +118,9 @@ def ingest_corpus(
     """Read records line by line, isolating bad lines as LineErrors.
 
     Blank lines are skipped.  Duplicate ids are errors; the first record
-    with an id wins.
+    with an id wins.  A line holding lone surrogates, which is what
+    undecodable bytes become under ``errors="surrogateescape"``, is an
+    error too.
     """
     records: list[CorpusRecord] = []
     errors: list[LineError] = []
@@ -126,6 +128,11 @@ def ingest_corpus(
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
+            continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            errors.append(LineError(line_no, "not valid UTF-8"))
             continue
         try:
             doc = json.loads(line)

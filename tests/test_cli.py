@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import verity
 from verity import (
     CatAtom,
     CorpusRecord,
@@ -141,22 +144,7 @@ def test_refused_pair_falls_back_to_the_input_alone(capsys):
     assert tally(schema, [record], limit=1).resource_limited == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "Food(x)=Italian & Price(x)=Low", "Food(x)=Italian"),
-        ("classify", "-v", "Food(x)=Italian & Price(x)=Low", "Food(x)=Italian"),
-        ("classify", "-v", "Food(x)=Italian", "Food(x)=Italian | Price(x)=Low"),
-        ("check", "entails", "Food(x)=Italian", "Price(x)=Low"),
-        ("check", "entails", "-v", "Food(x)=Italian", "Price(x)=Low"),
-        ("check", "sat", "Food(x)=Italian"),
-        ("check", "sat", "-v", "Food(x)=Italian"),
-        ("check", "taut", "-v", "Food(x)=Italian"),
-        ("check", "contra", "Food(x)=Italian"),
-        ("check", "contra", "-v", "Food(x)=Italian"),
-    ],
-)
-def test_one_enumeration_per_question(capsys, monkeypatch, argv):
+def _count_models(monkeypatch) -> list:
     calls = []
     models = entail._models
 
@@ -165,9 +153,62 @@ def test_one_enumeration_per_question(capsys, monkeypatch, argv):
         return models(*args)
 
     monkeypatch.setattr(entail, "_models", counting)
+    return calls
+
+
+QUESTIONS = [
+    ("classify", "Food(x)=Italian & Price(x)=Low", "Food(x)=Italian"),
+    ("classify", "-v", "Food(x)=Italian & Price(x)=Low", "Food(x)=Italian"),
+    ("classify", "-v", "Food(x)=Italian", "Food(x)=Italian | Price(x)=Low"),
+    ("check", "entails", "Food(x)=Italian", "Price(x)=Low"),
+    ("check", "entails", "-v", "Food(x)=Italian", "Price(x)=Low"),
+    ("check", "sat", "Food(x)=Italian"),
+    ("check", "sat", "-v", "Food(x)=Italian"),
+    ("check", "taut", "-v", "Food(x)=Italian"),
+    ("check", "contra", "Food(x)=Italian"),
+    ("check", "contra", "-v", "Food(x)=Italian"),
+]
+
+
+# --oracle swaps each engine call for its checked twin; it adds no pass.
+@pytest.mark.parametrize("argv", QUESTIONS + [q + ("--oracle",) for q in QUESTIONS])
+def test_one_enumeration_per_question(capsys, monkeypatch, argv):
+    calls = _count_models(monkeypatch)
     code, _, err = run(capsys, *argv, "-s", RESTAURANT)
     assert (code, err) == (0, "")
     assert len(calls) == 1
+
+
+def test_report_oracle_decides_each_record_once(capsys, monkeypatch):
+    calls = _count_models(monkeypatch)
+    assert run(capsys, "report", "--oracle", "-s", RESTAURANT, CORPUS) == (0, REPORT_TEXT, "")
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("classify", "--format=json"),
+        ("check", "--format=json"),
+        ("check", "--legacy"),
+        ("report", "--legacy"),
+        ("report", "-v"),
+        ("bdi", "-s=x.schema"),
+        ("bdi", "--format=json"),
+        ("bdi", "--legacy"),
+        ("bdi", "-v"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    operands = {
+        "classify": ("-s", RESTAURANT, "true", "true"),
+        "check": ("sat", "-s", RESTAURANT, "true"),
+        "report": ("-s", RESTAURANT, CORPUS),
+        "bdi": (str(fixture_path("hurricane.scenario.json")),),
+    }[command]
+    code, out, err = run(capsys, command, flag, *operands)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_report_jobs_is_gone(capsys):
@@ -187,6 +228,24 @@ def test_classify_formula_error(capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert "Sushi" in err
+
+
+def test_classify_zero_denominator(capsys):
+    code, out, err = run(
+        capsys, "classify", "-s", TEMPERATURE, "Temperature(d) > 1/0", "true"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "zero denominator" in err
+
+
+def test_schema_not_utf8(capsys, tmp_path):
+    schema = tmp_path / "bad.schema"
+    schema.write_bytes(b"attr Food : { Italian, Caf\xe9 }\n")
+    code, out, err = run(capsys, "classify", "-s", str(schema), "true", "true")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "not valid UTF-8" in err
 
 
 def test_classify_missing_schema_file(capsys, tmp_path):
@@ -361,6 +420,22 @@ def test_report_bad_lines_go_to_stderr(capsys, tmp_path):
     assert "total                      2" in out
 
 
+def test_report_survives_a_line_that_is_not_utf8(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(
+        b'{"id": "a", "input": "true", "output": "true"}\n'
+        b'{"id": "b\xff", "input": "true", "output": "true"}\n'
+        b"\xfe\xff\n"
+        b'{"id": "c", "input": "true", "output": "Food(x)=Italian"}\n'
+        b'{"id": "d", "input": "Temperature(d) > 1/0", "output": "true"}\n'
+    )
+    code, out, err = run(capsys, "report", "-s", RESTAURANT, str(corpus))
+    assert code == 0
+    assert err.splitlines()[:2] == ["line 2: not valid UTF-8", "line 3: not valid UTF-8"]
+    assert "parse failures: 3" in out
+    assert "total                      2" in out
+
+
 def test_report_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "report", "-s", RESTAURANT, str(tmp_path / "no.jsonl"))
     assert code == 2
@@ -418,6 +493,28 @@ def test_bdi_no_findings(capsys, tmp_path):
     assert (code, out) == (0, "no findings\n")
 
 
+@pytest.mark.parametrize("bad", ["scenario", "schema"])
+def test_bdi_file_not_utf8(capsys, tmp_path, bad):
+    (tmp_path / "w.schema").write_bytes(
+        b"attr Sky : { Clear, Caf\xe9 }\n" if bad == "schema" else b"attr Sky : { Clear }\n"
+    )
+    doc = json.dumps(
+        {
+            "schema": "w.schema",
+            "communicated": "true",
+            "hearer_beliefs": "true",
+            "world": {"Sky(today)": "Clear"},
+            "norms": [],
+        }
+    ).encode("utf-8")
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(doc.replace(b'"true"', b'"\xfftrue"', 1) if bad == "scenario" else doc)
+    code, out, err = run(capsys, "bdi", str(scenario))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "not valid UTF-8" in err
+
+
 def test_bdi_invalid_scenario(capsys, tmp_path):
     bad = tmp_path / "s.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -472,7 +569,52 @@ def test_oracle_divergence_exit_code(capsys, monkeypatch):
     assert err.startswith("oracle divergence:")
 
 
+@pytest.mark.parametrize(
+    "argv, wrong, stderr",
+    [
+        (
+            ("classify", "-v", "Food(x)=Italian", "Food(x)=Norwegian"),
+            "classify",
+            "classify('Food(x)=Italian', 'Food(x)=Norwegian'): "
+            "engine says 3b-conflicting, oracle says 0-well-matched",
+        ),
+        (
+            ("check", "entails", "Food(x)=Italian", "Price(x)=Low"),
+            "satisfiable",
+            "satisfiable('Food(x)=Italian & !(Price(x)=Low)'): "
+            "engine says True, oracle says False",
+        ),
+        (
+            ("check", "taut", "-v", "Food(x)=Italian"),
+            "satisfiable",
+            "satisfiable('!(Food(x)=Italian)'): engine says True, oracle says False",
+        ),
+        (
+            ("report", CORPUS),
+            "classify",
+            "classify('Type(x)=Restaurant & Food(x)=Italian & Price(x)=Low', "
+            "'Type(x)=Restaurant & Food(x)=Italian'): engine says 1a-too-weak, oracle says 0-well-matched",
+        ),
+    ],
+    ids=["classify-v", "check-entails", "check-taut-v", "report"],
+)
+def test_divergence_exits_5_with_empty_stdout(capsys, monkeypatch, argv, wrong, stderr):
+    """The oracle is patched to answer wrongly; the engine's answer is never printed."""
+    if wrong == "classify":
+        monkeypatch.setattr("verity.oracle.oracle_classify", lambda *a: Verdict.WELL_MATCHED)
+    else:
+        monkeypatch.setattr(
+            "verity.oracle.oracle_satisfiable",
+            lambda schema, f: not entail.satisfiable(schema, f).holds,
+        )
+    code, out, err = run(capsys, *argv, "--oracle", "-s", RESTAURANT)
+    assert (code, out) == (5, "")
+    assert err == f"oracle divergence: {stderr}\n"
+
+
 def test_module_entry_point():
+    # The child process imports the same verity as this test does.
+    src = str(Path(verity.__file__).resolve().parents[1])
     proc = subprocess.run(
         [
             sys.executable,
@@ -486,6 +628,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))},
     )
     assert proc.returncode == 0
     assert proc.stdout == "3b-conflicting\n"

@@ -203,6 +203,14 @@ def test_parse_formula_errors(text, error):
         parse_formula(text, SCHEMA)
 
 
+@pytest.mark.parametrize("text", ["Temp(d) > 1/0", "Temp(d) < -3/0"])
+def test_zero_denominator_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc_info:
+        parse_formula(text, SCHEMA)
+    assert (exc_info.value.line, exc_info.value.col) == (1, 11)
+    assert "zero denominator" in str(exc_info.value)
+
+
 def test_parse_error_position_points_at_offender():
     with pytest.raises(ValueNotInDomain) as exc_info:
         parse_formula("Food(x)=Sushi", SCHEMA)

@@ -8,13 +8,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from randgen import random_formula, random_schema
 from verity import (
     CategoryCounts,
+    CorpusRecord,
     LineError,
     REPORT_FORMATS,
     UnknownFormat,
     Verdict,
+    checked_tally,
     ingest_corpus,
+    oracle,
     parse_schema,
     render_report,
     tally,
@@ -108,6 +112,37 @@ def test_ingest_line_errors(line, message):
     assert records == []
     assert len(errors) == 1
     assert message in errors[0].message
+
+
+def test_ingest_isolates_a_zero_denominator():
+    schema = parse_schema("num Temp")
+    lines = [
+        '{"id": "a", "input": "Temp(d) > 1", "output": "true"}',
+        '{"id": "b", "input": "Temp(d) > 1/0", "output": "true"}',
+        '{"id": "c", "input": "true", "output": "Temp(d) < -3/0"}',
+        '{"id": "d", "input": "Temp(d) > 1/2", "output": "true"}',
+    ]
+    records, errors = ingest_corpus(lines, schema)
+    assert [r.id for r in records] == ["a", "d"]
+    assert errors == [
+        LineError(2, "field 'input': 1:11: zero denominator in '1/0'"),
+        LineError(3, "field 'output': 1:11: zero denominator in '-3/0'"),
+    ]
+
+
+def test_ingest_rejects_lines_that_are_not_utf8():
+    """Undecoded bytes arrive as lone surrogates under surrogateescape; the
+    line is rejected even when they sit inside a JSON string."""
+    raw = (
+        b'{"id": "a", "input": "true", "output": "true"}\n'
+        b'{"id": "b\xff", "input": "true", "output": "true"}\n'
+        b'\xc3{"id": "c", "input": "true", "output": "true"}\n'
+        b'{"id": "d", "input": "true", "output": "true"}\n'
+    )
+    lines = raw.decode("utf-8", errors="surrogateescape").splitlines()
+    records, errors = ingest_corpus(lines, RESTAURANT)
+    assert [r.id for r in records] == ["a", "d"]
+    assert errors == [LineError(2, "not valid UTF-8"), LineError(3, "not valid UTF-8")]
 
 
 def test_ingest_duplicate_id_keeps_first():
@@ -211,6 +246,29 @@ def test_tally_merge_homomorphism():
     for cut in range(len(records) + 1):
         parts = tally(RESTAURANT, records[:cut]).merge(tally(RESTAURANT, records[cut:]))
         assert parts == whole
+
+
+def test_checked_tally_equals_tally(monkeypatch):
+    """checked_tally merges one-record tallies; the oracle sees only the
+    records that got a verdict, never a resource-limited one."""
+    rng = random.Random(5)
+    reference = oracle.oracle_classify
+    calls = []
+    monkeypatch.setattr(oracle, "oracle_classify", lambda *a: calls.append(a) or reference(*a))
+    limited = 0
+    for n in range(30):
+        schema = random_schema(rng)
+        records = []
+        for i in range(8):
+            a, b = random_formula(rng, schema, 3), random_formula(rng, schema, 3)
+            gold = reference(schema, a, b) if rng.random() < 0.8 else rng.choice(list(Verdict))
+            records.append(CorpusRecord(str(i), a, b, i + 1, gold))
+        expected = tally(schema, records, parse_failures=n % 3, limit=12)
+        calls.clear()
+        assert checked_tally(schema, records, parse_failures=n % 3, limit=12) == expected
+        assert len(calls) == expected.total
+        limited += expected.resource_limited
+    assert 0 < limited < 30 * 8
 
 
 # ---------------------------------------------------------------------------
