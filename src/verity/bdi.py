@@ -224,7 +224,7 @@ def scan_misleading(
     else:
         pool = list(dict.fromkeys(candidates))
     if len(pool) ** 2 > pair_limit:
-        raise ResourceLimit(len(pool) ** 2, pair_limit)
+        raise ResourceLimit(len(pool) ** 2, pair_limit, "candidate pairs")
     fn = entails_fn or _engine_fn(scenario, limit)
     findings = []
     for q in pool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from .bdi import load_scenario, scan_misleading
@@ -59,7 +59,10 @@ EXIT_DIVERGENCE = 5
 ENV_LIMIT = "VERITY_LIMIT"
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing does not change the parser, and each
+    # build is a cyclic object graph that only the cyclic collector frees.
     # Each subcommand takes only the flags its handler reads.
     engine, schema, verbose, legacy, fmt = (
         argparse.ArgumentParser(add_help=False) for _ in range(5)
@@ -68,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         metavar="N",
-        help=f"assignment-space cap (default ${ENV_LIMIT} or {DEFAULT_ASSIGNMENT_LIMIT})",
+        help=f"search nodes per decision (default ${ENV_LIMIT} or {DEFAULT_ASSIGNMENT_LIMIT})",
     )
     engine.add_argument(
         "--oracle",

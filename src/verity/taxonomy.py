@@ -2,7 +2,7 @@
 
 The verdict is decided purely by entailment facts, which are fixed by which
 of the cells input & output, input & !output, !input & output and
-!input & !output have a model; ``decide`` finds the cells in one pass.
+!input & !output have a model; ``decide`` finds the cells in one search.
 With f = input |= output and b = output |= input:
 
     f and b          0-well-matched
@@ -89,8 +89,8 @@ def decide(
     *,
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
 ) -> PairFacts:
-    """The pair's facts and verdict, from one pass over its joint keys;
-    raises ResourceLimit when that joint space exceeds ``limit``."""
+    """The pair's facts and verdict, from one search over its joint keys;
+    raises ResourceLimit when that search needs more than ``limit`` nodes."""
     both, input_only, output_only, neither = pair_cells(schema, input_mr, output_mr, limit=limit)
     consistent = both or input_only
     forward = not input_only

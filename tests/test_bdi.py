@@ -271,6 +271,7 @@ def test_scan_pair_limit():
         scan_misleading(hurricane_scenario(), pair_limit=24)
     assert info.value.required == 25
     assert info.value.limit == 24
+    assert str(info.value) == "25 candidate pairs exceeds limit 24"
     assert scan_misleading(hurricane_scenario(), pair_limit=25)
 
 

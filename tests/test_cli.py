@@ -21,9 +21,11 @@ from verity import (
     entail,
     parse_formula,
     parse_schema,
+    satisfiable,
     tally,
 )
 from verity.cli import ENV_LIMIT, main
+from verity.entail import pair_cells
 from verity.fixtures import fixture_path
 
 RESTAURANT = str(fixture_path("restaurant.schema"))
@@ -118,41 +120,49 @@ def test_classify_oracle_agrees(capsys):
 
 
 def test_refused_pair_falls_back_to_the_input_alone(capsys):
-    """The input's own space (3) fits the limit but the pair's joint space
-    (27) does not: an unsatisfiable input is still inconsistent-input, an
-    input over the limit is refused with its own size, and the verbose
-    facts, which need the joint space, are refused."""
+    """The input's own search (4 nodes: the root and one per Food value)
+    fits the limit but the pair's joint search (7 nodes) does not: an
+    unsatisfiable input is still inconsistent-input, an input over the
+    limit is refused by its own search, on the node after the limit, and
+    the verbose facts, which need the joint search, are refused."""
     schema = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
     input_text = "Food(x)=Italian & !Food(x)=Italian"
     output_text = "Price(x)=Low & Style(x)=Vegetarian"
     input_mr = parse_formula(input_text, schema)
     output_mr = parse_formula(output_text, schema)
 
-    assert classify(schema, input_mr, output_mr, limit=3) is Verdict.INCONSISTENT_INPUT
+    assert pair_cells(schema, input_mr, output_mr, limit=7) == (False, False, True, True)
     with pytest.raises(ResourceLimit) as exc_info:
-        classify(schema, input_mr, output_mr, limit=1)
-    assert exc_info.value.required == 3
+        pair_cells(schema, input_mr, output_mr, limit=6)
+    assert (exc_info.value.required, exc_info.value.limit) == (7, 6)
+    assert not satisfiable(schema, input_mr, limit=4)
+    assert classify(schema, input_mr, output_mr, limit=4) is Verdict.INCONSISTENT_INPUT
+    with pytest.raises(ResourceLimit) as exc_info:
+        classify(schema, input_mr, output_mr, limit=3)
+    assert (exc_info.value.required, exc_info.value.limit) == (4, 3)
     outside_schema = CatAtom("Food", "x", "Sushi")
     assert classify(schema, input_mr, outside_schema) is Verdict.INCONSISTENT_INPUT
 
-    args = ("-s", RESTAURANT, "--limit", "3", input_text, output_text)
+    args = ("-s", RESTAURANT, "--limit", "4", input_text, output_text)
     assert run(capsys, "classify", *args)[:2] == (0, "inconsistent-input\n")
-    assert run(capsys, "classify", "-v", *args)[:2] == (3, "")
+    assert run(capsys, "classify", "-v", *args) == (
+        3, "", "error: 5 search nodes exceeds limit 4\n"
+    )
 
     record = CorpusRecord("r", input_mr, output_mr, 1)
-    assert tally(schema, [record], limit=3).counts[Verdict.INCONSISTENT_INPUT] == 1
-    assert tally(schema, [record], limit=1).resource_limited == 1
+    assert tally(schema, [record], limit=4).counts[Verdict.INCONSISTENT_INPUT] == 1
+    assert tally(schema, [record], limit=3).resource_limited == 1
 
 
-def _count_models(monkeypatch) -> list:
+def _count_searches(monkeypatch) -> list:
     calls = []
-    models = entail._models
+    search = entail._search
 
     def counting(*args):
         calls.append(args)
-        return models(*args)
+        return search(*args)
 
-    monkeypatch.setattr(entail, "_models", counting)
+    monkeypatch.setattr(entail, "_search", counting)
     return calls
 
 
@@ -173,14 +183,14 @@ QUESTIONS = [
 # --oracle swaps each engine call for its checked twin; it adds no pass.
 @pytest.mark.parametrize("argv", QUESTIONS + [q + ("--oracle",) for q in QUESTIONS])
 def test_one_enumeration_per_question(capsys, monkeypatch, argv):
-    calls = _count_models(monkeypatch)
+    calls = _count_searches(monkeypatch)
     code, _, err = run(capsys, *argv, "-s", RESTAURANT)
     assert (code, err) == (0, "")
     assert len(calls) == 1
 
 
 def test_report_oracle_decides_each_record_once(capsys, monkeypatch):
-    calls = _count_models(monkeypatch)
+    calls = _count_searches(monkeypatch)
     assert run(capsys, "report", "--oracle", "-s", RESTAURANT, CORPUS) == (0, REPORT_TEXT, "")
     assert len(calls) == 4
 

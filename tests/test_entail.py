@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from randgen import random_formula, random_schema
 from verity import (
+    FALSE,
+    TRUE,
+    CatAtom,
+    Model,
+    NumAtom,
+    DEFAULT_ASSIGNMENT_LIMIT,
     And,
+    Implies,
     Not,
     ResourceLimit,
     Schema,
@@ -18,6 +27,7 @@ from verity import (
     evaluate,
     is_contradiction,
     is_tautology,
+    iter_atoms,
     oracle_entails,
     oracle_is_contradiction,
     oracle_is_tautology,
@@ -26,6 +36,7 @@ from verity import (
     parse_schema,
     satisfiable,
 )
+from verity.entail import _samples, pair_cells
 
 RESTAURANT = parse_schema(
     """
@@ -116,20 +127,48 @@ def test_unmentioned_keys_do_not_enter_the_search_space():
 
 
 def test_resource_limit_counts_numeric_samples():
+    """One node for the root, then one per sample tried: 21 and 22 are
+    false, 23 is the witness.  The node after the limit raises."""
     f = _f("Temperature(d) > 22", TEMPERATURE)
-    # one constant: samples are 21, 22, 23
-    assert satisfiable(TEMPERATURE, f, limit=3)
+    assert satisfiable(TEMPERATURE, f, limit=4).witness.numeric == {
+        ("Temperature", "d"): Fraction(23)
+    }
     with pytest.raises(ResourceLimit) as exc_info:
-        satisfiable(TEMPERATURE, f, limit=2)
-    assert exc_info.value.required == 3
-    assert exc_info.value.limit == 2
+        satisfiable(TEMPERATURE, f, limit=3)
+    assert (exc_info.value.required, exc_info.value.limit) == (4, 3)
+    assert str(exc_info.value) == "4 search nodes exceeds limit 3"
+
+
+def _iff(p, q):
+    return And(Implies(p, q), Implies(q, p))
 
 
 def test_resource_limit_multiplies_keys():
-    f = _f("Food(x)=Italian & Food(y)=Norwegian & Style(x)=Vegetarian")
+    """A formula that stays unknown until every key is assigned, and is
+    false on each full assignment, makes the search visit the whole tree:
+    1 + 2 + 2 * 2 + 2 * 2 * 3 = 19 nodes."""
+    parity = _iff(_iff(_f("Food(x)=Italian"), _f("Food(y)=Norwegian")), _f("Style(x)=Vegetarian"))
+    f = And(parity, Not(parity))
+    with pytest.raises(ResourceLimit) as exc_info:
+        satisfiable(RESTAURANT, f, limit=18)
+    assert exc_info.value.required == 19
+    assert not satisfiable(RESTAURANT, f, limit=19)
+    # A satisfiable conjunction is decided down one path: the root, two
+    # values of Food(y) under Food(x)=Italian, then Style(x)=Vegetarian.
+    g = _f("Food(x)=Italian & Food(y)=Norwegian & Style(x)=Vegetarian")
     with pytest.raises(ResourceLimit):
-        satisfiable(RESTAURANT, f, limit=11)  # 2 * 2 * 3 = 12
-    assert satisfiable(RESTAURANT, f, limit=12)
+        satisfiable(RESTAURANT, g, limit=4)
+    assert satisfiable(RESTAURANT, g, limit=5)
+
+
+def test_default_limit_is_a_fixed_node_budget():
+    """Every entry point defaults to the same budget of 10**6 nodes, and
+    under it the whole-tree search above is decided, not refused."""
+    assert DEFAULT_ASSIGNMENT_LIMIT == 10**6
+    for fn in (satisfiable, entails, is_tautology, is_contradiction, pair_cells):
+        assert inspect.signature(fn).parameters["limit"].default == DEFAULT_ASSIGNMENT_LIMIT
+    parity = _iff(_iff(_f("Food(x)=Italian"), _f("Food(y)=Norwegian")), _f("Style(x)=Vegetarian"))
+    assert not satisfiable(RESTAURANT, And(parity, Not(parity)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +249,115 @@ class TestEntailmentLaws:
         schema, (g, f) = case
         if is_contradiction(schema, g):
             assert entails(schema, g, f)
+
+
+# ---------------------------------------------------------------------------
+# The search against a full product enumeration
+
+
+def _product_models(schema, formulas):
+    """Every model over the formulas' keys in sorted-key product order, on
+    the engine's sample grid: the enumeration the search must agree with,
+    first witness included."""
+    cat_keys, constants = set(), {}
+    for f in formulas:
+        for atom in iter_atoms(f):
+            if isinstance(atom, NumAtom):
+                constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
+            else:
+                cat_keys.add((atom.attr, atom.entity))
+    cat_keys, num_keys = sorted(cat_keys), sorted(constants)
+    domains = [schema.domain(attr) for attr, _ in cat_keys]
+    domains += [_samples(sorted(constants[k])) for k in num_keys]
+    for choice in itertools.product(*domains):
+        yield Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[len(cat_keys):])))
+
+
+class TestSearchMatchesProduct:
+    @given(schema_and_formulas())
+    def test_witness_is_the_first_model_in_product_order(self, case):
+        """The search finds the model a full enumeration finds first."""
+        schema, (f,) = case
+        first = next((m for m in _product_models(schema, [f]) if evaluate(m, f)), None)
+        assert satisfiable(schema, f).witness == first
+
+    @given(schema_and_formulas(count=2))
+    def test_pair_cells_match_the_product(self, case):
+        """The cells decide reads: all four when the search ran to the end,
+        the first three when it stopped because all three were seen."""
+        schema, (a, b) = case
+        cells = [False] * 4
+        for m in _product_models(schema, [a, b]):
+            cells[2 * (not evaluate(m, a)) + (not evaluate(m, b))] = True
+        got = pair_cells(schema, a, b)
+        assert got[:3] == tuple(cells[:3])
+        if not all(got[:3]):
+            assert got[3] == cells[3]
+
+
+# ---------------------------------------------------------------------------
+# An independent decision procedure: sympy's SAT solver
+
+
+def _sympy_encoding(schema, f):
+    """``f`` as a propositional formula: one boolean per categorical value
+    with exactly one true per key, and per numeric key the booleans
+    x < c and x <= c for each constant c, ordered by implication; every
+    assignment respecting the order picks one nonempty region of the
+    rationals.  No sampling is involved."""
+    logic = pytest.importorskip("sympy.logic.boolalg")
+    from sympy import Symbol
+
+    def lt(key, c, strict):
+        return Symbol(f"{key[0]}({key[1]}) {'<' if strict else '<='} {c}")
+
+    def encode(g):
+        if g is TRUE or g is FALSE:
+            return logic.true if g is TRUE else logic.false
+        if isinstance(g, CatAtom):
+            return Symbol(f"{g.attr}({g.entity})={g.value}")
+        if isinstance(g, NumAtom):
+            key, c = (g.attr, g.entity), g.constant
+            return {
+                "<": lt(key, c, True),
+                "<=": lt(key, c, False),
+                "=": logic.And(lt(key, c, False), logic.Not(lt(key, c, True))),
+                ">=": logic.Not(lt(key, c, True)),
+                ">": logic.Not(lt(key, c, False)),
+            }[g.cmp]
+        if isinstance(g, Not):
+            return logic.Not(encode(g.operand))
+        if isinstance(g, Implies):
+            return logic.Implies(encode(g.antecedent), encode(g.consequent))
+        return (logic.And if isinstance(g, And) else logic.Or)(encode(g.left), encode(g.right))
+
+    constraints = []
+    cat_keys, constants = set(), {}
+    for atom in iter_atoms(f):
+        key = (atom.attr, atom.entity)
+        if isinstance(atom, NumAtom):
+            constants.setdefault(key, set()).add(atom.constant)
+        else:
+            cat_keys.add(key)
+    for key in cat_keys:
+        values = [Symbol(f"{key[0]}({key[1]})={v}") for v in schema.domain(key[0])]
+        constraints.append(logic.Or(*values))
+        constraints += [logic.Not(logic.And(p, q)) for p, q in itertools.combinations(values, 2)]
+    for key, cs in constants.items():
+        chain = [lt(key, c, strict) for c in sorted(cs) for strict in (True, False)]
+        constraints += [logic.Implies(p, q) for p, q in zip(chain, chain[1:])]
+    return logic.And(encode(f), *constraints)
+
+
+class TestSympyDifferential:
+    @settings(deadline=None)
+    @given(schema_and_formulas(count=2))
+    def test_satisfiable_and_entails_agree_with_sympy(self, case):
+        """The engine and sympy's DPLL solver agree on satisfiability and
+        on entailment, over an encoding that shares nothing with the
+        engine's sample grid."""
+        inference = pytest.importorskip("sympy.logic.inference")
+        schema, (f, g) = case
+        for question in (f, And(f, Not(g))):
+            expected = bool(inference.satisfiable(_sympy_encoding(schema, question)))
+            assert satisfiable(schema, question).holds == expected

@@ -145,6 +145,25 @@ def test_ingest_rejects_lines_that_are_not_utf8():
     assert errors == [LineError(2, "not valid UTF-8"), LineError(3, "not valid UTF-8")]
 
 
+def test_long_chains_pass_through_ingest_and_tally():
+    """A 1500-atom conjunction and a run of 2000 '!' are deeper than the
+    interpreter's recursion limit; parsing and deciding them walks their
+    spines in loops, so each is an ordinary record with a verdict."""
+    atoms = ("Food(x)=Italian", "Price(x)=Low", "Style(x)=Vegetarian")
+    lines = [
+        json.dumps({"id": "and", "input": " & ".join(atoms[i % 3] for i in range(1500)), "output": atoms[0]}),
+        json.dumps({"id": "not", "input": "!" * 2000 + atoms[0], "output": atoms[0]}),
+        json.dumps({"id": "odd", "input": "!" * 2001 + atoms[0], "output": atoms[0]}),
+    ]
+    records, errors = ingest_corpus(lines, RESTAURANT)
+    assert errors == []
+    assert [tally(RESTAURANT, [r]).counts for r in records] == [
+        CategoryCounts({Verdict.TOO_WEAK: 1}).counts,
+        CategoryCounts({Verdict.WELL_MATCHED: 1}).counts,
+        CategoryCounts({Verdict.CONFLICTING: 1}).counts,
+    ]
+
+
 def test_ingest_duplicate_id_keeps_first():
     lines = [
         '{"id": "a", "input": "true", "output": "true"}',

@@ -11,6 +11,7 @@ from randgen import random_formula, random_schema
 from verity import (
     JiLabel,
     LegacyLabels,
+    ResourceLimit,
     UnmappableVerdict,
     Verdict,
     classify,
@@ -100,6 +101,40 @@ def test_tautologous_input_and_output_is_well_matched():
     # tautologies land in 0.
     taut = parse_formula("Food(x)=Italian | !(Food(x)=Italian)", RESTAURANT)
     assert classify(RESTAURANT, taut, parse_formula("true", RESTAURANT)) is Verdict.WELL_MATCHED
+
+
+# The E2E NLG slot inventory (Novikova, Dusek & Rieser 2017): domains of
+# 34/3/7/6/6/2/2/19 values, 1,953,504 models over all eight slots.
+E2E = parse_schema(
+    "attr Name : { " + ", ".join(f"Venue{i:02d}" for i in range(1, 35)) + " }\n"
+    "attr EatType : { Restaurant, CoffeeShop, Pub }\n"
+    "attr Food : { English, French, Indian, Italian, Japanese, Chinese, FastFood }\n"
+    "attr PriceRange : { Cheap, Moderate, High, LessThan20, From20To25, MoreThan30 }\n"
+    "attr CustomerRating : { Low, Average, High, OneOfFive, ThreeOfFive, FiveOfFive }\n"
+    "attr Area : { CityCentre, Riverside }\n"
+    "attr FamilyFriendly : { Yes, No }\n"
+    "attr Near : { " + ", ".join(f"Landmark{i:02d}" for i in range(1, 20)) + " }\n"
+)
+
+
+def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
+    """A seven-slot input whose output adds the eighth slot, every value
+    the last of its domain: more models than the default limit, but the
+    search decides the pair in 86 nodes and refuses it with 85."""
+    input_text = (
+        "Name(x)=Venue34 & EatType(x)=Pub & Food(x)=FastFood & PriceRange(x)=MoreThan30"
+        " & CustomerRating(x)=FiveOfFive & Area(x)=Riverside & FamilyFriendly(x)=No"
+    )
+    input_mr = parse_formula(input_text, E2E)
+    output_mr = parse_formula(input_text + " & Near(x)=Landmark19", E2E)
+    assert classify(E2E, input_mr, output_mr) is Verdict.TOO_STRONG
+    facts = decide(E2E, input_mr, output_mr, limit=86)
+    assert (facts.input_satisfiable, facts.forward, facts.backward, facts.conflict) == (
+        True, False, True, False,
+    )
+    with pytest.raises(ResourceLimit) as exc_info:
+        classify(E2E, input_mr, output_mr, limit=85)
+    assert (exc_info.value.required, exc_info.value.limit) == (86, 85)
 
 
 def test_verdict_serialization_names_sort_ascending():
