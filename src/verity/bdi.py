@@ -258,6 +258,9 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
         doc = json.loads(read_source(path), parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        # The decoder recurses once per nested array or object.
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: expected a JSON object")
 

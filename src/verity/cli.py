@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check every decision against the brute-force oracle",
+        help="cross-check every decision against the truth-table oracle",
     )
     schema.add_argument("-s", "--schema", metavar="PATH", help="schema file")
     verbose.add_argument(

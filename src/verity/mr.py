@@ -17,6 +17,9 @@ Text syntax, lowest precedence first::
               |  Attr '(' entity ')' '=' Value          categorical atom
               |  Attr '(' entity ')' cmp number         numeric atom, cmp in < <= = >= >
 
+Parentheses nest at most MAX_NESTING deep; every other construct is read
+in a loop, so its length is unbounded.
+
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
 """
@@ -223,19 +226,25 @@ class Model:
 
 
 def iter_atoms(formula: Formula) -> Iterator[CatAtom | NumAtom]:
-    """Yield every atom of ``formula`` left to right, duplicates included."""
-    if isinstance(formula, (CatAtom, NumAtom)):
-        yield formula
-    elif isinstance(formula, Not):
-        yield from iter_atoms(formula.operand)
-    elif isinstance(formula, (And, Or)):
-        yield from iter_atoms(formula.left)
-        yield from iter_atoms(formula.right)
-    elif isinstance(formula, Implies):
-        yield from iter_atoms(formula.antecedent)
-        yield from iter_atoms(formula.consequent)
-    elif not isinstance(formula, (TrueConst, FalseConst)):
-        raise TypeError(f"not a formula: {formula!r}")
+    """Yield every atom of ``formula`` left to right, duplicates included.
+
+    The walk keeps its own stack, so a formula of any depth can be walked.
+    """
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (CatAtom, NumAtom)):
+            yield f
+        elif isinstance(f, Not):
+            stack.append(f.operand)
+        elif isinstance(f, (And, Or)):
+            stack.append(f.right)
+            stack.append(f.left)
+        elif isinstance(f, Implies):
+            stack.append(f.consequent)
+            stack.append(f.antecedent)
+        elif not isinstance(f, (TrueConst, FalseConst)):
+            raise TypeError(f"not a formula: {f!r}")
 
 
 def categorical_keys(formula: Formula) -> frozenset[Key]:
@@ -452,6 +461,7 @@ class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -473,6 +483,10 @@ class _TokenStream:
 
 # ---------------------------------------------------------------------------
 # Parsing
+
+# Each open parenthesis costs the recursive-descent parser a few stack
+# frames, so nesting is capped well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def read_source(path: str | Path) -> str:
@@ -546,11 +560,16 @@ def parse_formula(text: str, schema: Schema) -> Formula:
 
 
 def _parse_implies(stream: _TokenStream, schema: Schema) -> Formula:
-    left = _parse_or(stream, schema)
-    if stream.peek().kind == "->":
+    # '->' is right associative: the chain is read in a loop and folded
+    # from the right, so its length is not bounded by the recursion limit.
+    operands = [_parse_or(stream, schema)]
+    while stream.peek().kind == "->":
         stream.advance()
-        return Implies(left, _parse_implies(stream, schema))
-    return left
+        operands.append(_parse_or(stream, schema))
+    formula = operands.pop()
+    while operands:
+        formula = Implies(operands.pop(), formula)
+    return formula
 
 
 def _parse_or(stream: _TokenStream, schema: Schema) -> Formula:
@@ -585,9 +604,15 @@ def _parse_unary(stream: _TokenStream, schema: Schema) -> Formula:
 def _parse_primary(stream: _TokenStream, schema: Schema) -> Formula:
     tok = stream.peek()
     if tok.kind == "(":
+        if stream.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+            )
         stream.advance()
+        stream.depth += 1
         inner = _parse_implies(stream, schema)
         stream.expect(")")
+        stream.depth -= 1
         return inner
     if tok.kind == "ident":
         if tok.text == "true":

@@ -1,40 +1,64 @@
-"""Brute-force reference implementations used to cross-check the engine.
+"""Reference implementations used to cross-check the engine.
 
-Everything here re-derives its answer from first principles: models are
-enumerated over a fixed rational grid (halves from -1 to 6) refined with
-every constant a formula mentions, the constants' midpoints, and one point
-beyond each extreme.  No code is shared with the engine's sampling or its
-decision tree, which is what makes agreement between the two informative.
-Slower than the engine, deliberately so; intended for tests and the CLI's
-oracle mode, not production paths.
+Everything here re-derives its answer from first principles.  Models range
+over every value of each categorical key and, for each numeric key, over a
+fixed rational grid (halves from -1 to 6) refined with every constant a
+formula mentions, the constants' midpoints, and one point beyond each
+extreme.  Each formula is compiled into its truth table over that product:
+a Python int with one bit per model, built from its atoms' tables with
+bitwise operations.  The oracle has its own grid, its own comparisons and
+its own evaluator; it shares only the parser, the formula classes and
+``validate_atom`` with the engine, so agreement between the two is
+informative.  Its cost follows the size of the product, not how hard the
+formula is, so it is meant for tests and the CLI's ``--oracle`` mode.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails, satisfiable
 from .mr import (
+    And,
+    CatAtom,
+    FalseConst,
     Formula,
+    Implies,
     Key,
-    Model,
     MrError,
     Not,
     NumAtom,
+    Or,
     Schema,
-    categorical_keys,
-    evaluate,
-    iter_atoms,
-    numeric_keys,
+    TrueConst,
     print_formula,
-    validate_formula,
+    validate_atom,
 )
 from .report import CategoryCounts, CorpusRecord, tally
 from .taxonomy import PairFacts, Verdict, classify, decide
 
 _BASE_GRID = tuple(Fraction(n, 2) for n in range(-2, 13))
+
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+# A truth table spans at most this many models.  The keys beyond it are
+# enumerated, and each of their assignments is one block of the product.
+_BLOCK_MODELS = 1 << 16
+
+# Postfix code: a non-negative int pushes that atom's table; the rest are
+# these operators.
+_TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES = range(-1, -7, -1)
+_BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES}
 
 
 class OracleDivergence(MrError):
@@ -53,34 +77,132 @@ def _grid(constants: set[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(points))
 
 
-def _models(schema: Schema, formulas: Iterable[Formula]) -> Iterator[Model]:
-    formulas = list(formulas)
-    for f in formulas:
-        validate_formula(schema, f)
-    cat_keys = sorted(set().union(*(categorical_keys(f) for f in formulas)))
-    num_keys = sorted(set().union(*(numeric_keys(f) for f in formulas)))
-    constants: dict[Key, set[Fraction]] = {k: set() for k in num_keys}
-    for f in formulas:
-        for atom in iter_atoms(f):
-            if isinstance(atom, NumAtom):
-                constants[atom.attr, atom.entity].add(atom.constant)
-    domains = [schema.domain(attr) for attr, _ in cat_keys]
-    grids = [_grid(constants[k]) for k in num_keys]
-    n_cat = len(cat_keys)
-    for choice in itertools.product(*domains, *grids):
-        yield Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
+def _postfix(
+    schema: Schema, formula: Formula, slots: dict[CatAtom | NumAtom, int]
+) -> list[int]:
+    """``formula`` as postfix code, walked with an explicit stack.  Each
+    atom is validated the first time it is met, left to right, and gets
+    the next free number in ``slots``."""
+    code: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(formula, False)]
+    while stack:
+        f, operands_done = stack.pop()
+        kind = type(f)
+        if kind is CatAtom or kind is NumAtom:
+            if f not in slots:
+                validate_atom(schema, f)
+                slots[f] = len(slots)
+            code.append(slots[f])
+        elif kind is TrueConst:
+            code.append(_TRUE)
+        elif kind is FalseConst:
+            code.append(_FALSE)
+        elif operands_done:
+            code.append(_NOT if kind is Not else _BINARY[kind])
+        elif kind is Not:
+            stack += [(f, True), (f.operand, False)]
+        elif kind is And or kind is Or:
+            stack += [(f, True), (f.right, False), (f.left, False)]
+        elif kind is Implies:
+            stack += [(f, True), (f.consequent, False), (f.antecedent, False)]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return code
+
+
+def _run(code: list[int], tables: list[int], full: int) -> int:
+    stack: list[int] = []
+    for op in code:
+        if op >= 0:
+            stack.append(tables[op])
+        elif op == _NOT:
+            stack[-1] = full & ~stack[-1]
+        elif op == _TRUE:
+            stack.append(full)
+        elif op == _FALSE:
+            stack.append(0)
+        else:
+            right = stack.pop()
+            if op == _AND:
+                stack[-1] &= right
+            elif op == _OR:
+                stack[-1] |= right
+            else:
+                stack[-1] = (full & ~stack[-1]) | right
+    return stack[0]
+
+
+def _truth_tables(
+    schema: Schema, formulas: Sequence[Formula]
+) -> Iterator[tuple[int, list[int]]]:
+    """One pass over the product of the formulas' joint keys, categorical
+    keys sorted and then numeric keys sorted.
+
+    Yields ``(full, tables)`` per block: ``tables`` holds each formula's
+    truth table over the block, one bit per model, and ``full`` has a bit
+    for every model of the block.  The last keys whose product fits in
+    _BLOCK_MODELS make up a table; the keys before them are enumerated, and
+    on each block an atom over one of them is ``full`` or 0.
+    """
+    slots: dict[CatAtom | NumAtom, int] = {}
+    codes = [_postfix(schema, f, slots) for f in formulas]
+    cat_keys: set[Key] = set()
+    constants: dict[Key, set[Fraction]] = {}
+    for atom in slots:
+        if type(atom) is NumAtom:
+            constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
+        else:
+            cat_keys.add((atom.attr, atom.entity))
+    cat, num = sorted(cat_keys), sorted(constants)
+    values = [schema.domain(attr) for attr, _ in cat] + [_grid(constants[k]) for k in num]
+    index = {k: i for i, k in enumerate(cat + num)}
+    sizes = [len(v) for v in values]
+
+    split, span = len(sizes), 1
+    while split and span * sizes[split - 1] <= _BLOCK_MODELS:
+        split -= 1
+        span *= sizes[split]
+    full = (1 << span) - 1
+
+    tables = [0] * len(slots)
+    leading = []  # (slot, key index, truth per value) of atoms over enumerated keys
+    for slot, atom in enumerate(slots):
+        i = index[atom.attr, atom.entity]
+        if type(atom) is NumAtom:
+            compare, c = _COMPARE[atom.cmp], atom.constant
+            truth = [compare(v, c) for v in values[i]]
+        else:
+            truth = [v == atom.value for v in values[i]]
+        if i < split:
+            leading.append((slot, i, truth))
+            continue
+        # The key's value is one digit of a model's bit index: a run of
+        # ``stride`` models per value, repeated every ``period`` models.
+        stride = math.prod(sizes[i + 1:])
+        period = stride * sizes[i]
+        run = (1 << stride) - 1
+        pattern = 0
+        for v, holds in enumerate(truth):
+            if holds:
+                pattern |= run << (v * stride)
+        tables[slot] = pattern * (full // ((1 << period) - 1))
+
+    for choice in itertools.product(*map(range, sizes[:split])):
+        for slot, i, truth in leading:
+            tables[slot] = full if truth[choice[i]] else 0
+        yield full, [_run(code, tables, full) for code in codes]
 
 
 def oracle_satisfiable(schema: Schema, f: Formula) -> bool:
-    return any(evaluate(m, f) for m in _models(schema, [f]))
+    return any(t for _, (t,) in _truth_tables(schema, (f,)))
 
 
 def oracle_entails(schema: Schema, a: Formula, b: Formula) -> bool:
-    return all(not evaluate(m, a) or evaluate(m, b) for m in _models(schema, [a, b]))
+    return not any(ta & ~tb for _, (ta, tb) in _truth_tables(schema, (a, b)))
 
 
 def oracle_is_tautology(schema: Schema, f: Formula) -> bool:
-    return all(evaluate(m, f) for m in _models(schema, [f]))
+    return all(t == full for full, (t,) in _truth_tables(schema, (f,)))
 
 
 def oracle_is_contradiction(schema: Schema, f: Formula) -> bool:
@@ -88,23 +210,44 @@ def oracle_is_contradiction(schema: Schema, f: Formula) -> bool:
 
 
 def oracle_classify(schema: Schema, input_mr: Formula, output_mr: Formula) -> Verdict:
+    # One pass over the joint keys finds which of the cells I & O, I & !O,
+    # !I & O and !I & !O have a model; it stops once all four do.  The joint
+    # grid refines each formula's own grid, so the facts below are each
+    # formula's own.
+    cells = [False] * 4
+    for full, (i, o) in _truth_tables(schema, (input_mr, output_mr)):
+        not_i, not_o = full & ~i, full & ~o
+        cells = [
+            cells[0] or bool(i & o),
+            cells[1] or bool(i & not_o),
+            cells[2] or bool(not_i & o),
+            cells[3] or bool(not_i & not_o),
+        ]
+        if all(cells):
+            break
+    i_and_o, i_and_not_o, not_i_and_o, neither = cells
+    input_satisfiable = i_and_o or i_and_not_o
+    forward = not i_and_not_o  # I |= O
+    backward = not not_i_and_o  # O |= I
+    output_tautology = not (i_and_not_o or neither)
+    output_contradiction = not (i_and_o or not_i_and_o)
+    conflict = not i_and_o  # I |= !O
+
     # The decision tree is repeated here on purpose; sharing it with
     # taxonomy.classify would make the cross-check vacuous.
-    if not oracle_satisfiable(schema, input_mr):
+    if not input_satisfiable:
         return Verdict.INCONSISTENT_INPUT
-    forward = oracle_entails(schema, input_mr, output_mr)
-    backward = oracle_entails(schema, output_mr, input_mr)
     if forward and backward:
         return Verdict.WELL_MATCHED
     if forward:
-        if oracle_is_tautology(schema, output_mr):
+        if output_tautology:
             return Verdict.TAUTOLOGOUS
         return Verdict.TOO_WEAK
     if backward:
-        if oracle_is_contradiction(schema, output_mr):
+        if output_contradiction:
             return Verdict.SELF_CONTRADICTORY
         return Verdict.TOO_STRONG
-    if oracle_entails(schema, input_mr, Not(output_mr)):
+    if conflict:
         return Verdict.CONFLICTING
     return Verdict.INDEPENDENT
 

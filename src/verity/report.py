@@ -139,6 +139,10 @@ def ingest_corpus(
         except json.JSONDecodeError as exc:
             errors.append(LineError(line_no, f"not valid JSON: {exc}"))
             continue
+        except RecursionError:
+            # The decoder recurses once per nested array or object.
+            errors.append(LineError(line_no, "JSON nested too deeply"))
+            continue
         try:
             record = _parse_record(doc, schema, line_no)
             if record.id in seen:

@@ -534,6 +534,82 @@ def test_bdi_invalid_scenario(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# hostile input: formulas deeper than the interpreter's recursion limit
+
+LONG_AND = " & ".join(("Food(x)=Italian", "Price(x)=Low", "Style(x)=Vegetarian")[i % 3] for i in range(1500))
+DEEP_NOT = "!" * 2000 + "Food(x)=Italian"
+
+
+@pytest.mark.parametrize("text", [LONG_AND, DEEP_NOT], ids=["long-and", "deep-not"])
+def test_classify_verbose_oracle_on_deep_formulas(capsys, text):
+    argv = ("classify", "-v", "-s", RESTAURANT, text, "Food(x)=Italian")
+    code, engine_out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert engine_out.split("\n")[0] == ("1a-too-weak" if text is LONG_AND else "0-well-matched")
+    assert run(capsys, *argv, "--oracle") == (0, engine_out, "")
+
+
+def test_report_oracle_on_deep_formulas(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": str(n), "input": text, "output": "Food(x)=Italian"}) + "\n"
+            for n, text in enumerate([LONG_AND, DEEP_NOT, "!" + DEEP_NOT])
+        ),
+        encoding="utf-8",
+    )
+    code, engine_out, err = run(capsys, "report", "-s", RESTAURANT, str(corpus))
+    assert (code, err) == (0, "")
+    assert "total                      3\n" in engine_out
+    assert run(capsys, "report", "--oracle", "-s", RESTAURANT, str(corpus)) == (0, engine_out, "")
+
+
+@pytest.mark.parametrize("opener", ["(", "!("])
+def test_classify_rejects_parentheses_nested_past_the_cap(capsys, opener):
+    text = opener * 200 + "Food(x)=Italian" + ")" * 200
+    code, out, err = run(capsys, "classify", "-s", RESTAURANT, text, "true")
+    col = 101 if opener == "(" else 202
+    assert (code, out) == (2, "")
+    assert err == f"error: 1:{col}: parentheses nested deeper than 100\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--oracle",)])
+@pytest.mark.parametrize(
+    "communicated",
+    [" & ".join(["Sky(today)=Cloudy"] * 1500), "!" * 2000 + "Sky(today)=Cloudy"],
+    ids=["long-and", "deep-not"],
+)
+def test_bdi_on_deep_communicated(capsys, tmp_path, communicated, flags):
+    (tmp_path / "w.schema").write_text(
+        "attr Hurricane : { Yes, No }\nattr Sky : { Cloudy, Clear }\n", encoding="utf-8"
+    )
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "schema": "w.schema",
+                "communicated": communicated,
+                "hearer_beliefs": "true",
+                "world": {"Hurricane(today)": "Yes", "Sky(today)": "Cloudy"},
+                "norms": ["Hurricane(today)=Yes"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(capsys, "bdi", *flags, str(scenario)) == (
+        0, "withholding: Hurricane(today)=Yes\n", "",
+    )
+
+
+def test_bdi_scenario_nested_past_the_json_decoder(capsys, tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "bdi", str(scenario))
+    assert (code, out) == (2, "")
+    assert err == f"error: {scenario}: JSON nested too deeply\n"
+
+
+# ---------------------------------------------------------------------------
 # limits and exit codes
 
 

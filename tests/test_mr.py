@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from verity import (
     And,
@@ -23,6 +23,7 @@ from verity import (
     Or,
     ParseError,
     Schema,
+    SourceError,
     TRUE,
     UnknownAttribute,
     ValueNotInDomain,
@@ -36,6 +37,7 @@ from verity import (
     validate_formula,
     validate_model,
 )
+from verity.mr import MAX_NESTING, categorical_keys, numeric_keys
 
 SCHEMA = Schema(
     {"Food": ("Italian", "Norwegian"), "Type": ("Restaurant", "Pub", "CoffeeShop")},
@@ -417,3 +419,112 @@ class TestFormulaLaws:
         """One key cannot hold two distinct values at once."""
         clash = And(CatAtom("Food", "x", "Italian"), CatAtom("Food", "x", "Norwegian"))
         assert not evaluate(m, clash)
+
+
+# ---------------------------------------------------------------------------
+# Depth: no input reaches the interpreter's recursion limit
+
+
+def test_parentheses_nest_up_to_the_cap():
+    text = "(" * MAX_NESTING + "Food(x)=Italian" + ")" * MAX_NESTING
+    assert parse_formula(text, SCHEMA) == CatAtom("Food", "x", "Italian")
+    text = "!(" * MAX_NESTING + "Food(x)=Italian" + ")" * MAX_NESTING
+    f = parse_formula(text, SCHEMA)
+    for _ in range(MAX_NESTING):
+        f = f.operand
+    assert f == CatAtom("Food", "x", "Italian")
+
+
+@pytest.mark.parametrize(
+    "opener, col",
+    [("(", MAX_NESTING + 1), ("!(", 2 * MAX_NESTING + 2), (" ( ", 3 * MAX_NESTING + 2)],
+)
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 200, 3000])
+def test_parentheses_past_the_cap_are_a_parse_error_at_the_opener(opener, col, depth):
+    text = opener * depth + "Food(x)=Italian" + ")" * depth
+    with pytest.raises(ParseError) as exc_info:
+        parse_formula(text, SCHEMA)
+    assert (exc_info.value.line, exc_info.value.col) == (1, col)
+    assert exc_info.value.message == f"parentheses nested deeper than {MAX_NESTING}"
+
+
+def test_long_implication_chain_is_right_associative():
+    text = " -> ".join(f"Temp(x) < {n}" for n in range(3000))
+    f = parse_formula(text, SCHEMA)
+    for n in range(2999):
+        assert f.antecedent == NumAtom("Temp", "x", "<", n)
+        f = f.consequent
+    assert f == NumAtom("Temp", "x", "<", 2999)
+
+
+# Both are deeper than the interpreter's recursion limit.
+LONG_AND = " & ".join(
+    ("Food(x)=Italian", "Temp(d) < 3", "Type(y)=Pub")[i % 3] for i in range(1500)
+)
+DEEP_NOT = "!" * 2000 + "(Temp(d) >= 1/2 | Food(y)=Norwegian)"
+
+
+@pytest.mark.parametrize(
+    "text, atoms",
+    [
+        (LONG_AND, [CatAtom("Food", "x", "Italian"), NumAtom("Temp", "d", "<", 3), CatAtom("Type", "y", "Pub")] * 500),
+        (DEEP_NOT, [NumAtom("Temp", "d", ">=", Fraction(1, 2)), CatAtom("Food", "y", "Norwegian")]),
+    ],
+    ids=["long-and", "deep-not"],
+)
+def test_traversals_walk_formulas_of_any_depth(text, atoms):
+    f = parse_formula(text, SCHEMA)
+    assert list(iter_atoms(f)) == atoms
+    validate_formula(SCHEMA, f)
+    assert categorical_keys(f) == {(a.attr, a.entity) for a in atoms if isinstance(a, CatAtom)}
+    assert numeric_keys(f) == {("Temp", "d")}
+    with pytest.raises(ValueNotInDomain):
+        validate_formula(Schema({"Food": ("Japanese",), "Type": ("Pub",)}, frozenset({"Temp"})), f)
+
+
+def test_iter_atoms_rejects_a_non_formula_where_it_meets_it():
+    walk = iter_atoms(And(CatAtom("Food", "x", "Italian"), Not("junk")))
+    assert next(walk) == CatAtom("Food", "x", "Italian")
+    with pytest.raises(TypeError, match="not a formula: 'junk'"):
+        next(walk)
+
+
+@st.composite
+def nested_text(draw):
+    """Runs of '(' and '!(' openers, up to 3000 deep in all, around an atom
+    or a fragment, closed fully, partly or not at all."""
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["(", "!(", " ( ", "!!("]), st.integers(1, 1000)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    depth = sum(n for _, n in runs)
+    inner = draw(
+        st.sampled_from(["Food(x)=Italian", "Temp(d) < 1/2", "true ->", "", "Food(x)"])
+    )
+    closers = draw(st.sampled_from([depth, depth - 1, 0, depth + 1]))
+    tail = draw(st.text(max_size=10))
+    return "".join(opener * n for opener, n in runs) + inner + ")" * closers + tail
+
+
+class TestParseIsTotal:
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        """Any text parses to a formula or raises a SourceError."""
+        try:
+            f = parse_formula(text, SCHEMA)
+        except SourceError:
+            return
+        assert parse_formula(print_formula(f), SCHEMA) == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_text())
+    def test_nested_openers(self, text):
+        """Deep nesting parses when it stays within the cap and balanced,
+        and is a SourceError otherwise; never a RecursionError."""
+        try:
+            parse_formula(text, SCHEMA)
+        except SourceError:
+            pass

@@ -1,0 +1,207 @@
+"""The truth-table oracle against a plain enumeration of the same models."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randgen import random_formula, random_schema
+from test_taxonomy import E2E
+from verity import (
+    And,
+    CatAtom,
+    Model,
+    Not,
+    NumAtom,
+    NumericComparisonOnCategorical,
+    Schema,
+    ValueNotInDomain,
+    Verdict,
+    evaluate,
+    iter_atoms,
+    oracle,
+    parse_formula,
+)
+from verity.cli import main
+from verity.mr import categorical_keys, numeric_keys
+
+# ---------------------------------------------------------------------------
+# The reference: every model of the product, evaluated one at a time
+
+
+def _product(schema, formulas):
+    cat = sorted(set().union(*(categorical_keys(f) for f in formulas)))
+    num = sorted(set().union(*(numeric_keys(f) for f in formulas)))
+    constants = {k: set() for k in num}
+    for f in formulas:
+        for atom in iter_atoms(f):
+            if isinstance(atom, NumAtom):
+                constants[atom.attr, atom.entity].add(atom.constant)
+    domains = [schema.domain(attr) for attr, _ in cat]
+    domains += [oracle._grid(constants[k]) for k in num]
+    for choice in itertools.product(*domains):
+        yield Model(dict(zip(cat, choice)), dict(zip(num, choice[len(cat):])))
+
+
+def _satisfiable(schema, f):
+    return any(evaluate(m, f) for m in _product(schema, [f]))
+
+
+def _entails(schema, a, b):
+    return all(not evaluate(m, a) or evaluate(m, b) for m in _product(schema, [a, b]))
+
+
+def _tautology(schema, f):
+    return all(evaluate(m, f) for m in _product(schema, [f]))
+
+
+def _classify(schema, i, o):
+    if not _satisfiable(schema, i):
+        return Verdict.INCONSISTENT_INPUT
+    forward, backward = _entails(schema, i, o), _entails(schema, o, i)
+    if forward and backward:
+        return Verdict.WELL_MATCHED
+    if forward:
+        return Verdict.TAUTOLOGOUS if _tautology(schema, o) else Verdict.TOO_WEAK
+    if backward:
+        return Verdict.SELF_CONTRADICTORY if not _satisfiable(schema, o) else Verdict.TOO_STRONG
+    return Verdict.CONFLICTING if _entails(schema, i, Not(o)) else Verdict.INDEPENDENT
+
+
+@st.composite
+def schema_and_pair(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    schema = random_schema(rng)
+    return schema, random_formula(rng, schema), random_formula(rng, schema)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema_and_pair())
+def test_every_oracle_function_equals_the_enumeration(case):
+    schema, a, b = case
+    assert oracle.oracle_satisfiable(schema, a) == _satisfiable(schema, a)
+    assert oracle.oracle_entails(schema, a, b) == _entails(schema, a, b)
+    assert oracle.oracle_is_tautology(schema, b) == _tautology(schema, b)
+    assert oracle.oracle_is_contradiction(schema, b) == (not _satisfiable(schema, b))
+    assert oracle.oracle_classify(schema, a, b) is _classify(schema, a, b)
+
+
+# ---------------------------------------------------------------------------
+# One pass per question, in bounded blocks
+
+
+def _count_passes(monkeypatch):
+    """Count the truth-table passes, and the blocks each one yields."""
+    passes = []
+    real = oracle._truth_tables
+
+    def counted(schema, formulas):
+        passes.append(0)
+        for block in real(schema, formulas):
+            passes[-1] += 1
+            yield block
+
+    monkeypatch.setattr(oracle, "_truth_tables", counted)
+    return passes
+
+
+def test_each_oracle_question_is_one_truth_table_pass(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(50):
+        schema = random_schema(rng)
+        a, b = random_formula(rng, schema), random_formula(rng, schema)
+        for question in (
+            lambda: oracle.oracle_classify(schema, a, b),
+            lambda: oracle.oracle_satisfiable(schema, a),
+            lambda: oracle.oracle_entails(schema, a, b),
+            lambda: oracle.oracle_is_tautology(schema, a),
+            lambda: oracle.oracle_is_contradiction(schema, a),
+        ):
+            passes.clear()
+            question()
+            assert len(passes) == 1
+
+
+def _flags(n):
+    schema = Schema({f"B{k:02d}": ("Yes", "No") for k in range(n)}, frozenset())
+    return schema, [CatAtom(f"B{k:02d}", "x", "Yes") for k in range(n)]
+
+
+def _conjunction(atoms):
+    f = atoms[0]
+    for atom in atoms[1:]:
+        f = And(f, atom)
+    return f
+
+
+@pytest.mark.parametrize("n_keys, blocks", [(15, 1), (16, 1), (17, 2), (19, 8)])
+def test_products_past_the_block_size_are_split(n_keys, blocks):
+    schema, atoms = _flags(n_keys)
+    passes = list(oracle._truth_tables(schema, [_conjunction(atoms)]))
+    assert len(passes) == blocks
+    span = 2 ** min(n_keys, 16)
+    assert all(full == (1 << span) - 1 for full, _ in passes)
+    # The conjunction holds in one model, the first: every key at "Yes".
+    assert [bin(t).count("1") for _, (t,) in passes] == [1] + [0] * (blocks - 1)
+
+
+EIGHT_SLOT_INPUT = (
+    "Name(x)=Venue34 & EatType(x)=Pub & Food(x)=FastFood & PriceRange(x)=MoreThan30"
+    " & CustomerRating(x)=FiveOfFive & Area(x)=Riverside & FamilyFriendly(x)=No"
+)
+EIGHT_SLOT_OUTPUT = EIGHT_SLOT_INPUT + " & Near(x)=Landmark19"
+
+
+def test_eight_slot_pair(monkeypatch):
+    """1,953,504 joint models: the last five keys (54,264 models) make a
+    table, and the first three are enumerated in 36 blocks."""
+    passes = _count_passes(monkeypatch)
+    input_mr = parse_formula(EIGHT_SLOT_INPUT, E2E)
+    output_mr = parse_formula(EIGHT_SLOT_OUTPUT, E2E)
+    assert oracle.oracle_classify(E2E, input_mr, output_mr) is Verdict.TOO_STRONG
+    assert passes == [36]
+    for full, _ in oracle._truth_tables(E2E, [output_mr]):
+        assert full.bit_length() == 54264
+
+
+def test_classify_stops_once_every_cell_has_a_model(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    schema, atoms = _flags(18)
+    independent = (_conjunction(atoms[:9]), _conjunction(atoms[9:]))
+    assert oracle.oracle_classify(schema, *independent) is Verdict.INDEPENDENT
+    assert passes == [1]
+    assert len(list(oracle._truth_tables(schema, independent))) == 4
+
+
+def test_classify_oracle_on_the_eight_slot_pair(capsys, tmp_path):
+    schema = tmp_path / "e2e.schema"
+    schema.write_text(
+        "".join(f"attr {a} : {{ {', '.join(vs)} }}\n" for a, vs in E2E.categorical.items()),
+        encoding="utf-8",
+    )
+    argv = ["classify", "--oracle", "-s", str(schema), EIGHT_SLOT_INPUT, EIGHT_SLOT_OUTPUT]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("2a-too-strong\n", "")
+
+
+# ---------------------------------------------------------------------------
+# Errors are those of the first bad atom, left to right
+
+
+SCHEMA = Schema({"Food": ("Italian", "Norwegian")}, frozenset({"Temp"}))
+
+
+def test_atoms_are_validated_left_to_right():
+    good = CatAtom("Food", "x", "Italian")
+    not_in_domain = CatAtom("Food", "x", "Sushi")
+    ordered = NumAtom("Food", "x", "<", 1)
+    with pytest.raises(ValueNotInDomain):
+        oracle.oracle_entails(SCHEMA, And(good, not_in_domain), ordered)
+    with pytest.raises(NumericComparisonOnCategorical):
+        oracle.oracle_entails(SCHEMA, good, And(ordered, not_in_domain))
+    with pytest.raises(TypeError, match="not a formula"):
+        oracle.oracle_satisfiable(SCHEMA, Not("junk"))

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from randgen import random_formula, random_schema
 from verity import (
@@ -162,6 +162,55 @@ def test_long_chains_pass_through_ingest_and_tally():
         CategoryCounts({Verdict.WELL_MATCHED: 1}).counts,
         CategoryCounts({Verdict.CONFLICTING: 1}).counts,
     ]
+
+
+def test_ingest_isolates_nesting_past_the_caps():
+    """Parentheses nested past the parser's cap, and JSON nested past the
+    decoder's recursion limit, are errors on their own lines."""
+    deep = "(" * 200 + "Food(x)=Italian" + ")" * 200
+    lines = [
+        json.dumps({"id": "parens", "input": deep, "output": "true"}),
+        json.dumps({"id": "bangs", "input": "true", "output": "!(" * 200 + "true" + ")" * 200}),
+        "[" * 100000,
+        '{"id": ' * 100000,
+        '{"id": "ok", "input": "true", "output": "true"}',
+    ]
+    records, errors = ingest_corpus(lines, RESTAURANT)
+    assert [r.id for r in records] == ["ok"]
+    assert errors == [
+        LineError(1, "field 'input': 1:101: parentheses nested deeper than 100"),
+        LineError(2, "field 'output': 1:202: parentheses nested deeper than 100"),
+        LineError(3, "JSON nested too deeply"),
+        LineError(4, "JSON nested too deeply"),
+    ]
+
+
+deep_openers = st.builds(
+    lambda opener, depth, tail: opener * depth + tail,
+    st.sampled_from(["(", "!(", "["]),
+    st.integers(0, 3000),
+    st.text(max_size=20),
+)
+
+
+class TestIngestIsTotal:
+    @given(st.lists(st.text()))
+    def test_arbitrary_lines(self, lines):
+        """Every non-blank line becomes a record or a LineError."""
+        records, errors = ingest_corpus(lines, RESTAURANT)
+        assert len(records) + len(errors) == sum(1 for line in lines if line.strip())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.text(), deep_openers), st.sampled_from(["input", "output", None]))
+    def test_arbitrary_formula_fields(self, text, field):
+        """A formula field holding any text, or a line that is that text,
+        is one record or one LineError."""
+        if field is None:
+            line = text
+        else:
+            line = json.dumps({"id": "r", "input": "true", "output": "true", field: text})
+        records, errors = ingest_corpus([line], RESTAURANT)
+        assert len(records) + len(errors) == (1 if line.strip() else 0)
 
 
 def test_ingest_duplicate_id_keeps_first():
