@@ -17,8 +17,12 @@ Text syntax, lowest precedence first::
               |  Attr '(' entity ')' '=' Value          categorical atom
               |  Attr '(' entity ')' cmp number         numeric atom, cmp in < <= = >= >
 
-Parentheses nest at most MAX_NESTING deep; every other construct is read
-in a loop, so its length is unbounded.
+Parsing scans the whole text into tokens with one regular expression,
+which reads each whole atom as a single token, and then builds the formula
+in one precedence-climbing loop with explicit stacks.  Parentheses nest at
+most MAX_NESTING deep; every other construct is read in that loop, so its
+length is unbounded.  Evaluation, printing, equality and hashing of
+formulas keep their own stacks too, so no formula is too deep for them.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
@@ -29,10 +33,10 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, Union
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -102,6 +106,11 @@ class Schema:
 
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
+    # Every atom parsed under this schema, keyed by the text of its parts
+    # (attribute, entity, operator, value); only valid atoms are kept.
+    _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -142,8 +151,9 @@ _CMP_FUNCS = {
 }
 
 
-# Formula nodes have slots, and the parser interns the names in atoms, so a
-# corpus of parsed formulas held in memory takes about a third of the space.
+# Formula nodes have slots, the parser interns the names in atoms, and each
+# schema hands out one node per distinct atom text, so a corpus of parsed
+# formulas held in memory stays small.
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,27 +191,74 @@ class NumAtom:
             object.__setattr__(self, "constant", Fraction(self.constant))
 
 
-@dataclass(frozen=True, slots=True)
+def _preorder(formula: Formula) -> list:
+    """``formula`` in preorder: each connective as its class, each atom or
+    constant as itself.  Connectives have fixed arity, so two formulas are
+    equal exactly when these lists are."""
+    out: list = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is Not:
+            out.append(Not)
+            stack.append(f.operand)
+        elif kind is And or kind is Or:
+            out.append(kind)
+            stack.append(f.right)
+            stack.append(f.left)
+        elif kind is Implies:
+            out.append(Implies)
+            stack.append(f.consequent)
+            stack.append(f.antecedent)
+        else:
+            out.append(f)
+    return out
+
+
+# The connectives compare and hash through _preorder rather than the
+# recursive methods dataclasses would generate, so depth is no limit.
+
+
+def _connective_eq(self: Formula, other: object) -> bool:
+    if type(other) is not type(self):
+        return NotImplemented
+    return self is other or _preorder(self) == _preorder(other)
+
+
+def _connective_hash(self: Formula) -> int:
+    return hash(tuple(_preorder(self)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Not:
     operand: Formula
+    __eq__ = _connective_eq
+    __hash__ = _connective_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And:
     left: Formula
     right: Formula
+    __eq__ = _connective_eq
+    __hash__ = _connective_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or:
     left: Formula
     right: Formula
+    __eq__ = _connective_eq
+    __hash__ = _connective_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies:
     antecedent: Formula
     consequent: Formula
+    __eq__ = _connective_eq
+    __hash__ = _connective_hash
 
 
 Formula = Union[TrueConst, FalseConst, CatAtom, NumAtom, Not, And, Or, Implies]
@@ -308,39 +365,62 @@ def evaluate(model: Model, formula: Formula) -> bool:
 
     Raises MissingKey when evaluation reaches an atom whose key the model
     does not assign; connectives short-circuit, so keys of unreached
-    subformulas are not required.
+    subformulas are not required.  The walk keeps its own stack of the
+    negations and of the connectives whose left side is being evaluated.
     """
-    if isinstance(formula, TrueConst):
-        return True
-    if isinstance(formula, FalseConst):
-        return False
-    if isinstance(formula, CatAtom):
-        try:
-            actual = model.categorical[formula.attr, formula.entity]
-        except KeyError:
-            raise MissingKey(
-                f"model assigns no value to {formula.attr}({formula.entity})"
-            ) from None
-        return actual == formula.value
-    if isinstance(formula, NumAtom):
-        try:
-            actual = model.numeric[formula.attr, formula.entity]
-        except KeyError:
-            raise MissingKey(
-                f"model assigns no value to {formula.attr}({formula.entity})"
-            ) from None
-        return _CMP_FUNCS[formula.cmp](actual, formula.constant)
-    if isinstance(formula, Not):
-        return not evaluate(model, formula.operand)
-    if isinstance(formula, And):
-        return evaluate(model, formula.left) and evaluate(model, formula.right)
-    if isinstance(formula, Or):
-        return evaluate(model, formula.left) or evaluate(model, formula.right)
-    if isinstance(formula, Implies):
-        return not evaluate(model, formula.antecedent) or evaluate(
-            model, formula.consequent
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+    stack: list[Formula] = []
+    f = formula
+    while True:
+        kind = type(f)
+        if kind is CatAtom:
+            try:
+                value = model.categorical[f.attr, f.entity] == f.value
+            except KeyError:
+                raise MissingKey(f"model assigns no value to {f.attr}({f.entity})") from None
+        elif kind is NumAtom:
+            try:
+                actual = model.numeric[f.attr, f.entity]
+            except KeyError:
+                raise MissingKey(f"model assigns no value to {f.attr}({f.entity})") from None
+            value = _CMP_FUNCS[f.cmp](actual, f.constant)
+        elif kind is TrueConst or kind is FalseConst:
+            value = kind is TrueConst
+        elif kind is Not:
+            stack.append(f)
+            f = f.operand
+            continue
+        elif kind is And or kind is Or:
+            stack.append(f)
+            f = f.left
+            continue
+        elif kind is Implies:
+            stack.append(f)
+            f = f.antecedent
+            continue
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        # Fold the value up until a connective needs its right side, which
+        # then decides that connective's value alone.
+        while stack:
+            g = stack.pop()
+            kind = type(g)
+            if kind is Not:
+                value = not value
+            elif kind is And:
+                if value:
+                    f = g.right
+                    break
+            elif kind is Or:
+                if not value:
+                    f = g.right
+                    break
+            elif value:  # Implies
+                f = g.consequent
+                break
+            else:
+                value = True
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -374,33 +454,43 @@ _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
 
 def print_formula(formula: Formula) -> str:
     """Render ``formula`` as text that parses back to an equal formula."""
-    return _print(formula, _PREC_IMPLIES)
-
-
-def _print(f: Formula, min_prec: int) -> str:
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
-    if isinstance(f, CatAtom):
-        return f"{f.attr}({f.entity})={f.value}"
-    if isinstance(f, NumAtom):
-        return f"{f.attr}({f.entity}) {f.cmp} {fraction_str(f.constant)}"
-    if isinstance(f, Not):
-        return f"!({_print(f.operand, _PREC_IMPLIES)})"
-    if isinstance(f, And):
-        text = f"{_print(f.left, _PREC_AND)} & {_print(f.right, _PREC_ATOM)}"
-        prec = _PREC_AND
-    elif isinstance(f, Or):
-        text = f"{_print(f.left, _PREC_OR)} | {_print(f.right, _PREC_AND)}"
-        prec = _PREC_OR
-    elif isinstance(f, Implies):
-        # Right associative: the consequent may be another implication bare.
-        text = f"{_print(f.antecedent, _PREC_OR)} -> {_print(f.consequent, _PREC_IMPLIES)}"
-        prec = _PREC_IMPLIES
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({text})" if prec < min_prec else text
+    out: list[str] = []
+    # Pending work, last first: text to emit, or a (formula, min_prec) pair
+    # to render, parenthesized when its own precedence is below min_prec.
+    todo: list = [(formula, _PREC_IMPLIES)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, min_prec = item
+        if isinstance(f, TrueConst):
+            out.append("true")
+        elif isinstance(f, FalseConst):
+            out.append("false")
+        elif isinstance(f, CatAtom):
+            out.append(f"{f.attr}({f.entity})={f.value}")
+        elif isinstance(f, NumAtom):
+            out.append(f"{f.attr}({f.entity}) {f.cmp} {fraction_str(f.constant)}")
+        elif isinstance(f, Not):
+            out.append("!(")
+            todo += [")", (f.operand, _PREC_IMPLIES)]
+        else:
+            if isinstance(f, And):
+                prec, parts = _PREC_AND, ((f.left, _PREC_AND), " & ", (f.right, _PREC_ATOM))
+            elif isinstance(f, Or):
+                prec, parts = _PREC_OR, ((f.left, _PREC_OR), " | ", (f.right, _PREC_AND))
+            elif isinstance(f, Implies):
+                # Right associative: the consequent may be another implication bare.
+                prec = _PREC_IMPLIES
+                parts = ((f.antecedent, _PREC_OR), " -> ", (f.consequent, _PREC_IMPLIES))
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            if prec < min_prec:
+                out.append("(")
+                todo.append(")")
+            todo += reversed(parts)
+    return "".join(out)
 
 
 def format_model(model: Model) -> str:
@@ -416,76 +506,70 @@ def format_model(model: Model) -> str:
 # ---------------------------------------------------------------------------
 # Lexing
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"-?\d+(?:\.\d+|/\d+)?"
+_GAP = r"[ \t\r\n]*"
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+# One token per match, its kind the name of the group that matched.
+# ``finditer`` skips the whitespace between tokens; any other character that
+# starts no token is a ``bad`` token, and the empty match at the end of the
+# text is the ``end`` token.
+_TOKENS = (
+    rf"(?P<number>{_NUMBER})|(?P<ident>{_NAME})"
+    r"|(?P<implies>->)|(?P<cmp><=|>=|[=<>])|(?P<and>&)|(?P<or>\|)|(?P<not>!)"
+    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<comma>,)|(?P<colon>:)"
+    r"|(?P<bad>[^ \t\r\n])|(?P<end>\Z)"
+)
+_TOKEN_RE = re.compile(_TOKENS)
 
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<nl>\n)"
-    r"|(?P<number>-?\d+(?:\.\d+|/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>->|<=|>=|[()=<>{},:|&!])"
+# Formula text also reads each whole atom, ``Attr(entity) cmp value`` with
+# whitespace allowed between the parts, as one ``atom`` token whose groups
+# 2 to 5 hold the parts.  ``true`` and ``false`` are never attributes.
+_FORMULA_RE = re.compile(
+    rf"(?P<atom>(?!(?:true|false){_GAP}\()({_NAME}){_GAP}\({_GAP}({_NAME}){_GAP}\)"
+    rf"{_GAP}(<=|>=|[=<>]){_GAP}({_NUMBER}|{_NAME}))|" + _TOKENS
 )
 
 
-def _tokenize(text: str, line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+def _where(text: str, pos: int, line: int = 1) -> tuple[int, int]:
+    """Line and column, both from 1, of offset ``pos`` in ``text``, whose
+    first line is ``line``."""
+    return line + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
+
+
+def _got(tok: re.Match) -> str:
+    kind = tok.lastgroup
+    if kind == "end":
+        return "end of input"
+    return repr(tok.group(2) if kind == "atom" else tok.group())
+
+
+def _check(tok: re.Match, kind: str, what: str, text: str, line: int = 1) -> re.Match:
+    if tok.lastgroup != kind:
+        raise ParseError(f"expected {what}, got {_got(tok)}", *_where(text, tok.start(), line))
+    return tok
+
+
+def _raise_bad_token(tokens: list[re.Match], text: str, line: int = 1) -> None:
+    """Raise a ParseError at the first ``bad`` token, if there is one.
+
+    The parsers call this when they fail, so that a character that starts
+    no token wins over any other error in the same text.
+    """
+    for tok in tokens:
+        if tok.lastgroup == "bad":
             raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind != "ws":
-            tok_text = m.group()
-            if kind == "op":
-                kind = tok_text
-            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("end", "", line, pos - line_start + 1))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
-        self.depth = 0  # parentheses open around the current position
-
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "end":
-            self._pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            wanted = what or repr(kind)
-            got = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"expected {wanted}, got {got}", tok.line, tok.col)
-        return self.advance()
+                f"unexpected character {tok.group()!r}", *_where(text, tok.start(), line)
+            ) from None
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-# Each open parenthesis costs the recursive-descent parser a few stack
-# frames, so nesting is capped well inside the interpreter's recursion limit.
+# The parser keeps its own stacks.  Entailment does not: its compiled
+# evaluator (entail._node_fn) spends a Python frame on each switch between
+# '&' and '|', and each parenthesis can add one, so nesting is capped well
+# inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -501,180 +585,187 @@ def parse_schema(text: str) -> Schema:
     """Parse schema source: one declaration per line, ``#`` comments."""
     categorical: dict[str, tuple[str, ...]] = {}
     numeric: set[str] = set()
-
-    def declare(tok: Token) -> None:
-        if tok.text in categorical or tok.text in numeric:
-            raise DuplicateAttribute(
-                f"duplicate attribute {tok.text!r}", tok.line, tok.col
-            )
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
         if not code.strip():
             continue
-        stream = _TokenStream(_tokenize(code, line=line_no))
-        head = stream.expect("ident", what="'attr' or 'num'")
-        if head.text == "num":
-            name = stream.expect("ident", what="attribute name")
-            stream.expect("end", what="end of line")
-            declare(name)
-            numeric.add(name.text)
-        elif head.text == "attr":
-            name = stream.expect("ident", what="attribute name")
-            stream.expect(":")
-            stream.expect("{")
+        tokens = list(_TOKEN_RE.finditer(code))
+        rest = iter(tokens)
+
+        def expect(kind: str, what: str) -> re.Match:
+            return _check(next(rest), kind, what, code, line)
+
+        try:
+            head = next(rest)
+            if head.group() not in ("attr", "num"):
+                raise ParseError(f"expected 'attr' or 'num', got {_got(head)}", line, head.start() + 1)
+            is_attr = head.group() == "attr"
+            name_tok = expect("ident", "attribute name")
+            name = name_tok.group()
             values: list[str] = []
-            while True:
-                v = stream.expect("ident", what="domain value")
-                if v.text in values:
-                    raise DuplicateValue(
-                        f"duplicate value {v.text!r} for attribute {name.text!r}",
-                        v.line,
-                        v.col,
-                    )
-                values.append(v.text)
-                if stream.peek().kind != ",":
-                    break
-                stream.advance()
-            stream.expect("}")
-            stream.expect("end", what="end of line")
-            declare(name)
-            categorical[name.text] = tuple(values)
+            if is_attr:
+                expect("colon", "':'")
+                expect("lbrace", "'{'")
+                while True:
+                    v = expect("ident", "domain value")
+                    if v.group() in values:
+                        raise DuplicateValue(
+                            f"duplicate value {v.group()!r} for attribute {name!r}",
+                            line,
+                            v.start() + 1,
+                        )
+                    values.append(v.group())
+                    sep = next(rest)
+                    if sep.lastgroup != "comma":
+                        break
+                _check(sep, "rbrace", "'}'", code, line)
+            expect("end", "end of line")
+            if name in categorical or name in numeric:
+                raise DuplicateAttribute(f"duplicate attribute {name!r}", line, name_tok.start() + 1)
+        except SourceError:
+            _raise_bad_token(tokens, code, line)
+            raise
+        if is_attr:
+            categorical[name] = tuple(values)
         else:
-            raise ParseError(
-                f"expected 'attr' or 'num', got {head.text!r}", head.line, head.col
-            )
+            numeric.add(name)
     return Schema(categorical, frozenset(numeric))
+
+
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+# Binary operators: precedence and node class.
+_BINARY = {"implies": (1, Implies), "or": (2, Or), "and": (3, And)}
+# Stack frames that no operator folds: the bottom of the stack and an open
+# parenthesis, and a '!' waiting for its operand.
+_STOP = (0, None, None)
+_NEG = (0, Not, None)
 
 
 def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse formula text, checking every atom against ``schema``."""
-    stream = _TokenStream(_tokenize(text))
-    formula = _parse_implies(stream, schema)
-    trailing = stream.peek()
-    if trailing.kind != "end":
-        raise ParseError(
-            f"unexpected {trailing.text!r} after formula", trailing.line, trailing.col
-        )
-    return formula
+    tokens = list(_FORMULA_RE.finditer(text))
+    try:
+        return _parse(text, tokens, schema)
+    except SourceError:
+        _raise_bad_token(tokens, text)
+        raise
 
 
-def _parse_implies(stream: _TokenStream, schema: Schema) -> Formula:
-    # '->' is right associative: the chain is read in a loop and folded
-    # from the right, so its length is not bounded by the recursion limit.
-    operands = [_parse_or(stream, schema)]
-    while stream.peek().kind == "->":
-        stream.advance()
-        operands.append(_parse_or(stream, schema))
-    formula = operands.pop()
-    while operands:
-        formula = Implies(operands.pop(), formula)
-    return formula
+def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
+    # Precedence climbing with an explicit stack of frames (precedence,
+    # node class, left operand): each binary operator folds the frames of
+    # operators at least as tight before it is pushed.
+    atoms = schema._atoms
+    stack = [_STOP]
+    depth = 0  # parentheses open
+    i = 0
+    while True:
+        # An operand: '!'s and '('s, then an atom or a constant.
+        tok = tokens[i]
+        i += 1
+        kind = tok.lastgroup
+        if kind == "atom":
+            key = tok.group(2, 3, 4, 5)
+            f = atoms.get(key)
+            if f is None:
+                f = atoms[key] = _read_atom(text, tok.start(), schema)
+        elif kind == "not":
+            stack.append(_NEG)
+            continue
+        elif kind == "lpar":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", *_where(text, tok.start())
+                )
+            depth += 1
+            stack.append(_STOP)
+            continue
+        elif kind == "ident":
+            f = _CONSTANTS.get(tok.group())
+            if f is None:
+                # Any other name starts an atom the scanner could not read
+                # whole; reading it raises that atom's error.
+                f = _read_atom(text, tok.start(), schema)
+        else:
+            raise ParseError(f"expected a formula, got {_got(tok)}", *_where(text, tok.start()))
+        # After the operand: apply its '!'s, then close parentheses until a
+        # binary operator, or the end, comes.
+        while True:
+            while stack[-1] is _NEG:
+                stack.pop()
+                f = Not(f)
+            tok = tokens[i]
+            i += 1
+            kind = tok.lastgroup
+            op = _BINARY.get(kind)
+            if op is not None:
+                prec, node = op
+                # '&' and '|' fold their own kind too; '->' is right associative.
+                floor = prec + 1 if node is Implies else prec
+                while stack[-1][0] >= floor:
+                    _, folded, left = stack.pop()
+                    f = folded(left, f)
+                stack.append((prec, node, f))
+                break
+            if kind == "rpar" and depth:
+                depth -= 1
+            elif depth:
+                raise ParseError(f"expected ')', got {_got(tok)}", *_where(text, tok.start()))
+            elif kind != "end":
+                raise ParseError(f"unexpected {_got(tok)} after formula", *_where(text, tok.start()))
+            while stack[-1][0]:
+                _, folded, left = stack.pop()
+                f = folded(left, f)
+            if kind == "end":
+                return f
+            stack.pop()  # the '('
 
 
-def _parse_or(stream: _TokenStream, schema: Schema) -> Formula:
-    left = _parse_and(stream, schema)
-    while stream.peek().kind == "|":
-        stream.advance()
-        left = Or(left, _parse_and(stream, schema))
-    return left
+def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
+    """Read and check the atom whose attribute starts at ``pos``, token by
+    token.
 
-
-def _parse_and(stream: _TokenStream, schema: Schema) -> Formula:
-    left = _parse_unary(stream, schema)
-    while stream.peek().kind == "&":
-        stream.advance()
-        left = And(left, _parse_unary(stream, schema))
-    return left
-
-
-def _parse_unary(stream: _TokenStream, schema: Schema) -> Formula:
-    # A run of '!' is read in a loop, so its length is not bounded by the
-    # interpreter's recursion limit.
-    negations = 0
-    while stream.peek().kind == "!":
-        stream.advance()
-        negations += 1
-    formula = _parse_primary(stream, schema)
-    for _ in range(negations):
-        formula = Not(formula)
-    return formula
-
-
-def _parse_primary(stream: _TokenStream, schema: Schema) -> Formula:
-    tok = stream.peek()
-    if tok.kind == "(":
-        if stream.depth == MAX_NESTING:
-            raise ParseError(
-                f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
-            )
-        stream.advance()
-        stream.depth += 1
-        inner = _parse_implies(stream, schema)
-        stream.expect(")")
-        stream.depth -= 1
-        return inner
-    if tok.kind == "ident":
-        if tok.text == "true":
-            stream.advance()
-            return TRUE
-        if tok.text == "false":
-            stream.advance()
-            return FALSE
-        return _parse_atom(stream, schema)
-    got = "end of input" if tok.kind == "end" else repr(tok.text)
-    raise ParseError(f"expected a formula, got {got}", tok.line, tok.col)
-
-
-def _parse_atom(stream: _TokenStream, schema: Schema) -> Formula:
-    attr_tok = stream.advance()
-    attr = attr_tok.text
+    The one reader of atoms: it builds each atom a schema has not cached
+    yet, and finds the error in an atom the scanner could not read whole.
+    """
+    tokens = _TOKEN_RE.finditer(text, pos)
+    attr = next(tokens).group()
     if not schema.is_categorical(attr) and not schema.is_numeric(attr):
-        raise UnknownAttribute(
-            f"unknown attribute {attr!r}", attr_tok.line, attr_tok.col
-        )
-    stream.expect("(")
-    entity = stream.expect("ident", what="entity name").text
-    stream.expect(")")
-    op_tok = stream.peek()
-    if op_tok.kind not in _CMP_SYMBOLS:
-        got = "end of input" if op_tok.kind == "end" else repr(op_tok.text)
-        raise ParseError(f"expected comparison operator, got {got}", op_tok.line, op_tok.col)
-    stream.advance()
+        raise UnknownAttribute(f"unknown attribute {attr!r}", *_where(text, pos))
+    _check(next(tokens), "lpar", "'('", text)
+    entity = _check(next(tokens), "ident", "entity name", text).group()
+    _check(next(tokens), "rpar", "')'", text)
+    op_tok = _check(next(tokens), "cmp", "comparison operator", text)
+    op = op_tok.group()
+    val_tok = next(tokens)
+    value = val_tok.group()
     if schema.is_categorical(attr):
-        if op_tok.kind != "=":
+        if op != "=":
             raise NumericComparisonOnCategorical(
                 f"attribute {attr!r} is categorical; only '=' applies",
-                op_tok.line,
-                op_tok.col,
+                *_where(text, op_tok.start()),
             )
-        val_tok = stream.peek()
-        if val_tok.kind == "number":
+        if val_tok.lastgroup == "number":
             raise NumericComparisonOnCategorical(
                 f"attribute {attr!r} is categorical; compared against a number",
-                val_tok.line,
-                val_tok.col,
+                *_where(text, val_tok.start()),
             )
-        val_tok = stream.expect("ident", what="domain value")
-        if val_tok.text not in schema.domain(attr):
+        _check(val_tok, "ident", "domain value", text)
+        if value not in schema.domain(attr):
             raise ValueNotInDomain(
-                f"{val_tok.text!r} is not in the domain of {attr!r}",
-                val_tok.line,
-                val_tok.col,
+                f"{value!r} is not in the domain of {attr!r}", *_where(text, val_tok.start())
             )
-        return CatAtom(sys.intern(attr), sys.intern(entity), sys.intern(val_tok.text))
-    val_tok = stream.peek()
-    if val_tok.kind == "ident":
+        return CatAtom(sys.intern(attr), sys.intern(entity), sys.intern(value))
+    if val_tok.lastgroup == "ident":
         raise CategoricalComparisonOnNumeric(
-            f"attribute {attr!r} is numeric; compared against {val_tok.text!r}",
-            val_tok.line,
-            val_tok.col,
+            f"attribute {attr!r} is numeric; compared against {value!r}",
+            *_where(text, val_tok.start()),
         )
-    val_tok = stream.expect("number", what="numeric constant")
+    _check(val_tok, "number", "numeric constant", text)
     try:
-        constant = Fraction(val_tok.text)
+        constant = Fraction(value)
     except ZeroDivisionError:
         raise ParseError(
-            f"zero denominator in {val_tok.text!r}", val_tok.line, val_tok.col
+            f"zero denominator in {value!r}", *_where(text, val_tok.start())
         ) from None
-    return NumAtom(sys.intern(attr), sys.intern(entity), op_tok.kind, constant)
+    return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)

@@ -601,6 +601,17 @@ def test_bdi_on_deep_communicated(capsys, tmp_path, communicated, flags):
     )
 
 
+@pytest.mark.parametrize("flags", [(), ("--oracle",)])
+def test_bdi_on_deep_candidates_and_norms(capsys, tmp_path, flags):
+    deep = "!" * 2000 + "Hurricane(today)=Yes"
+    doc = json.loads(fixture_path("hurricane.scenario.json").read_text(encoding="utf-8"))
+    doc.update(schema=str(fixture_path(doc["schema"])), candidates=[deep], norms=[deep])
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    printed = "!(" * 2000 + "Hurricane(today)=Yes" + ")" * 2000
+    assert run(capsys, "bdi", *flags, str(scenario)) == (0, f"withholding: {printed}\n", "")
+
+
 def test_bdi_scenario_nested_past_the_json_decoder(capsys, tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text("[" * 100000, encoding="utf-8")

@@ -220,6 +220,142 @@ def test_parse_error_position_points_at_offender():
     assert str(exc_info.value).startswith("1:9:")
 
 
+# Every error path of the formula and schema parsers, pinned by exception
+# class and full message, position included.
+ERR_SCHEMA = Schema({"Alpha": ("V1", "V2"), "Beta": ("V1", "V2", "V3")}, frozenset({"Level"}))
+DEEP = MAX_NESTING + 1
+
+FORMULA_ERRORS = [
+    # a lexical error anywhere wins over a parse or semantic error before it
+    ("lex-after-unknown", "Delta(e)=V1 & $", ParseError, "1:15: unexpected character '$'"),
+    ("lex-after-domain", "Alpha(e)=V9 & Level(e) < 1.", ParseError, "1:27: unexpected character '.'"),
+    ("lex-formfeed", "Alpha(e)=V1\x0c", ParseError, "1:12: unexpected character '\\x0c'"),
+    ("lex-non-ascii", "Alpha(e)=V1 & Level(e) < 2 -> é", ParseError, "1:31: unexpected character 'é'"),
+    # true and false are never attributes
+    ("true-call", "true(e)=V1", ParseError, "1:5: unexpected '(' after formula"),
+    ("false-true-call", "false & true(", ParseError, "1:13: unexpected '(' after formula"),
+    # atoms spread over lines
+    ("multi-line-atom", "Alpha (e)\n = V3", ValueNotInDomain, "2:4: 'V3' is not in the domain of 'Alpha'"),
+    ("second-line", "Beta(e)=V1 &\n  Delta(e)=V1", UnknownAttribute, "2:3: unknown attribute 'Delta'"),
+    ("crlf-tab", "Alpha(e)=V1 &\r\n\tDelta(e)=V1", UnknownAttribute, "2:2: unknown attribute 'Delta'"),
+    # each step of an atom
+    ("unknown-attribute", "Delta(e)=V1", UnknownAttribute, "1:1: unknown attribute 'Delta'"),
+    ("open-paren", "Alpha e)=V1", ParseError, "1:7: expected '(', got 'e'"),
+    ("open-paren-end", "Alpha", ParseError, "1:6: expected '(', got end of input"),
+    ("entity-op", "Alpha(=V1", ParseError, "1:7: expected entity name, got '='"),
+    ("entity-number", "Alpha(1)=V1", ParseError, "1:7: expected entity name, got '1'"),
+    ("close-paren", "Alpha(e=V1", ParseError, "1:8: expected ')', got '='"),
+    ("close-paren-atom", "Alpha(Beta(e)=V1", ParseError, "1:11: expected ')', got '('"),
+    ("operator-paren", "Alpha(e)(e)=V1", ParseError, "1:9: expected comparison operator, got '('"),
+    ("operator-name", "Alpha(e) V1", ParseError, "1:10: expected comparison operator, got 'V1'"),
+    ("operator-end", "Alpha(e)", ParseError, "1:9: expected comparison operator, got end of input"),
+    ("operator-arrow", "Alpha(e) -> Beta(e)=V1", ParseError, "1:10: expected comparison operator, got '->'"),
+    ("only-eq", "Alpha(e) < V1", NumericComparisonOnCategorical, "1:10: attribute 'Alpha' is categorical; only '=' applies"),
+    ("only-eq-number", "Alpha(e) >= 2", NumericComparisonOnCategorical, "1:10: attribute 'Alpha' is categorical; only '=' applies"),
+    ("cat-number", "Alpha(e)=2", NumericComparisonOnCategorical, "1:10: attribute 'Alpha' is categorical; compared against a number"),
+    ("cat-fraction", "Alpha(e)=-1/2", NumericComparisonOnCategorical, "1:10: attribute 'Alpha' is categorical; compared against a number"),
+    ("num-name", "Level(e)=V1", CategoricalComparisonOnNumeric, "1:10: attribute 'Level' is numeric; compared against 'V1'"),
+    ("num-true", "Level(e) <= true", CategoricalComparisonOnNumeric, "1:13: attribute 'Level' is numeric; compared against 'true'"),
+    ("domain-value-op", "Alpha(e)=>V1", ParseError, "1:10: expected domain value, got '>'"),
+    ("domain-value-paren", "Alpha(e)=(", ParseError, "1:10: expected domain value, got '('"),
+    ("domain-value-end", "Alpha(e)=", ParseError, "1:10: expected domain value, got end of input"),
+    ("not-in-domain", "Alpha(e)=V3", ValueNotInDomain, "1:10: 'V3' is not in the domain of 'Alpha'"),
+    ("constant-paren", "Level(e) < (", ParseError, "1:12: expected numeric constant, got '('"),
+    ("constant-end", "Level(e) <", ParseError, "1:11: expected numeric constant, got end of input"),
+    ("constant-op", "Level(e)=>3", ParseError, "1:10: expected numeric constant, got '>'"),
+    ("zero-denominator", "Level(e) < 1/0", ParseError, "1:12: zero denominator in '1/0'"),
+    ("zero-denominator-neg", "Level(e) > -3/0", ParseError, "1:12: zero denominator in '-3/0'"),
+    # the nesting cap points at the first opener past it
+    ("nesting", "(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{DEEP}: parentheses nested deeper than {MAX_NESTING}"),
+    ("nesting-not", "!(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{2 * DEEP}: parentheses nested deeper than {MAX_NESTING}"),
+    ("nesting-spaced", " ( " * DEEP + "true" + ")" * DEEP, ParseError, f"1:{3 * DEEP - 1}: parentheses nested deeper than {MAX_NESTING}"),
+    # a token after a whole formula
+    ("trailing-atom", "Alpha(e)=V1 Beta(e)=V1", ParseError, "1:13: unexpected 'Beta' after formula"),
+    ("trailing-paren", "Alpha(e)=V1)", ParseError, "1:12: unexpected ')' after formula"),
+    ("trailing-constant", "true false", ParseError, "1:6: unexpected 'false' after formula"),
+    ("trailing-number", "Level(e) < 3-4", ParseError, "1:13: unexpected '-4' after formula"),
+    # an unclosed parenthesis
+    ("close-end", "(Alpha(e)=V1", ParseError, "1:13: expected ')', got end of input"),
+    ("close-atom", "(Alpha(e)=V1 Beta(e)=V2)", ParseError, "1:14: expected ')', got 'Beta'"),
+    ("close-nested", "((true)", ParseError, "1:8: expected ')', got end of input"),
+    # no formula where one must start
+    ("empty", "", ParseError, "1:1: expected a formula, got end of input"),
+    ("blank-lines", "   \n  ", ParseError, "2:3: expected a formula, got end of input"),
+    ("after-and", "Alpha(e)=V1 &", ParseError, "1:14: expected a formula, got end of input"),
+    ("after-or", "Alpha(e)=V1 | -> true", ParseError, "1:15: expected a formula, got '->'"),
+    ("leading-and", "& true", ParseError, "1:1: expected a formula, got '&'"),
+    ("lone-close", ")", ParseError, "1:1: expected a formula, got ')'"),
+    ("lone-not", "!", ParseError, "1:2: expected a formula, got end of input"),
+    ("empty-parens", "()", ParseError, "1:2: expected a formula, got ')'"),
+    ("after-implies", "Alpha(e)=V1 -> ", ParseError, "1:16: expected a formula, got end of input"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", [row[1:] for row in FORMULA_ERRORS], ids=[row[0] for row in FORMULA_ERRORS])
+def test_formula_error_table(text, error, message):
+    with pytest.raises(SourceError) as exc_info:
+        parse_formula(text, ERR_SCHEMA)
+    assert (type(exc_info.value), str(exc_info.value)) == (error, message)
+
+
+SCHEMA_ERRORS = [
+    ("colon", "attr Food { Italian }", ParseError, "1:11: expected ':', got '{'"),
+    ("empty-domain", "attr Food : { }", ParseError, "1:15: expected domain value, got '}'"),
+    ("trailing-attr", "attr Food : { Italian } extra", ParseError, "1:25: expected end of line, got 'extra'"),
+    ("num-name", "num", ParseError, "1:4: expected attribute name, got end of input"),
+    ("num-name-comment", "num   # comment", ParseError, "1:7: expected attribute name, got end of input"),
+    ("keyword", "food Food : { Italian }", ParseError, "1:1: expected 'attr' or 'num', got 'food'"),
+    ("keyword-number", "123", ParseError, "1:1: expected 'attr' or 'num', got '123'"),
+    ("trailing-comma", "attr Food : { Italian, }", ParseError, "1:24: expected domain value, got '}'"),
+    ("trailing-num", "num Temp extra", ParseError, "1:10: expected end of line, got 'extra'"),
+    ("open-brace", "attr Food : Italian", ParseError, "1:13: expected '{', got 'Italian'"),
+    ("close-brace", "attr Food : { Italian Norwegian }", ParseError, "1:23: expected '}', got 'Norwegian'"),
+    ("duplicate-value", "attr Food : { Italian, Italian }", DuplicateValue, "1:24: duplicate value 'Italian' for attribute 'Food'"),
+    ("duplicate-attribute", "attr Food : { Italian }\nattr Food : { Norwegian }", DuplicateAttribute, "2:6: duplicate attribute 'Food'"),
+    ("duplicate-after-cr", "num A\rnum A", DuplicateAttribute, "2:5: duplicate attribute 'A'"),
+    ("syntax-before-duplicate", "num Temp\nnum Temp extra", ParseError, "2:10: expected end of line, got 'extra'"),
+    ("value-before-duplicate", "attr Food : { A }\nattr Food : { B, B }", DuplicateValue, "2:18: duplicate value 'B' for attribute 'Food'"),
+    ("lex", "# one\n\nattr Food : { A } $", ParseError, "3:19: unexpected character '$'"),
+    ("lex-later-line", "food Food\n$", ParseError, "1:1: expected 'attr' or 'num', got 'food'"),
+    ("atom-shaped-name", "attr F(x)=A", ParseError, "1:7: expected ':', got '('"),
+    ("atom-shaped-num", "num Temp(x)", ParseError, "1:9: expected end of line, got '('"),
+    ("atom-shaped-value", "attr Food : { A, B(c)=D }", ParseError, "1:19: expected '}', got '('"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", [row[1:] for row in SCHEMA_ERRORS], ids=[row[0] for row in SCHEMA_ERRORS])
+def test_schema_error_table(text, error, message):
+    with pytest.raises(SourceError) as exc_info:
+        parse_schema(text)
+    assert (type(exc_info.value), str(exc_info.value)) == (error, message)
+
+
+def test_atom_cache_hands_out_one_node_per_atom():
+    schema = Schema(SCHEMA.categorical, SCHEMA.numeric)
+    f = parse_formula("Food(x)=Italian & Food(x)=Italian", schema)
+    assert f.left is f.right
+    # The key is the atom's parts, so spacing does not matter.
+    assert parse_formula("Food( x )\n= Italian", schema) is f.left
+    halves = parse_formula("Temp(d) < 0.5 | Temp(d) < 1/2", schema)
+    assert halves.left == halves.right
+    # The cache is not part of the schema's value.
+    assert schema == SCHEMA
+    assert "_atoms" not in repr(schema)
+
+
+def test_atom_cache_keeps_no_error():
+    schema = Schema(SCHEMA.categorical, SCHEMA.numeric)
+    narrow = Schema({"Food": ("Japanese",), "Type": ("Pub",)}, frozenset({"Temp"}))
+    assert parse_formula("Food(x)=Italian", schema) == CatAtom("Food", "x", "Italian")
+    for _ in range(2):
+        with pytest.raises(ValueNotInDomain, match="^1:9: 'Italian' is not in the domain of 'Food'$"):
+            parse_formula("Food(x)=Italian", narrow)
+        with pytest.raises(ValueNotInDomain, match="^1:9: 'Sushi' is not in the domain of 'Food'$"):
+            parse_formula("Food(x)=Sushi", schema)
+    assert narrow._atoms == {}
+    assert list(schema._atoms) == [("Food", "x", "=", "Italian")]
+
+
 def test_num_atom_coerces_int_constant():
     assert NumAtom("Temp", "d", "<", 22).constant == Fraction(22)
     with pytest.raises(ValueError):
@@ -341,6 +477,16 @@ def test_evaluate_missing_key():
         evaluate(Model({}, {}), NumAtom("Temp", "d", "<", 2))
 
 
+def test_evaluate_short_circuits_past_missing_keys():
+    model = Model({("Food", "x"): "Norwegian"}, {})
+    italian, missing = CatAtom("Food", "x", "Italian"), NumAtom("Temp", "d", "<", 2)
+    assert evaluate(model, And(italian, missing)) is False
+    assert evaluate(model, Or(Not(italian), missing)) is True
+    assert evaluate(model, Implies(italian, missing)) is True
+    with pytest.raises(MissingKey):
+        evaluate(model, Implies(Not(italian), missing))
+
+
 def test_iter_atoms_left_to_right_with_duplicates():
     a = CatAtom("Food", "x", "Italian")
     b = NumAtom("Temp", "d", "<", 2)
@@ -399,8 +545,10 @@ def models(draw):
 class TestFormulaLaws:
     @given(formulas)
     def test_round_trip(self, f):
-        """parse(print(f)) reproduces f exactly."""
-        assert parse_formula(print_formula(f), SCHEMA) == f
+        """parse(print(f)) reproduces f exactly, hash included."""
+        g = parse_formula(print_formula(f), SCHEMA)
+        assert g == f
+        assert hash(g) == hash(f)
 
     @given(models(), formulas)
     def test_negation(self, m, f):
@@ -480,6 +628,51 @@ def test_traversals_walk_formulas_of_any_depth(text, atoms):
     assert numeric_keys(f) == {("Temp", "d")}
     with pytest.raises(ValueNotInDomain):
         validate_formula(Schema({"Food": ("Japanese",), "Type": ("Pub",)}, frozenset({"Temp"})), f)
+
+
+LONG_OR = " | ".join(("Food(x)=Norwegian", "Temp(d) > 3", "Type(y)=Pub")[i % 3] for i in range(1500))
+LONG_IMPLIES = " -> ".join(("Food(x)=Italian", "Temp(d) < 3", "Type(y)=Pub")[i % 3] for i in range(1500))
+
+
+@pytest.mark.parametrize(
+    "text, printed, value",
+    [
+        (LONG_AND, LONG_AND, True),
+        (DEEP_NOT, "!(" * 2000 + "Temp(d) >= 0.5 | Food(y)=Norwegian" + ")" * 2000, True),
+        (LONG_OR, LONG_OR, True),
+        (LONG_IMPLIES, LONG_IMPLIES, True),
+    ],
+    ids=["long-and", "deep-not", "long-or", "long-implies"],
+)
+def test_deep_formulas_compare_hash_evaluate_and_print(text, printed, value):
+    f = parse_formula(text, SCHEMA)
+    # A second schema has its own atom cache, so no node is shared.
+    g = parse_formula(text, Schema(SCHEMA.categorical, SCHEMA.numeric))
+    assert f is not g
+    assert f == g
+    assert not f != g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert f != Not(g)
+    assert Not(f) == Not(g)
+    model = Model(
+        {("Food", "x"): "Italian", ("Food", "y"): "Norwegian", ("Type", "y"): "Pub"},
+        {("Temp", "d"): Fraction(1)},
+    )
+    assert evaluate(model, f) is value
+    assert evaluate(model, Not(g)) is not value
+    assert print_formula(f) == printed
+
+
+def test_connectives_compare_by_class_and_shape():
+    a, b = CatAtom("Food", "x", "Italian"), CatAtom("Type", "x", "Pub")
+    assert And(a, b) == And(a, b)
+    assert And(a, b) != Or(a, b)
+    assert And(a, b) != And(b, a)
+    assert Implies(a, b) != Or(Not(a), b)
+    assert And(Not(a), b) != And(a, Not(b))
+    assert Not(a) != a
+    assert And(a, b) != (a, b)
 
 
 def test_iter_atoms_rejects_a_non_formula_where_it_meets_it():
