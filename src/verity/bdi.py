@@ -16,6 +16,11 @@ Half truth (p, r):       K entails p but not r, the hearer believes p -> r,
 
 "Communicated" always means entailed by K, not literally uttered; otherwise
 any rephrasing would defeat detection.
+
+A scan over n candidates asks its entailment function (the engine, or an
+injected ``entails_fn``) two kinds of question: K |= c, at most once per
+candidate c, and H |= p -> r, at most once per ordered pair and only for
+a pair whose other four half-truth conditions already hold.
 """
 
 from __future__ import annotations
@@ -216,8 +221,16 @@ def scan_misleading(
     """Apply both detectors over a candidate set, exhaustively.
 
     Withholding is checked per candidate, half truths per ordered candidate
-    pair.  An empty candidate set defaults to ``default_candidates``.
-    Returns deduplicated findings ordered by their rendered form.
+    pair, under the conditions of ``detect_withholding`` and
+    ``detect_half_truth``.  An empty candidate set defaults to
+    ``default_candidates``.  Returns deduplicated findings ordered by their
+    rendered form.
+
+    Each candidate is evaluated in the world once.  K |= c is asked at most
+    once per candidate, and only when a finding can need the answer: for an
+    expected q that is true, for a p that is true, and, once some true p is
+    communicated, for an r that is false.  H |= p -> r is asked only for a
+    p that is true and communicated and an r that is false and not.
     """
     if not candidates:
         pool = default_candidates(scenario)
@@ -226,13 +239,29 @@ def scan_misleading(
     if len(pool) ** 2 > pair_limit:
         raise ResourceLimit(len(pool) ** 2, pair_limit, "candidate pairs")
     fn = entails_fn or _engine_fn(scenario, limit)
+    true = [evaluate(scenario.world, c) for c in pool]
+    told: list[Optional[bool]] = [None] * len(pool)
+
+    def communicated(i: int) -> bool:
+        if told[i] is None:
+            told[i] = bool(fn(scenario.communicated, pool[i]))
+        return told[i]
+
     findings = []
-    for q in pool:
-        if detect_withholding(scenario, q, entails_fn=fn):
+    for i, q in enumerate(pool):
+        if q in scenario.expectation_norms and true[i] and not communicated(i):
             findings.append(MisleadingFinding(FindingKind.WITHHOLDING, q))
-    for p in pool:
-        for r in pool:
-            if detect_half_truth(scenario, p, r, entails_fn=fn):
+    # A half truth leads from a communicated truth p to an uncommunicated
+    # falsehood r; without such a p no r needs asking about.
+    premises = [p for i, p in enumerate(pool) if true[i] and communicated(i)]
+    conclusions = (
+        [r for i, r in enumerate(pool) if not true[i] and not communicated(i)]
+        if premises
+        else []
+    )
+    for p in premises:
+        for r in conclusions:
+            if fn(scenario.hearer_beliefs, Implies(p, r)):
                 findings.append(MisleadingFinding(FindingKind.HALF_TRUTH, p, r))
     findings.sort(key=MisleadingFinding.render)
     return findings

@@ -216,8 +216,8 @@ def _preorder(formula: Formula) -> list:
     return out
 
 
-# The connectives compare and hash through _preorder rather than the
-# recursive methods dataclasses would generate, so depth is no limit.
+# The connectives compare, hash and repr through explicit-stack walks rather
+# than the recursive methods dataclasses would generate, so depth is no limit.
 
 
 def _connective_eq(self: Formula, other: object) -> bool:
@@ -230,38 +230,64 @@ def _connective_hash(self: Formula) -> int:
     return hash(tuple(_preorder(self)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+def _connective_repr(self: Formula) -> str:
+    """The text the dataclass-generated ``__repr__`` would give."""
+    out: list[str] = []
+    stack: list = [(False, self)]
+    while stack:
+        literal, f = stack.pop()
+        if literal:
+            out.append(f)
+        elif type(f) in _CONNECTIVES:
+            out.append(type(f).__qualname__ + "(")
+            stack.append((True, ")"))
+            names = type(f).__match_args__
+            for k in range(len(names) - 1, -1, -1):
+                stack.append((False, getattr(f, names[k])))
+                stack.append((True, f"{', ' if k else ''}{names[k]}="))
+        else:
+            out.append(repr(f))
+    return "".join(out)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not:
     operand: Formula
     __eq__ = _connective_eq
     __hash__ = _connective_hash
+    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And:
     left: Formula
     right: Formula
     __eq__ = _connective_eq
     __hash__ = _connective_hash
+    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or:
     left: Formula
     right: Formula
     __eq__ = _connective_eq
     __hash__ = _connective_hash
+    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Implies:
     antecedent: Formula
     consequent: Formula
     __eq__ = _connective_eq
     __hash__ = _connective_hash
+    __repr__ = _connective_repr
 
 
 Formula = Union[TrueConst, FalseConst, CatAtom, NumAtom, Not, And, Or, Implies]
+
+_CONNECTIVES = (Not, And, Or, Implies)
 
 TRUE = TrueConst()
 FALSE = FalseConst()

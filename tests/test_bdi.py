@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import verity.bdi
+import verity.cli
+from randgen import ENTITY, NUM_ATTR, random_atom, random_formula, random_schema
 from verity import (
     And,
     FindingKind,
+    Implies,
     MisleadingFinding,
     Model,
     MrError,
@@ -19,9 +25,12 @@ from verity import (
     ResourceLimit,
     Scenario,
     ScenarioError,
+    Schema,
     default_candidates,
     detect_half_truth,
     detect_withholding,
+    entails,
+    evaluate,
     load_scenario,
     oracle_entails,
     parse_formula,
@@ -273,6 +282,152 @@ def test_scan_pair_limit():
     assert info.value.limit == 24
     assert str(info.value) == "25 candidate pairs exceeds limit 24"
     assert scan_misleading(hurricane_scenario(), pair_limit=25)
+
+
+def _brute_force_scan(scenario, candidates, entails_fn=None):
+    """The scan as the definitions state it: every detector on every
+    candidate and ordered pair, each asking its own questions."""
+    pool = list(dict.fromkeys(candidates)) if candidates else default_candidates(scenario)
+    findings = [
+        MisleadingFinding(FindingKind.WITHHOLDING, q)
+        for q in pool
+        if detect_withholding(scenario, q, entails_fn=entails_fn)
+    ]
+    findings += [
+        MisleadingFinding(FindingKind.HALF_TRUTH, p, r)
+        for p in pool
+        for r in pool
+        if detect_half_truth(scenario, p, r, entails_fn=entails_fn)
+    ]
+    return sorted(findings, key=MisleadingFinding.render)
+
+
+def _random_scenario(rng):
+    """A randgen scenario whose schema always has the numeric attribute, so
+    the world, the norms and the default candidates have numeric atoms."""
+    while True:
+        schema = random_schema(rng)
+        schema = Schema(schema.categorical, frozenset({NUM_ATTR}))
+        world = Model(
+            {(attr, ENTITY): rng.choice(domain) for attr, domain in schema.categorical.items()},
+            {(NUM_ATTR, ENTITY): Fraction(rng.randrange(-1, 12), 2)},
+        )
+
+        def rule():
+            return Implies(random_atom(rng, schema), random_atom(rng, schema))
+
+        communicated = random_formula(rng, schema, 3) if rng.random() < 0.3 else And(
+            random_atom(rng, schema), random_atom(rng, schema)
+        )
+        beliefs = random_formula(rng, schema, 3) if rng.random() < 0.3 else And(rule(), rule())
+        norms = [random_atom(rng, schema) for _ in range(rng.randint(0, 3))]
+        norms += [random_formula(rng, schema, 2) for _ in range(rng.randint(0, 1))]
+        try:
+            scenario = Scenario(schema, communicated, beliefs, world, tuple(norms))
+        except ScenarioError:
+            continue  # unsatisfiable beliefs
+        candidates = None
+        if rng.random() < 0.4:
+            candidates = [random_formula(rng, schema, 2) for _ in range(rng.randint(1, 10))]
+            candidates += rng.sample(norms, min(len(norms), 2))
+        return scenario, candidates
+
+
+def _scan_cases():
+    yield "hurricane", hurricane_scenario(), None
+    yield "employment", employment_scenario(), None
+    for name in ("hurricane.scenario.json", "employment.scenario.json"):
+        yield (name, *load_scenario(fixture_path(name)))
+    rng = random.Random(2024)
+    for n in range(60):
+        yield (f"randgen-{n}", *_random_scenario(rng))
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["engine", "oracle"])
+def test_scan_returns_exactly_the_brute_force_findings(injected):
+    kinds = Counter()
+    for name, scenario, candidates in _scan_cases():
+        fn = None
+        if injected:
+            def fn(a, b, schema=scenario.schema):
+                return oracle_entails(schema, a, b)
+        findings = scan_misleading(scenario, candidates, entails_fn=fn)
+        assert findings == _brute_force_scan(scenario, candidates, fn), name
+        kinds.update(f.kind for f in findings)
+    # The property is not vacuous: both kinds of finding occur.
+    assert kinds[FindingKind.WITHHOLDING] > 5
+    assert kinds[FindingKind.HALF_TRUTH] > 5
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "scenario, candidates",
+    [
+        (hurricane_scenario(), None),
+        (dataclasses.replace(hurricane_scenario(), communicated=_weather("true")), None),
+        (employment_scenario(), None),
+        (
+            dataclasses.replace(
+                employment_scenario(),
+                expectation_norms=(_employment("Solvency(c)=Bankrupt"),),
+            ),
+            None,
+        ),
+        load_scenario(fixture_path("employment.scenario.json")),
+    ],
+    ids=["hurricane", "hurricane-silent", "employment", "employment-norm", "employment-fixture"],
+)
+def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candidates):
+    schema = scenario.schema
+    fn, calls = _counting(lambda a, b: entails(schema, a, b))
+    findings = scan_misleading(scenario, candidates, entails_fn=fn)
+    assert findings == scan_misleading(scenario, candidates)
+    assert len(set(calls)) == len(calls)
+    pool = list(dict.fromkeys(candidates)) if candidates else default_candidates(scenario)
+    k, h = scenario.communicated, scenario.hearer_beliefs
+    truths = [c for c in pool if evaluate(scenario.world, c)]
+    falsehoods = [c for c in pool if not evaluate(scenario.world, c)]
+    told_truths = [p for p in truths if entails(schema, k, p)]
+    n = len(pool)
+    assert len(calls) <= n + len(told_truths) * n
+    # Exactly the questions a finding can need: K |= c for every true c,
+    # and, once some true p is communicated, for every false r; then
+    # H |= p -> r for the pairs whose other four conditions hold.
+    needed = {(k, c) for c in truths}
+    if told_truths:
+        needed |= {(k, r) for r in falsehoods}
+    needed |= {
+        (h, Implies(p, r))
+        for p in told_truths
+        for r in falsehoods
+        if not entails(schema, k, r)
+    }
+    assert set(calls) == needed
+
+
+@pytest.mark.parametrize("name", ["hurricane.scenario.json", "employment.scenario.json"])
+def test_bdi_oracle_checks_every_question_the_engine_scan_asks(name, capsys, monkeypatch):
+    path = str(fixture_path(name))
+    counted, engine_calls = _counting(verity.bdi.entails)
+    monkeypatch.setattr(verity.bdi, "entails", counted)
+    assert verity.cli.main(["bdi", path]) == 0
+    engine_out = capsys.readouterr().out
+    monkeypatch.undo()
+    counted, checked_calls = _counting(verity.cli.checked_entails)
+    monkeypatch.setattr(verity.cli, "checked_entails", counted)
+    assert verity.cli.main(["bdi", "--oracle", path]) == 0
+    assert capsys.readouterr().out == engine_out
+    assert engine_calls
+    assert [args[1:] for args in checked_calls] == [args[1:] for args in engine_calls]
 
 
 def test_full_disclosure_clears_all_findings():

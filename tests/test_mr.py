@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from verity import (
     validate_model,
 )
 from verity.mr import MAX_NESTING, categorical_keys, numeric_keys
+from randgen import random_ast
 
 SCHEMA = Schema(
     {"Food": ("Italian", "Norwegian"), "Type": ("Restaurant", "Pub", "CoffeeShop")},
@@ -662,6 +664,42 @@ def test_deep_formulas_compare_hash_evaluate_and_print(text, printed, value):
     assert evaluate(model, f) is value
     assert evaluate(model, Not(g)) is not value
     assert print_formula(f) == printed
+    assert repr(f) == repr(g)
+    assert repr(Not(f)) == "Not(operand=" + repr(g) + ")"
+
+
+@pytest.mark.parametrize(
+    "formula, text",
+    [
+        (
+            Not(CatAtom("Food", "x", "Italian")),
+            "Not(operand=CatAtom(attr='Food', entity='x', value='Italian'))",
+        ),
+        (
+            And(CatAtom("Type", "y", "Pub"), NumAtom("Temp", "d", "<", Fraction(1, 2))),
+            "And(left=CatAtom(attr='Type', entity='y', value='Pub'), "
+            "right=NumAtom(attr='Temp', entity='d', cmp='<', constant=Fraction(1, 2)))",
+        ),
+        (
+            Implies(Or(TRUE, FALSE), Not(Not(NumAtom("Temp", "x", ">=", 3)))),
+            "Implies(antecedent=Or(left=TrueConst(), right=FalseConst()), "
+            "consequent=Not(operand=Not(operand="
+            "NumAtom(attr='Temp', entity='x', cmp='>=', constant=Fraction(3, 1)))))",
+        ),
+        (Not("junk"), "Not(operand='junk')"),
+    ],
+)
+def test_connective_repr_is_the_dataclass_text(formula, text):
+    assert repr(formula) == text
+
+
+def test_connective_repr_round_trips():
+    names = {c.__name__: c for c in (And, CatAtom, Implies, Not, NumAtom, Or)}
+    names.update(TrueConst=type(TRUE), FalseConst=type(FALSE), Fraction=Fraction)
+    rng = random.Random(11)
+    for _ in range(2000):
+        f = random_ast(rng, rng.randint(0, 6))
+        assert eval(repr(f), names) == f
 
 
 def test_connectives_compare_by_class_and_shape():
