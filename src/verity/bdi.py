@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -44,10 +44,8 @@ from .mr import (
     NumAtom,
     Schema,
     SourceError,
-    categorical_keys,
     evaluate,
     iter_atoms,
-    numeric_keys,
     parse_formula,
     parse_schema,
     print_formula,
@@ -102,7 +100,8 @@ class Scenario:
     communicated whenever they are true.  The world must cover every key
     the formulas mention, and the hearer's beliefs must be satisfiable
     (a hearer who believes everything can be led to anything, which would
-    make every pair a finding).
+    make every pair a finding).  ``limit`` caps the search nodes of that
+    satisfiability check.
     """
 
     schema: Schema
@@ -110,21 +109,23 @@ class Scenario:
     hearer_beliefs: Formula
     world: Model
     expectation_norms: tuple[Formula, ...] = ()
+    limit: InitVar[int] = DEFAULT_ASSIGNMENT_LIMIT
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, limit: int) -> None:
         object.__setattr__(self, "expectation_norms", tuple(self.expectation_norms))
         validate_model(self.schema, self.world)
         for f in (self.communicated, self.hearer_beliefs, *self.expectation_norms):
             _require_world_keys(self.world, f)
-        if not satisfiable(self.schema, self.hearer_beliefs):
+        if not satisfiable(self.schema, self.hearer_beliefs, limit=limit):
             raise ScenarioError("hearer_beliefs is unsatisfiable")
 
 
 def _require_world_keys(world: Model, f: Formula) -> None:
-    for key in sorted(categorical_keys(f) - frozenset(world.categorical)):
-        raise ScenarioError(f"world assigns no value to {key[0]}({key[1]})")
-    for key in sorted(numeric_keys(f) - frozenset(world.numeric)):
-        raise ScenarioError(f"world assigns no value to {key[0]}({key[1]})")
+    # Categorical keys first, then numeric ones, each in sorted order.
+    for a in sorted(iter_atoms(f), key=lambda a: (type(a) is NumAtom, a.attr, a.entity)):
+        assigned = world.numeric if type(a) is NumAtom else world.categorical
+        if (a.attr, a.entity) not in assigned:
+            raise ScenarioError(f"world assigns no value to {a.attr}({a.entity})")
 
 
 def _engine_fn(scenario: Scenario, limit: int) -> EntailsFn:
@@ -273,14 +274,18 @@ def scan_misleading(
 _WORLD_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)\Z")
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
+def load_scenario(
+    path: str | Path, limit: int = DEFAULT_ASSIGNMENT_LIMIT
+) -> tuple[Scenario, Optional[list[Formula]]]:
     """Read a scenario file; returns the scenario and its candidate list.
 
     The file is a JSON object with fields ``schema`` (path, relative to the
     file), ``communicated``, ``hearer_beliefs`` (formula strings), ``world``
     (map from ``Attr(entity)`` to value), ``norms`` (list of formula
-    strings), and optional ``candidates``.  Candidates are None when the
-    field is absent, which makes scans fall back to ``default_candidates``.
+    strings), and optional ``candidates`` (a non-empty list of formula
+    strings).  Candidates are None when the field is absent, which makes
+    scans fall back to ``default_candidates``.  ``limit`` caps the search
+    that checks the hearer's beliefs are satisfiable.
     """
     path = Path(path)
     try:
@@ -344,8 +349,11 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
     candidates: Optional[list[Formula]] = None
     if "candidates" in doc:
         candidates = [formula("candidates", str(t)) for t in field("candidates", list)]
+        if not candidates:
+            # An empty list would make a scan fall back to every default atom.
+            raise ScenarioError(f"{path}: field 'candidates' must not be empty")
 
-    scenario = Scenario(schema, communicated, hearer_beliefs, world, tuple(norms))
+    scenario = Scenario(schema, communicated, hearer_beliefs, world, tuple(norms), limit)
     for c in candidates or ():
         _require_world_keys(world, c)
     return scenario, candidates

@@ -240,8 +240,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bdi(args: argparse.Namespace) -> int:
-    scenario, candidates = load_scenario(args.scenario)
     limit = _resolve_limit(args)
+    scenario, candidates = load_scenario(args.scenario, limit)
     entails_fn = partial(checked_entails, scenario.schema, limit=limit) if args.oracle else None
     findings = scan_misleading(
         scenario, candidates, limit=limit, entails_fn=entails_fn

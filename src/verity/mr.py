@@ -21,8 +21,13 @@ Parsing scans the whole text into tokens with one regular expression,
 which reads each whole atom as a single token, and then builds the formula
 in one precedence-climbing loop with explicit stacks.  Parentheses nest at
 most MAX_NESTING deep; every other construct is read in that loop, so its
-length is unbounded.  Evaluation, printing, equality and hashing of
-formulas keep their own stacks too, so no formula is too deep for them.
+length is unbounded.
+
+One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
+hashing, ``repr``, ``print_formula`` and ``iter_atoms`` all read that list,
+so no formula is too deep for them.  Three walks keep their own stacks:
+``evaluate``, because it short-circuits; ``entail._nnf``, on the decision
+path; and ``oracle._postfix``, which shares no code with the engine.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
@@ -36,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -124,6 +129,9 @@ class Schema:
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
             if attr in self.numeric:
                 raise ValueError(f"attribute {attr!r} is both categorical and numeric")
+        for attr in (*self.categorical, *self.numeric):
+            if attr in _CONSTANTS:
+                raise ValueError(f"attribute name {attr!r} is reserved")
 
     def is_categorical(self, attr: str) -> bool:
         return attr in self.categorical
@@ -216,73 +224,50 @@ def _preorder(formula: Formula) -> list:
     return out
 
 
-# The connectives compare, hash and repr through explicit-stack walks rather
-# than the recursive methods dataclasses would generate, so depth is no limit.
+class _Connective:
+    """The connectives' base: they compare, hash and repr through
+    ``_preorder`` rather than the recursive methods dataclasses would
+    generate, so depth is no limit."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        """The text the dataclass-generated ``__repr__`` would give."""
+        return _render(self, _REPR, repr, 0)
 
 
-def _connective_eq(self: Formula, other: object) -> bool:
-    if type(other) is not type(self):
-        return NotImplemented
-    return self is other or _preorder(self) == _preorder(other)
+_connective = dataclass(frozen=True, slots=True, eq=False, repr=False)
 
 
-def _connective_hash(self: Formula) -> int:
-    return hash(tuple(_preorder(self)))
-
-
-def _connective_repr(self: Formula) -> str:
-    """The text the dataclass-generated ``__repr__`` would give."""
-    out: list[str] = []
-    stack: list = [(False, self)]
-    while stack:
-        literal, f = stack.pop()
-        if literal:
-            out.append(f)
-        elif type(f) in _CONNECTIVES:
-            out.append(type(f).__qualname__ + "(")
-            stack.append((True, ")"))
-            names = type(f).__match_args__
-            for k in range(len(names) - 1, -1, -1):
-                stack.append((False, getattr(f, names[k])))
-                stack.append((True, f"{', ' if k else ''}{names[k]}="))
-        else:
-            out.append(repr(f))
-    return "".join(out)
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Not:
+@_connective
+class Not(_Connective):
     operand: Formula
-    __eq__ = _connective_eq
-    __hash__ = _connective_hash
-    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class And:
+@_connective
+class And(_Connective):
     left: Formula
     right: Formula
-    __eq__ = _connective_eq
-    __hash__ = _connective_hash
-    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Or:
+@_connective
+class Or(_Connective):
     left: Formula
     right: Formula
-    __eq__ = _connective_eq
-    __hash__ = _connective_hash
-    __repr__ = _connective_repr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Implies:
+@_connective
+class Implies(_Connective):
     antecedent: Formula
     consequent: Formula
-    __eq__ = _connective_eq
-    __hash__ = _connective_hash
-    __repr__ = _connective_repr
 
 
 Formula = Union[TrueConst, FalseConst, CatAtom, NumAtom, Not, And, Or, Implies]
@@ -311,35 +296,14 @@ class Model:
 def iter_atoms(formula: Formula) -> Iterator[CatAtom | NumAtom]:
     """Yield every atom of ``formula`` left to right, duplicates included.
 
-    The walk keeps its own stack, so a formula of any depth can be walked.
+    Raises TypeError where the walk meets a node that is no formula.
     """
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (CatAtom, NumAtom)):
+    for f in _preorder(formula):
+        kind = type(f)
+        if kind is CatAtom or kind is NumAtom:
             yield f
-        elif isinstance(f, Not):
-            stack.append(f.operand)
-        elif isinstance(f, (And, Or)):
-            stack.append(f.right)
-            stack.append(f.left)
-        elif isinstance(f, Implies):
-            stack.append(f.consequent)
-            stack.append(f.antecedent)
-        elif not isinstance(f, (TrueConst, FalseConst)):
+        elif kind is not TrueConst and kind is not FalseConst and f not in _CONNECTIVES:
             raise TypeError(f"not a formula: {f!r}")
-
-
-def categorical_keys(formula: Formula) -> frozenset[Key]:
-    return frozenset(
-        (a.attr, a.entity) for a in iter_atoms(formula) if isinstance(a, CatAtom)
-    )
-
-
-def numeric_keys(formula: Formula) -> frozenset[Key]:
-    return frozenset(
-        (a.attr, a.entity) for a in iter_atoms(formula) if isinstance(a, NumAtom)
-    )
 
 
 def validate_formula(schema: Schema, formula: Formula) -> None:
@@ -475,48 +439,69 @@ def fraction_str(q: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).zfill(exp)}"
 
 
+# How each connective is written: its precedence, the text before its first
+# operand, and for each operand the precedence it needs and the text after
+# it.  A connective whose precedence is below what its place needs is
+# parenthesized.
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
+_PRINTED = {
+    Not: (_PREC_ATOM, "!(", ((_PREC_IMPLIES, ")"),)),
+    And: (_PREC_AND, "", ((_PREC_AND, " & "), (_PREC_ATOM, ""))),
+    Or: (_PREC_OR, "", ((_PREC_OR, " | "), (_PREC_AND, ""))),
+    # Right associative: the consequent may be another implication bare.
+    Implies: (_PREC_IMPLIES, "", ((_PREC_OR, " -> "), (_PREC_IMPLIES, ""))),
+}
+# The dataclass text, which never needs parentheses.
+_REPR = {
+    Not: (0, "Not(operand=", ((0, ")"),)),
+    And: (0, "And(left=", ((0, ", right="), (0, ")"))),
+    Or: (0, "Or(left=", ((0, ", right="), (0, ")"))),
+    Implies: (0, "Implies(antecedent=", ((0, ", consequent="), (0, ")"))),
+}
+
+
+def _render(formula: Formula, table: dict, leaf: Callable[[object], str], min_prec: int) -> str:
+    """Text of ``formula`` in one pass over ``_preorder``: each connective
+    written as ``table`` says, every other node as ``leaf`` returns it."""
+    out: list[str] = []
+    # Pending work, last first: the precedence the next node's place needs,
+    # or text to write once the operands before it are written.
+    todo: list = [min_prec]
+    for f in _preorder(formula):
+        need = todo.pop()
+        # _preorder gives each connective as its class.
+        entry = table.get(f) if type(f) is type else None
+        if entry is None:
+            out.append(leaf(f))
+            while todo and type(todo[-1]) is str:
+                out.append(todo.pop())
+            continue
+        prec, before, operands = entry
+        if prec < need:
+            out.append("(")
+            todo.append(")")
+        out.append(before)
+        for place, after in reversed(operands):
+            todo += (after, place)
+    return "".join(out)
+
+
+def _printed_leaf(f: Formula) -> str:
+    kind = type(f)
+    if kind is CatAtom:
+        return f"{f.attr}({f.entity})={f.value}"
+    if kind is NumAtom:
+        return f"{f.attr}({f.entity}) {f.cmp} {fraction_str(f.constant)}"
+    if kind is TrueConst:
+        return "true"
+    if kind is FalseConst:
+        return "false"
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def print_formula(formula: Formula) -> str:
     """Render ``formula`` as text that parses back to an equal formula."""
-    out: list[str] = []
-    # Pending work, last first: text to emit, or a (formula, min_prec) pair
-    # to render, parenthesized when its own precedence is below min_prec.
-    todo: list = [(formula, _PREC_IMPLIES)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        f, min_prec = item
-        if isinstance(f, TrueConst):
-            out.append("true")
-        elif isinstance(f, FalseConst):
-            out.append("false")
-        elif isinstance(f, CatAtom):
-            out.append(f"{f.attr}({f.entity})={f.value}")
-        elif isinstance(f, NumAtom):
-            out.append(f"{f.attr}({f.entity}) {f.cmp} {fraction_str(f.constant)}")
-        elif isinstance(f, Not):
-            out.append("!(")
-            todo += [")", (f.operand, _PREC_IMPLIES)]
-        else:
-            if isinstance(f, And):
-                prec, parts = _PREC_AND, ((f.left, _PREC_AND), " & ", (f.right, _PREC_ATOM))
-            elif isinstance(f, Or):
-                prec, parts = _PREC_OR, ((f.left, _PREC_OR), " | ", (f.right, _PREC_AND))
-            elif isinstance(f, Implies):
-                # Right associative: the consequent may be another implication bare.
-                prec = _PREC_IMPLIES
-                parts = ((f.antecedent, _PREC_OR), " -> ", (f.consequent, _PREC_IMPLIES))
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            if prec < min_prec:
-                out.append("(")
-                todo.append(")")
-            todo += reversed(parts)
-    return "".join(out)
+    return _render(formula, _PRINTED, _printed_leaf, _PREC_IMPLIES)
 
 
 def format_model(model: Model) -> str:
@@ -628,6 +613,8 @@ def parse_schema(text: str) -> Schema:
             is_attr = head.group() == "attr"
             name_tok = expect("ident", "attribute name")
             name = name_tok.group()
+            if name in _CONSTANTS:
+                raise ParseError(f"attribute name {name!r} is reserved", line, name_tok.start() + 1)
             values: list[str] = []
             if is_attr:
                 expect("colon", "':'")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -554,6 +555,7 @@ def test_load_scenario_numeric_world_values(tmp_path):
         (dict(GOOD_DOC, world={"Hurricane(today)": 3}), "must be a value name"),
         (dict(GOOD_DOC, world={"Storm(today)": "Yes"}), "unknown attribute 'Storm'"),
         (dict(GOOD_DOC, world={}), r"no value to Hurricane\(today\)"),
+        (dict(GOOD_DOC, candidates=[]), "field 'candidates' must not be empty"),
     ],
 )
 def test_load_scenario_errors(tmp_path, doc, message):
@@ -574,6 +576,21 @@ def test_load_scenario_validates_candidate_keys(tmp_path):
     doc = dict(GOOD_DOC, candidates=["Hurricane(tomorrow)=Yes"])
     with pytest.raises(ScenarioError, match=r"no value to Hurricane\(tomorrow\)"):
         load_scenario(_write_scenario(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "field, formula, key",
+    [
+        ("communicated", "Depth(a) > 1 & Storm(y)=On & (Hurricane(z)=Yes | Hurricane(b)=No)", "Hurricane(b)"),
+        ("norms", ["Depth(a) > 1 & Storm(y)=On & (Hurricane(z)=Yes | Hurricane(b)=No)"], "Hurricane(b)"),
+        ("communicated", "Depth(b) > 1 & Depth(a) < 1", "Depth(a)"),
+    ],
+)
+def test_missing_world_key_named_is_the_least_categorical_then_numeric(tmp_path, field, formula, key):
+    schema_text = "attr Hurricane : { Yes, No }\nattr Storm : { On }\nnum Depth\n"
+    doc = dict(GOOD_DOC, **{field: formula})
+    with pytest.raises(ScenarioError, match=re.escape(f"world assigns no value to {key}")):
+        load_scenario(_write_scenario(tmp_path, doc, schema_text))
 
 
 def test_negated_norms_are_distinct_formulas():

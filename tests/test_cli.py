@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,7 @@ from verity.fixtures import fixture_path
 RESTAURANT = str(fixture_path("restaurant.schema"))
 TEMPERATURE = str(fixture_path("temperature.schema"))
 CORPUS = str(fixture_path("restaurant-corpus.jsonl"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -525,6 +528,40 @@ def test_bdi_file_not_utf8(capsys, tmp_path, bad):
     assert "not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_bdi_limit_caps_the_beliefs_check(capsys, tmp_path, monkeypatch, via):
+    # The scan asks no question (its one candidate is false in the world),
+    # so only the satisfiability check of the beliefs, 6 nodes, can refuse.
+    (tmp_path / "w.schema").write_text(
+        "attr Hurricane : { Yes, No }\nattr Sky : { Cloudy, Clear, Rainy }\n",
+        encoding="utf-8",
+    )
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "schema": "w.schema",
+                "communicated": "Sky(today)=Cloudy",
+                "hearer_beliefs": "Hurricane(today)=No & Sky(today)=Rainy",
+                "world": {"Hurricane(today)": "Yes", "Sky(today)": "Cloudy"},
+                "norms": ["Hurricane(today)=Yes"],
+                "candidates": ["Hurricane(today)=No"],
+            }
+        ),
+        encoding="utf-8",
+    )
+
+    def bdi(limit):
+        if via == "env":
+            monkeypatch.setenv(ENV_LIMIT, str(limit))
+            return run(capsys, "bdi", str(scenario))
+        return run(capsys, "bdi", "--limit", str(limit), str(scenario))
+
+    assert bdi(3) == (3, "", "error: 4 search nodes exceeds limit 3\n")
+    assert bdi(5) == (3, "", "error: 6 search nodes exceeds limit 5\n")
+    assert bdi(6) == (0, "no findings\n", "")
+
+
 def test_bdi_invalid_scenario(capsys, tmp_path):
     bad = tmp_path / "s.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -729,3 +766,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3b-conflicting\n"
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def _readme_examples():
+    """Each ``$ verity ...`` command in a README.md ``sh`` block, with the
+    stdout lines shown under it."""
+    examples = []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for example in re.split(r"\n(?=\$ )", block.replace("\\\n", " ").strip()):
+            command, *stdout = example.rstrip("\n").split("\n")
+            if command.startswith("$ verity "):
+                examples.append((shlex.split(command[2:]), stdout))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_every_example():
+    assert [argv[:2] for argv, _ in README_EXAMPLES] == [
+        ["verity", "classify"],
+        ["verity", "classify"],
+        ["verity", "check"],
+        ["verity", "report"],
+        ["verity", "bdi"],
+        ["verity", "bdi"],
+    ]
+
+
+@pytest.mark.parametrize("argv, stdout", README_EXAMPLES, ids=[" ".join(a[1:3]) for a, _ in README_EXAMPLES])
+def test_readme_example_prints_what_the_readme_shows(capsys, monkeypatch, argv, stdout):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.split("\n") == stdout + [""]

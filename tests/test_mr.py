@@ -38,7 +38,7 @@ from verity import (
     validate_formula,
     validate_model,
 )
-from verity.mr import MAX_NESTING, categorical_keys, numeric_keys
+from verity.mr import MAX_NESTING
 from randgen import random_ast
 
 SCHEMA = Schema(
@@ -120,6 +120,10 @@ def test_schema_constructor_invariants():
         Schema({"Food": ("A", "A")}, frozenset())
     with pytest.raises(ValueError):
         Schema({"Food": ("A",)}, frozenset({"Food"}))
+    with pytest.raises(ValueError, match="attribute name 'true' is reserved"):
+        Schema({"true": ("A",)}, frozenset())
+    with pytest.raises(ValueError, match="attribute name 'false' is reserved"):
+        Schema({}, frozenset({"false"}))
     with pytest.raises(UnknownAttribute):
         SCHEMA.domain("Missing")
 
@@ -322,6 +326,9 @@ SCHEMA_ERRORS = [
     ("atom-shaped-name", "attr F(x)=A", ParseError, "1:7: expected ':', got '('"),
     ("atom-shaped-num", "num Temp(x)", ParseError, "1:9: expected end of line, got '('"),
     ("atom-shaped-value", "attr Food : { A, B(c)=D }", ParseError, "1:19: expected '}', got '('"),
+    ("reserved-attr", "attr true : { A }", ParseError, "1:6: attribute name 'true' is reserved"),
+    ("reserved-num", "num false", ParseError, "1:5: attribute name 'false' is reserved"),
+    ("reserved-before-syntax", "attr false { A }", ParseError, "1:6: attribute name 'false' is reserved"),
 ]
 
 
@@ -428,6 +435,47 @@ def test_print_formula_spacing_and_parens():
     assert print_formula(NumAtom("Temp", "d", "<=", Fraction(45, 2))) == "Temp(d) <= 22.5"
     assert print_formula(TRUE) == "true"
     assert print_formula(FALSE) == "false"
+
+
+# Every connective as parent, each operand place, every kind of child: the
+# child is parenthesized exactly when it binds looser than its place needs.
+A, B, C = (CatAtom(attr, "x", "T") for attr in "ABC")
+CHILDREN = {
+    "not": Not(B),
+    "and": And(B, C),
+    "or": Or(B, C),
+    "implies": Implies(B, C),
+    "atom": B,
+    "true": TRUE,
+}
+PARENS = {
+    ("not", 0): ["!(!(B(x)=T))", "!(B(x)=T & C(x)=T)", "!(B(x)=T | C(x)=T)", "!(B(x)=T -> C(x)=T)", "!(B(x)=T)", "!(true)"],
+    ("and", 0): ["!(B(x)=T) & A(x)=T", "B(x)=T & C(x)=T & A(x)=T", "(B(x)=T | C(x)=T) & A(x)=T", "(B(x)=T -> C(x)=T) & A(x)=T", "B(x)=T & A(x)=T", "true & A(x)=T"],
+    ("and", 1): ["A(x)=T & !(B(x)=T)", "A(x)=T & (B(x)=T & C(x)=T)", "A(x)=T & (B(x)=T | C(x)=T)", "A(x)=T & (B(x)=T -> C(x)=T)", "A(x)=T & B(x)=T", "A(x)=T & true"],
+    ("or", 0): ["!(B(x)=T) | A(x)=T", "B(x)=T & C(x)=T | A(x)=T", "B(x)=T | C(x)=T | A(x)=T", "(B(x)=T -> C(x)=T) | A(x)=T", "B(x)=T | A(x)=T", "true | A(x)=T"],
+    ("or", 1): ["A(x)=T | !(B(x)=T)", "A(x)=T | B(x)=T & C(x)=T", "A(x)=T | (B(x)=T | C(x)=T)", "A(x)=T | (B(x)=T -> C(x)=T)", "A(x)=T | B(x)=T", "A(x)=T | true"],
+    ("implies", 0): ["!(B(x)=T) -> A(x)=T", "B(x)=T & C(x)=T -> A(x)=T", "B(x)=T | C(x)=T -> A(x)=T", "(B(x)=T -> C(x)=T) -> A(x)=T", "B(x)=T -> A(x)=T", "true -> A(x)=T"],
+    ("implies", 1): ["A(x)=T -> !(B(x)=T)", "A(x)=T -> B(x)=T & C(x)=T", "A(x)=T -> B(x)=T | C(x)=T", "A(x)=T -> B(x)=T -> C(x)=T", "A(x)=T -> B(x)=T", "A(x)=T -> true"],
+}
+
+
+@pytest.mark.parametrize(
+    "parent, place, child, text",
+    [
+        (parent, place, child, text)
+        for (parent, place), texts in PARENS.items()
+        for child, text in zip(CHILDREN, texts)
+    ],
+)
+def test_print_formula_parenthesizes_each_child_in_each_place(parent, place, child, text):
+    c = CHILDREN[child]
+    if parent == "not":
+        f = Not(c)
+    else:
+        node = {"and": And, "or": Or, "implies": Implies}[parent]
+        f = node(c, A) if place == 0 else node(A, c)
+    assert print_formula(f) == text
+    assert parse_formula(text, Schema({"A": ("T",), "B": ("T",), "C": ("T",)}, frozenset())) == f
 
 
 def test_format_model():
@@ -626,8 +674,6 @@ def test_traversals_walk_formulas_of_any_depth(text, atoms):
     f = parse_formula(text, SCHEMA)
     assert list(iter_atoms(f)) == atoms
     validate_formula(SCHEMA, f)
-    assert categorical_keys(f) == {(a.attr, a.entity) for a in atoms if isinstance(a, CatAtom)}
-    assert numeric_keys(f) == {("Temp", "d")}
     with pytest.raises(ValueNotInDomain):
         validate_formula(Schema({"Food": ("Japanese",), "Type": ("Pub",)}, frozenset({"Temp"})), f)
 

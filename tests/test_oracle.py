@@ -26,20 +26,20 @@ from verity import (
     parse_formula,
 )
 from verity.cli import main
-from verity.mr import categorical_keys, numeric_keys
 
 # ---------------------------------------------------------------------------
 # The reference: every model of the product, evaluated one at a time
 
 
 def _product(schema, formulas):
-    cat = sorted(set().union(*(categorical_keys(f) for f in formulas)))
-    num = sorted(set().union(*(numeric_keys(f) for f in formulas)))
-    constants = {k: set() for k in num}
+    cat_set, constants = set(), {}
     for f in formulas:
         for atom in iter_atoms(f):
             if isinstance(atom, NumAtom):
-                constants[atom.attr, atom.entity].add(atom.constant)
+                constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
+            else:
+                cat_set.add((atom.attr, atom.entity))
+    cat, num = sorted(cat_set), sorted(constants)
     domains = [schema.domain(attr) for attr, _ in cat]
     domains += [oracle._grid(constants[k]) for k in num]
     for choice in itertools.product(*domains):
