@@ -17,24 +17,27 @@ Half truth (p, r):       K entails p but not r, the hearer believes p -> r,
 "Communicated" always means entailed by K, not literally uttered; otherwise
 any rephrasing would defeat detection.
 
-A scan over n candidates asks its entailment function (the engine, or an
-injected ``entails_fn``) two kinds of question: K |= c, at most once per
-candidate c, and H |= p -> r, at most once per ordered pair and only for
-a pair whose other four half-truth conditions already hold.
+A scan asks one entailment function (the engine, or an injected
+``entails_fn``) three kinds of question: H |= false, once and first; K |= c,
+at most once per candidate c; and H |= p -> r, at most once per ordered
+pair and only for a pair whose other four half-truth conditions hold.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, entails, satisfiable
+from .entail import ResourceLimit, entails
 from .mr import (
+    _NUMBER,
+    FALSE,
     CatAtom,
     Formula,
     Implies,
@@ -53,7 +56,7 @@ from .mr import (
     validate_model,
 )
 
-# bool result is enough; the default wraps the engine with a limit baked in.
+# Called as fn(a, b); the truth of its result answers a |= b.
 EntailsFn = Callable[[Formula, Formula], object]
 
 
@@ -97,11 +100,9 @@ class Scenario:
     """A communication act against a known world.
 
     ``expectation_norms`` lists the formulas the hearer expects to be
-    communicated whenever they are true.  The world must cover every key
-    the formulas mention, and the hearer's beliefs must be satisfiable
-    (a hearer who believes everything can be led to anything, which would
-    make every pair a finding).  ``limit`` caps the search nodes of that
-    satisfiability check.
+    communicated whenever they are true.  The world must satisfy the schema
+    and cover every key the formulas mention.  ``scan_misleading`` checks
+    that the hearer's beliefs are satisfiable.
     """
 
     schema: Schema
@@ -109,15 +110,12 @@ class Scenario:
     hearer_beliefs: Formula
     world: Model
     expectation_norms: tuple[Formula, ...] = ()
-    limit: InitVar[int] = DEFAULT_ASSIGNMENT_LIMIT
 
-    def __post_init__(self, limit: int) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "expectation_norms", tuple(self.expectation_norms))
         validate_model(self.schema, self.world)
         for f in (self.communicated, self.hearer_beliefs, *self.expectation_norms):
             _require_world_keys(self.world, f)
-        if not satisfiable(self.schema, self.hearer_beliefs, limit=limit):
-            raise ScenarioError("hearer_beliefs is unsatisfiable")
 
 
 def _require_world_keys(world: Model, f: Formula) -> None:
@@ -128,46 +126,31 @@ def _require_world_keys(world: Model, f: Formula) -> None:
             raise ScenarioError(f"world assigns no value to {a.attr}({a.entity})")
 
 
-def _engine_fn(scenario: Scenario, limit: int) -> EntailsFn:
-    def fn(a: Formula, b: Formula) -> object:
-        return entails(scenario.schema, a, b, limit=limit)
-
-    return fn
-
-
 def detect_withholding(
-    scenario: Scenario,
-    q: Formula,
-    *,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-    entails_fn: EntailsFn | None = None,
+    scenario: Scenario, q: Formula, *, entails_fn: EntailsFn | None = None
 ) -> bool:
     """True iff q is expected, true in the world, and not communicated."""
     if q not in scenario.expectation_norms:
         return False
     if not evaluate(scenario.world, q):
         return False
-    fn = entails_fn or _engine_fn(scenario, limit)
+    fn = entails_fn or partial(entails, scenario.schema)
     return not fn(scenario.communicated, q)
 
 
 def detect_half_truth(
-    scenario: Scenario,
-    p: Formula,
-    r: Formula,
-    *,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-    entails_fn: EntailsFn | None = None,
+    scenario: Scenario, p: Formula, r: Formula, *, entails_fn: EntailsFn | None = None
 ) -> bool:
     """True iff communicating p leads the hearer to the false conclusion r.
 
     Checked conditions, exactly these five: K entails p; K does not entail
     r; the hearer believes p -> r; p is true in the world; r is false in
-    the world.
+    the world.  The hearer's beliefs are taken to be satisfiable, which
+    ``scan_misleading`` checks.
     """
     if not evaluate(scenario.world, p) or evaluate(scenario.world, r):
         return False
-    fn = entails_fn or _engine_fn(scenario, limit)
+    fn = entails_fn or partial(entails, scenario.schema)
     return (
         bool(fn(scenario.communicated, p))
         and not fn(scenario.communicated, r)
@@ -215,7 +198,6 @@ def scan_misleading(
     scenario: Scenario,
     candidates: Sequence[Formula] | None = None,
     *,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
     pair_limit: int = DEFAULT_PAIR_LIMIT,
     entails_fn: EntailsFn | None = None,
 ) -> list[MisleadingFinding]:
@@ -225,7 +207,9 @@ def scan_misleading(
     pair, under the conditions of ``detect_withholding`` and
     ``detect_half_truth``.  An empty candidate set defaults to
     ``default_candidates``.  Returns deduplicated findings ordered by their
-    rendered form.
+    rendered form.  H |= false is asked first: a hearer who believes
+    everything can be led to anything, so unsatisfiable beliefs raise
+    ``ScenarioError``.
 
     Each candidate is evaluated in the world once.  K |= c is asked at most
     once per candidate, and only when a finding can need the answer: for an
@@ -233,13 +217,15 @@ def scan_misleading(
     communicated, for an r that is false.  H |= p -> r is asked only for a
     p that is true and communicated and an r that is false and not.
     """
+    fn = entails_fn or partial(entails, scenario.schema)
+    if fn(scenario.hearer_beliefs, FALSE):
+        raise ScenarioError("hearer_beliefs is unsatisfiable")
     if not candidates:
         pool = default_candidates(scenario)
     else:
         pool = list(dict.fromkeys(candidates))
     if len(pool) ** 2 > pair_limit:
         raise ResourceLimit(len(pool) ** 2, pair_limit, "candidate pairs")
-    fn = entails_fn or _engine_fn(scenario, limit)
     true = [evaluate(scenario.world, c) for c in pool]
     told: list[Optional[bool]] = [None] * len(pool)
 
@@ -272,11 +258,10 @@ def scan_misleading(
 # Scenario files
 
 _WORLD_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)\Z")
+_NUMERAL_RE = re.compile(_NUMBER + r"\Z")
 
 
-def load_scenario(
-    path: str | Path, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> tuple[Scenario, Optional[list[Formula]]]:
+def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
     """Read a scenario file; returns the scenario and its candidate list.
 
     The file is a JSON object with fields ``schema`` (path, relative to the
@@ -284,13 +269,22 @@ def load_scenario(
     (map from ``Attr(entity)`` to value), ``norms`` (list of formula
     strings), and optional ``candidates`` (a non-empty list of formula
     strings).  Candidates are None when the field is absent, which makes
-    scans fall back to ``default_candidates``.  ``limit`` caps the search
-    that checks the hearer's beliefs are satisfiable.
+    scans fall back to ``default_candidates``.  A numeric world value is a
+    JSON number or string written as a formula numeral (``3``, ``22.5``,
+    ``"45/2"``); no JSON number may have an exponent.
     """
     path = Path(path)
+
+    def numeral(text: str) -> Fraction:
+        # Fraction("1e999999999") would not finish; numerals have no exponent.
+        if not _NUMERAL_RE.match(text):
+            raise ScenarioError(f"{path}: JSON number {text} has an exponent")
+        return Fraction(text)
+
     try:
-        doc = json.loads(read_source(path), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(read_source(path), parse_float=numeral)
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer longer than int() converts.
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         # The decoder recurses once per nested array or object.
@@ -331,9 +325,14 @@ def load_scenario(
                 )
             world_cat[attr, entity] = value
         elif schema.is_numeric(attr):
-            if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, str, Fraction))
+                or (isinstance(value, str) and not _NUMERAL_RE.match(value))
+            ):
                 raise ScenarioError(
                     f"{path}: world value for {raw_key} must be a number"
+                    " written like 3, 22.5 or \"45/2\""
                 )
             try:
                 world_num[attr, entity] = Fraction(value)
@@ -353,7 +352,7 @@ def load_scenario(
             # An empty list would make a scan fall back to every default atom.
             raise ScenarioError(f"{path}: field 'candidates' must not be empty")
 
-    scenario = Scenario(schema, communicated, hearer_beliefs, world, tuple(norms), limit)
+    scenario = Scenario(schema, communicated, hearer_beliefs, world, tuple(norms))
     for c in candidates or ():
         _require_world_keys(world, c)
     return scenario, candidates

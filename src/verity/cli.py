@@ -15,7 +15,7 @@ from functools import cache, partial
 from typing import Optional, Sequence
 
 from .bdi import load_scenario, scan_misleading
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, satisfiable
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, entails, satisfiable
 from .mr import (
     And,
     MrError,
@@ -241,11 +241,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bdi(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
-    scenario, candidates = load_scenario(args.scenario, limit)
-    entails_fn = partial(checked_entails, scenario.schema, limit=limit) if args.oracle else None
-    findings = scan_misleading(
-        scenario, candidates, limit=limit, entails_fn=entails_fn
-    )
+    scenario, candidates = load_scenario(args.scenario)
+    entails_fn = partial(checked_entails if args.oracle else entails, scenario.schema, limit=limit)
+    findings = scan_misleading(scenario, candidates, entails_fn=entails_fn)
     if findings:
         for finding in findings:
             print(finding.render())

@@ -35,6 +35,7 @@ categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
 
 from __future__ import annotations
 
+import decimal
 import operator
 import re
 import sys
@@ -417,10 +418,23 @@ def evaluate(model: Model, formula: Formula) -> bool:
 # Printing
 
 
+def _int_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        # More digits than sys.get_int_max_str_digits(); decimal converts
+        # any int exactly.
+        return str(decimal.Decimal(n))
+
+
 def fraction_str(q: Fraction) -> str:
-    """Exact text for a rational: integer, finite decimal, or ``p/q``."""
+    """Exact text for a rational: integer, finite decimal, or ``p/q``.
+
+    A finite decimal with more digits than ``str`` converts is written
+    ``p/q`` instead.
+    """
     if q.denominator == 1:
-        return str(q.numerator)
+        return _int_str(q.numerator)
     d = q.denominator
     twos = fives = 0
     while d % 2 == 0:
@@ -431,12 +445,16 @@ def fraction_str(q: Fraction) -> str:
         fives += 1
     if d != 1:
         # The decimal expansion would not terminate.
-        return f"{q.numerator}/{q.denominator}"
+        return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
     exp = max(twos, fives)
     digits = abs(q.numerator) * 10**exp // q.denominator
     whole, frac = divmod(digits, 10**exp)
     sign = "-" if q.numerator < 0 else ""
-    return f"{sign}{whole}.{str(frac).zfill(exp)}"
+    try:
+        return f"{sign}{whole}.{str(frac).zfill(exp)}"
+    except ValueError:
+        # More digits than str converts.
+        return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 # How each connective is written: its precedence, the text before its first
@@ -780,5 +798,11 @@ def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
     except ZeroDivisionError:
         raise ParseError(
             f"zero denominator in {value!r}", *_where(text, val_tok.start())
+        ) from None
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        raise ParseError(
+            f"numeric constant of {len(value)} characters has too many digits",
+            *_where(text, val_tok.start()),
         ) from None
     return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)

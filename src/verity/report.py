@@ -136,7 +136,8 @@ def ingest_corpus(
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # A JSONDecodeError, or an integer longer than int() converts.
             errors.append(LineError(line_no, f"not valid JSON: {exc}"))
             continue
         except RecursionError:

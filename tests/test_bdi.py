@@ -8,13 +8,17 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import verity.bdi
 import verity.cli
+import verity.entail
+import verity.oracle
 from randgen import ENTITY, NUM_ATTR, random_atom, random_formula, random_schema
 from verity import (
+    FALSE,
     And,
     FindingKind,
     Implies,
@@ -36,6 +40,7 @@ from verity import (
     oracle_entails,
     parse_formula,
     parse_schema,
+    satisfiable,
     scan_misleading,
 )
 from verity.fixtures import fixture_path
@@ -323,10 +328,9 @@ def _random_scenario(rng):
         beliefs = random_formula(rng, schema, 3) if rng.random() < 0.3 else And(rule(), rule())
         norms = [random_atom(rng, schema) for _ in range(rng.randint(0, 3))]
         norms += [random_formula(rng, schema, 2) for _ in range(rng.randint(0, 1))]
-        try:
-            scenario = Scenario(schema, communicated, beliefs, world, tuple(norms))
-        except ScenarioError:
-            continue  # unsatisfiable beliefs
+        if not satisfiable(schema, beliefs):
+            continue
+        scenario = Scenario(schema, communicated, beliefs, world, tuple(norms))
         candidates = None
         if rng.random() < 0.4:
             candidates = [random_formula(rng, schema, 2) for _ in range(rng.randint(1, 10))]
@@ -399,11 +403,13 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
     falsehoods = [c for c in pool if not evaluate(scenario.world, c)]
     told_truths = [p for p in truths if entails(schema, k, p)]
     n = len(pool)
-    assert len(calls) <= n + len(told_truths) * n
-    # Exactly the questions a finding can need: K |= c for every true c,
-    # and, once some true p is communicated, for every false r; then
-    # H |= p -> r for the pairs whose other four conditions hold.
-    needed = {(k, c) for c in truths}
+    assert len(calls) <= 1 + n + len(told_truths) * n
+    # Exactly the questions a finding can need: H |= false, first; K |= c
+    # for every true c, and, once some true p is communicated, for every
+    # false r; then H |= p -> r for the pairs whose other four conditions
+    # hold.
+    assert calls[0] == (h, FALSE)
+    needed = {(h, FALSE)} | {(k, c) for c in truths}
     if told_truths:
         needed |= {(k, r) for r in falsehoods}
     needed |= {
@@ -418,8 +424,8 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
 @pytest.mark.parametrize("name", ["hurricane.scenario.json", "employment.scenario.json"])
 def test_bdi_oracle_checks_every_question_the_engine_scan_asks(name, capsys, monkeypatch):
     path = str(fixture_path(name))
-    counted, engine_calls = _counting(verity.bdi.entails)
-    monkeypatch.setattr(verity.bdi, "entails", counted)
+    counted, engine_calls = _counting(verity.cli.entails)
+    monkeypatch.setattr(verity.cli, "entails", counted)
     assert verity.cli.main(["bdi", path]) == 0
     engine_out = capsys.readouterr().out
     monkeypatch.undo()
@@ -429,6 +435,34 @@ def test_bdi_oracle_checks_every_question_the_engine_scan_asks(name, capsys, mon
     assert capsys.readouterr().out == engine_out
     assert engine_calls
     assert [args[1:] for args in checked_calls] == [args[1:] for args in engine_calls]
+    beliefs = load_scenario(path)[0].hearer_beliefs
+    assert [args[1:] for args in engine_calls].count((beliefs, FALSE)) == 1
+    assert engine_calls[0][1:] == (beliefs, FALSE)
+
+
+def test_bdi_oracle_checks_the_beliefs_question(capsys, monkeypatch):
+    # The engine answers H |= false wrongly and every other question right.
+    path = str(fixture_path("hurricane.scenario.json"))
+    engine = verity.oracle.entails
+
+    def wrong_on_beliefs(schema, a, b, **kwargs):
+        result = engine(schema, a, b, **kwargs)
+        return dataclasses.replace(result, holds=not result.holds) if b == FALSE else result
+
+    monkeypatch.setattr(verity.oracle, "entails", wrong_on_beliefs)
+    assert verity.cli.main(["bdi", "--oracle", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle divergence: ")
+
+
+def test_replacing_a_loaded_scenario_runs_no_search(monkeypatch):
+    scenario, _ = load_scenario(fixture_path("employment.scenario.json"))
+    counted, searches = _counting(verity.entail._search)
+    monkeypatch.setattr(verity.entail, "_search", counted)
+    replaced = dataclasses.replace(scenario, communicated=_employment("true"))
+    assert replaced.communicated == _employment("true")
+    assert searches == []
 
 
 def test_full_disclosure_clears_all_findings():
@@ -461,11 +495,16 @@ def test_default_candidates_cover_domains_and_constants():
 
 
 def test_scenario_rejects_unsatisfiable_beliefs():
-    with pytest.raises(ScenarioError, match="unsatisfiable"):
-        dataclasses.replace(
-            hurricane_scenario(),
-            hearer_beliefs=_weather("Sky(today)=Clear & Sky(today)=Rainy"),
-        )
+    # The scan asks H |= false before anything else, the pair limit too.
+    scenario = dataclasses.replace(
+        hurricane_scenario(),
+        hearer_beliefs=_weather("Sky(today)=Clear & Sky(today)=Rainy"),
+    )
+    for decide in (entails, oracle_entails):
+        fn, calls = _counting(partial(decide, WEATHER))
+        with pytest.raises(ScenarioError, match="unsatisfiable"):
+            scan_misleading(scenario, pair_limit=0, entails_fn=fn)
+        assert calls == [(scenario.hearer_beliefs, FALSE)]
 
 
 def test_scenario_requires_world_coverage():
@@ -543,6 +582,16 @@ def test_load_scenario_numeric_world_values(tmp_path):
     assert scenario.world.numeric[("Temperature", "d")] == Fraction(45, 2)
 
 
+@pytest.mark.parametrize("value, expected", [("45/2", Fraction(45, 2)), ("3", 3), (-4, -4), (-0.125, Fraction(-1, 8))])
+def test_load_scenario_reads_world_numerals(tmp_path, value, expected):
+    doc = dict(GOOD_DOC, world={"Hurricane(today)": "Yes", "Temperature(d)": value})
+    path = _write_scenario(
+        tmp_path, doc, schema_text="attr Hurricane : { Yes, No }\nnum Temperature\n"
+    )
+    scenario, _ = load_scenario(path)
+    assert scenario.world.numeric[("Temperature", "d")] == expected
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -556,6 +605,17 @@ def test_load_scenario_numeric_world_values(tmp_path):
         (dict(GOOD_DOC, world={"Storm(today)": "Yes"}), "unknown attribute 'Storm'"),
         (dict(GOOD_DOC, world={}), r"no value to Hurricane\(today\)"),
         (dict(GOOD_DOC, candidates=[]), "field 'candidates' must not be empty"),
+        pytest.param(
+            '{"world": {"Temperature(d)": %s}}' % ("1" * 5001), "not valid JSON", id="long-int"
+        ),
+        pytest.param(
+            '{"world": {"Temperature(d)": 1e999999999}}', "JSON number 1e999999999 has an exponent",
+            id="exponent-number",
+        ),
+        pytest.param(
+            dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "1e999999999"}),
+            "must be a number", id="exponent-string",
+        ),
     ],
 )
 def test_load_scenario_errors(tmp_path, doc, message):

@@ -8,6 +8,8 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -250,6 +252,28 @@ def test_classify_zero_denominator(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "zero denominator" in err
+
+
+def test_classify_numeral_with_too_many_digits(capsys):
+    code, out, err = run(
+        capsys, "classify", "-s", TEMPERATURE, "Temperature(d) > " + "1" * 5000, "true"
+    )
+    assert (code, out, err) == (2, "", "error: 1:18: numeric constant of 5000 characters has too many digits\n")
+
+
+def test_check_sat_witness_with_a_denominator_longer_than_str_converts(capsys):
+    # Both constants parse; the witness, their midpoint, has a 5000-digit
+    # denominator.
+    low, high = Fraction(1, int("3" * 2500)), Fraction(1, int("3" * 2499 + "2"))
+    code, out, err = run(
+        capsys, "check", "sat", "-v", "-s", TEMPERATURE,
+        f"Temperature(d) > 1/{low.denominator} & Temperature(d) < 1/{high.denominator}",
+    )
+    assert (code, err) == (0, "")
+    answer, witness = out.splitlines()
+    assert answer == "yes"
+    p, q = witness.removeprefix("witness: Temperature(d)=").split("/")
+    assert Fraction(int(Decimal(p)), int(Decimal(q))) == (low + high) / 2
 
 
 def test_schema_not_utf8(capsys, tmp_path):

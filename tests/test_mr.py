@@ -271,6 +271,7 @@ FORMULA_ERRORS = [
     ("constant-op", "Level(e)=>3", ParseError, "1:10: expected numeric constant, got '>'"),
     ("zero-denominator", "Level(e) < 1/0", ParseError, "1:12: zero denominator in '1/0'"),
     ("zero-denominator-neg", "Level(e) > -3/0", ParseError, "1:12: zero denominator in '-3/0'"),
+    ("long-numeral", "Level(e) > " + "1" * 5000, ParseError, "1:12: numeric constant of 5000 characters has too many digits"),
     # the nesting cap points at the first opener past it
     ("nesting", "(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{DEEP}: parentheses nested deeper than {MAX_NESTING}"),
     ("nesting-not", "!(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{2 * DEEP}: parentheses nested deeper than {MAX_NESTING}"),
@@ -406,6 +407,21 @@ def test_fraction_str():
     assert fraction_str(Fraction(3, 20)) == "0.15"
     assert fraction_str(Fraction(1, 3)) == "1/3"
     assert fraction_str(Fraction(-5, 3)) == "-5/3"
+
+
+def test_fraction_str_writes_ints_longer_than_str_converts():
+    assert fraction_str(Fraction(10**5000)) == "1" + "0" * 5000
+    assert fraction_str(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+
+
+def test_print_formula_writes_a_too_long_decimal_as_a_ratio():
+    # 1/2**14000 is 5**14000/10**14000: 9786 significant digits as a
+    # decimal, more than str converts, so it prints as p/q.
+    schema = parse_schema("num T")
+    text = f"T(d) = 1/{2**14000}"
+    formula = parse_formula(text, schema)
+    assert print_formula(formula) == text
+    assert parse_formula(print_formula(formula), schema) == formula
 
 
 def test_print_formula_spacing_and_parens():

@@ -105,6 +105,9 @@ def test_ingest_skips_blank_lines_but_keeps_numbering():
             '{"id": "a", "input": "true", "output": "true", "gold": "great"}',
             "unknown verdict name 'great'",
         ),
+        pytest.param(
+            '{"id": %s, "input": "true", "output": "true"}' % ("1" * 5001), "not valid JSON", id="long-int-id"
+        ),
     ],
 )
 def test_ingest_line_errors(line, message):
