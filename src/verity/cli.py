@@ -33,7 +33,6 @@ from .oracle import (
     checked_decide,
     checked_entails,
     checked_satisfiable,
-    checked_tally,
 )
 from .report import (
     REPORT_FORMATS,
@@ -232,9 +231,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         records, errors = ingest_corpus(fh, schema)
     for error in errors:
         print(f"line {error.line_no}: {error.message}", file=sys.stderr)
-    counts = (checked_tally if args.oracle else tally)(
-        schema, records, parse_failures=len(errors), limit=limit
-    )
+    classify_fn = partial(checked_classify if args.oracle else classify, schema, limit=limit)
+    counts = tally(schema, records, parse_failures=len(errors), classify_fn=classify_fn)
     sys.stdout.write(render_report(counts, args.format))
     return EXIT_OK
 

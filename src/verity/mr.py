@@ -430,8 +430,11 @@ def _int_str(n: int) -> str:
 def fraction_str(q: Fraction) -> str:
     """Exact text for a rational: integer, finite decimal, or ``p/q``.
 
-    A finite decimal with more digits than ``str`` converts is written
-    ``p/q`` instead.
+    A finite decimal is written ``p/q`` instead when its integer part or
+    its fraction digits number more than ``sys.get_int_max_str_digits()``,
+    because ``parse_formula`` converts each of those parts under that limit.
+    Every constant ``parse_formula`` reads is thus printed as text it reads
+    back.
     """
     if q.denominator == 1:
         return _int_str(q.numerator)
@@ -443,18 +446,17 @@ def fraction_str(q: Fraction) -> str:
     while d % 5 == 0:
         d //= 5
         fives += 1
-    if d != 1:
-        # The decimal expansion would not terminate.
-        return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
     exp = max(twos, fives)
-    digits = abs(q.numerator) * 10**exp // q.denominator
-    whole, frac = divmod(digits, 10**exp)
-    sign = "-" if q.numerator < 0 else ""
-    try:
-        return f"{sign}{whole}.{str(frac).zfill(exp)}"
-    except ValueError:
-        # More digits than str converts.
-        return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+    max_digits = sys.get_int_max_str_digits()
+    # A non-terminating expansion (d != 1) has no decimal form at all.
+    if d == 1 and not (max_digits and exp > max_digits):
+        whole, frac = divmod(abs(q.numerator) * 10**exp // q.denominator, 10**exp)
+        sign = "-" if q.numerator < 0 else ""
+        try:
+            return f"{sign}{whole}.{str(frac).zfill(exp)}"
+        except ValueError:
+            pass  # An integer part with more digits than str converts.
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 # How each connective is written: its precedence, the text before its first

@@ -11,6 +11,11 @@ its own evaluator; it shares only the parser, the formula classes and
 ``validate_atom`` with the engine, so agreement between the two is
 informative.  Its cost follows the size of the product, not how hard the
 formula is, so it is meant for tests and the CLI's ``--oracle`` mode.
+
+Each ``checked_*`` twin makes its engine call once, asks the oracle the
+same question, and raises ``OracleDivergence`` if they disagree.  A caller
+that takes a decision function (``tally``, ``scan_misleading``) is checked
+by passing it one: ``partial(checked_classify, schema, limit=N)``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .mr import (
     print_formula,
     validate_atom,
 )
-from .report import CategoryCounts, CorpusRecord, tally
 from .taxonomy import PairFacts, Verdict, classify, decide
 
 _BASE_GRID = tuple(Fraction(n, 2) for n in range(-2, 13))
@@ -293,22 +297,3 @@ def checked_classify(
     _agree("classify", engine.value, reference.value, input_mr, output_mr)
     return engine
 
-
-def checked_tally(
-    schema: Schema,
-    records: Sequence[CorpusRecord],
-    *,
-    parse_failures: int = 0,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-) -> CategoryCounts:
-    """``tally`` one record at a time, checking each verdict against the
-    oracle; a resource-limited record has no verdict and is not checked."""
-    total = CategoryCounts({}, parse_failures)
-    for record in records:
-        counts = tally(schema, [record], limit=limit)
-        for verdict, n in counts.counts.items():
-            if n:
-                reference = oracle_classify(schema, record.input, record.output)
-                _agree("classify", verdict.value, reference.value, record.input, record.output)
-        total = total.merge(counts)
-    return total

@@ -13,6 +13,10 @@ Tallying is order independent and merge homomorphic: tallying a
 concatenation equals merging the tallies of the parts.  That equation is
 what lets a corpus be sharded across processes, each tallying its part, and
 the parts' counts merged with ``CategoryCounts.merge``.
+
+``tally`` decides every record through one classify function, the engine's
+by default.  The caller picks the limit, or the oracle cross-check, by
+passing that function: ``partial(checked_classify, schema, limit=N)``.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit
+from .entail import ResourceLimit
 from .mr import Formula, MrError, Schema, SourceError, parse_formula
 from .taxonomy import Verdict, classify
 
@@ -196,19 +201,22 @@ def tally(
     records: Sequence[CorpusRecord],
     *,
     parse_failures: int = 0,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+    classify_fn: Callable[[Formula, Formula], Verdict] | None = None,
 ) -> CategoryCounts:
-    """Classify every record and count verdicts per category.
+    """Classify every record, in order, and count verdicts per category.
 
-    A record whose decision needs more search nodes than ``limit`` lands
-    in the resource_limited bucket instead of aborting the run.
+    Each record is decided by ``classify_fn(input, output)``, by default
+    ``classify`` at its default limit.  A record whose decision raises
+    ``ResourceLimit`` lands in the resource_limited bucket instead of
+    aborting the run; any other error propagates.
     """
+    fn = classify_fn or partial(classify, schema)
     counts = {v: 0 for v in Verdict}
     resource_limited = 0
     gold_matches = gold_total = 0
     for record in records:
         try:
-            verdict = classify(schema, record.input, record.output, limit=limit)
+            verdict = fn(record.input, record.output)
         except ResourceLimit:
             resource_limited += 1
             continue

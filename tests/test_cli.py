@@ -10,6 +10,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -155,8 +156,9 @@ def test_refused_pair_falls_back_to_the_input_alone(capsys):
     )
 
     record = CorpusRecord("r", input_mr, output_mr, 1)
-    assert tally(schema, [record], limit=4).counts[Verdict.INCONSISTENT_INPUT] == 1
-    assert tally(schema, [record], limit=3).resource_limited == 1
+    at_4, at_3 = (partial(classify, schema, limit=n) for n in (4, 3))
+    assert tally(schema, [record], classify_fn=at_4).counts[Verdict.INCONSISTENT_INPUT] == 1
+    assert tally(schema, [record], classify_fn=at_3).resource_limited == 1
 
 
 def _count_searches(monkeypatch) -> list:
@@ -198,6 +200,30 @@ def test_report_oracle_decides_each_record_once(capsys, monkeypatch):
     calls = _count_searches(monkeypatch)
     assert run(capsys, "report", "--oracle", "-s", RESTAURANT, CORPUS) == (0, REPORT_TEXT, "")
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "limit, decided, line",
+    [((), 4, "gold matches: 4/4\n"), (("--limit", "10"), 1, "resource limited: 3\n")],
+)
+def test_report_oracle_checks_each_decided_record(capsys, monkeypatch, limit, decided, line):
+    """report --oracle decides every record through the CLI's
+    checked_classify; the oracle sees each record that got a verdict."""
+    calls = {"checked": 0, "oracle": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr("verity.cli.checked_classify", counting("checked", verity.cli.checked_classify))
+    monkeypatch.setattr("verity.oracle.oracle_classify", counting("oracle", verity.oracle.oracle_classify))
+    code, out, err = run(capsys, "report", "--oracle", "-s", RESTAURANT, CORPUS, *limit)
+    assert (code, err) == (0, "")
+    assert line in out
+    assert calls == {"checked": 4, "oracle": decided}
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -414,14 +415,27 @@ def test_fraction_str_writes_ints_longer_than_str_converts():
     assert fraction_str(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
 
 
-def test_print_formula_writes_a_too_long_decimal_as_a_ratio():
-    # 1/2**14000 is 5**14000/10**14000: 9786 significant digits as a
-    # decimal, more than str converts, so it prints as p/q.
+@pytest.mark.parametrize(
+    "power, printed_as_ratio",
+    [(4300, False), (4301, True), (5000, True), (14000, True)],
+)
+def test_print_formula_writes_a_too_long_decimal_as_a_ratio(power, printed_as_ratio):
+    # 1/2**n is 5**n/10**n: a decimal with n fraction digits, which the
+    # parser reads only up to sys.get_int_max_str_digits() of them.
     schema = parse_schema("num T")
-    text = f"T(d) = 1/{2**14000}"
-    formula = parse_formula(text, schema)
-    assert print_formula(formula) == text
-    assert parse_formula(print_formula(formula), schema) == formula
+    ratio = f"T(d) = 1/{2**power}"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        formula = parse_formula(ratio, schema)
+        printed = print_formula(formula)
+        assert parse_formula(printed, schema) == formula
+    finally:
+        sys.set_int_max_str_digits(saved)
+    if printed_as_ratio:
+        assert printed == ratio
+    else:
+        assert printed == f"T(d) = 0.{5**power:0{power}d}"
 
 
 def test_print_formula_spacing_and_parens():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,13 @@ from verity import (
     CategoryCounts,
     CorpusRecord,
     LineError,
+    OracleDivergence,
     REPORT_FORMATS,
+    ResourceLimit,
     UnknownFormat,
     Verdict,
-    checked_tally,
+    checked_classify,
+    classify,
     ingest_corpus,
     oracle,
     parse_schema,
@@ -298,10 +302,52 @@ def test_tally_repeated_record():
 
 
 def test_tally_resource_limited_bucket():
-    c = tally(RESTAURANT, _fixture_records(), limit=1)
+    c = tally(RESTAURANT, _fixture_records(), classify_fn=partial(classify, RESTAURANT, limit=1))
     assert c.total == 0
     assert c.resource_limited == 4
     assert (c.gold_matches, c.gold_total) == (0, 0)
+
+
+def _scripted(answers):
+    """A classify function that returns, or raises, the next answer and
+    records the pair it was asked about."""
+    calls = []
+
+    def classify_fn(input_mr, output_mr):
+        calls.append((input_mr, output_mr))
+        answer = answers[len(calls) - 1]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    return classify_fn, calls
+
+
+def test_tally_asks_classify_fn_once_per_record_in_order():
+    records = _fixture_records()
+    classify_fn, calls = _scripted(
+        [Verdict.TOO_WEAK, ResourceLimit(5, 4), Verdict.CONFLICTING, ResourceLimit(9, 4)]
+    )
+    c = tally(RESTAURANT, records, parse_failures=2, classify_fn=classify_fn)
+    assert calls == [(r.input, r.output) for r in records]
+    # Gold: 1a-too-weak matches, 3a-independent does not.
+    assert c == CategoryCounts(
+        {Verdict.TOO_WEAK: 1, Verdict.CONFLICTING: 1},
+        parse_failures=2,
+        resource_limited=2,
+        gold_matches=1,
+        gold_total=2,
+    )
+
+
+def test_tally_lets_a_divergence_from_classify_fn_propagate():
+    records = _fixture_records()
+    divergence = OracleDivergence("classify(...): engine says 1a, oracle says 0")
+    classify_fn, calls = _scripted([Verdict.TOO_WEAK, divergence, Verdict.CONFLICTING])
+    with pytest.raises(OracleDivergence) as exc_info:
+        tally(RESTAURANT, records, classify_fn=classify_fn)
+    assert exc_info.value is divergence
+    assert calls == [(r.input, r.output) for r in records[:2]]
 
 
 def test_tally_is_order_independent():
@@ -319,9 +365,9 @@ def test_tally_merge_homomorphism():
         assert parts == whole
 
 
-def test_checked_tally_equals_tally(monkeypatch):
-    """checked_tally merges one-record tallies; the oracle sees only the
-    records that got a verdict, never a resource-limited one."""
+def test_tally_with_checked_classify_equals_tally(monkeypatch):
+    """Through checked_classify the counts are the engine's; the oracle sees
+    only the records that got a verdict, never a resource-limited one."""
     rng = random.Random(5)
     reference = oracle.oracle_classify
     calls = []
@@ -334,9 +380,12 @@ def test_checked_tally_equals_tally(monkeypatch):
             a, b = random_formula(rng, schema, 3), random_formula(rng, schema, 3)
             gold = reference(schema, a, b) if rng.random() < 0.8 else rng.choice(list(Verdict))
             records.append(CorpusRecord(str(i), a, b, i + 1, gold))
-        expected = tally(schema, records, parse_failures=n % 3, limit=12)
+        expected = tally(
+            schema, records, parse_failures=n % 3, classify_fn=partial(classify, schema, limit=12)
+        )
         calls.clear()
-        assert checked_tally(schema, records, parse_failures=n % 3, limit=12) == expected
+        checked = partial(checked_classify, schema, limit=12)
+        assert tally(schema, records, parse_failures=n % 3, classify_fn=checked) == expected
         assert len(calls) == expected.total
         limited += expected.resource_limited
     assert 0 < limited < 30 * 8
