@@ -15,11 +15,11 @@ from functools import cache, partial
 from typing import Optional, Sequence
 
 from .bdi import load_scenario, scan_misleading
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, entails, satisfiable
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, entails
 from .mr import (
-    And,
+    FALSE,
+    TRUE,
     MrError,
-    Not,
     ParseError,
     Schema,
     format_model,
@@ -27,13 +27,7 @@ from .mr import (
     parse_schema,
     read_source,
 )
-from .oracle import (
-    OracleDivergence,
-    checked_classify,
-    checked_decide,
-    checked_entails,
-    checked_satisfiable,
-)
+from .oracle import OracleDivergence, checked_classify, checked_decide, checked_entails
 from .report import (
     REPORT_FORMATS,
     UnknownFormat,
@@ -70,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         metavar="N",
-        help=f"search nodes per decision (default ${ENV_LIMIT} or {DEFAULT_ASSIGNMENT_LIMIT})",
+        help=f"search nodes per decision, 0 or more (default ${ENV_LIMIT} or {DEFAULT_ASSIGNMENT_LIMIT})",
     )
     engine.add_argument(
         "--oracle",
@@ -132,16 +126,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_limit(args: argparse.Namespace) -> int:
     if args.limit is not None:
+        if args.limit < 0:
+            raise ParseError(f"--limit must be a non-negative integer, got {args.limit}")
         return args.limit
     env = os.environ.get(ENV_LIMIT)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(
-                f"{ENV_LIMIT} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_ASSIGNMENT_LIMIT
+    if env is None:
+        return DEFAULT_ASSIGNMENT_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ParseError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ParseError(f"{ENV_LIMIT} must be a non-negative integer, got {env!r}")
+    return limit
 
 
 def _load_schema(args: argparse.Namespace) -> Schema:
@@ -204,17 +201,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     schema = _load_schema(args)
     limit = _resolve_limit(args)
     parsed = [parse_formula(text, schema) for text in args.formulas]
-    # Each kind is one satisfiability question whose model is the witness;
-    # only sat answers yes when that question has a model.
+    # Each kind is one question a |= b whose countermodel is the model
+    # shown; only sat answers yes when it fails.  A constant side drops out
+    # when the question is compiled, so each kind searches f, !f or f & !g.
     f = parsed[0]
-    question, label = {
-        "entails": (And(f, Not(parsed[-1])), "countermodel"),
-        "sat": (f, "witness"),
-        "taut": (Not(f), "countermodel"),
-        "contra": (f, "witness"),
+    (a, b), label = {
+        "entails": ((f, parsed[-1]), "countermodel"),
+        "sat": ((f, FALSE), "witness"),
+        "taut": ((TRUE, f), "countermodel"),
+        "contra": ((f, FALSE), "witness"),
     }[args.kind]
-    result = (checked_satisfiable if args.oracle else satisfiable)(schema, question, limit=limit)
-    print(_yn(result.holds == (args.kind == "sat")))
+    fn = partial(checked_entails if args.oracle else entails, schema, limit=limit)
+    result = fn(a, b)
+    print(_yn(result.holds != (args.kind == "sat")))
     if args.verbose and result.witness is not None:
         print(f"{label}: {format_model(result.witness)}")
     return EXIT_OK

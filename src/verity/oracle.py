@@ -14,8 +14,9 @@ formula is, so it is meant for tests and the CLI's ``--oracle`` mode.
 
 Each ``checked_*`` twin makes its engine call once, asks the oracle the
 same question, and raises ``OracleDivergence`` if they disagree.  A caller
-that takes a decision function (``tally``, ``scan_misleading``) is checked
-by passing it one: ``partial(checked_classify, schema, limit=N)``.
+that takes a decision function is checked by passing it one, as the CLI
+does: ``partial(checked_entails, schema, limit=N)`` for ``check`` and
+``scan_misleading``, ``partial(checked_classify, ...)`` for ``tally``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails, satisfiable
+from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails
 from .mr import (
     And,
     CatAtom,
@@ -262,14 +263,6 @@ def _agree(operation: str, engine: object, reference: object, *formulas: Formula
         raise OracleDivergence(
             f"{operation}({shown}): engine says {engine}, oracle says {reference}"
         )
-
-
-def checked_satisfiable(
-    schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
-) -> EntailmentResult:
-    engine = satisfiable(schema, f, limit=limit)
-    _agree("satisfiable", engine.holds, oracle_satisfiable(schema, f), f)
-    return engine
 
 
 def checked_entails(

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Optional
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, pair_cells, satisfiable
-from .mr import Formula, MrError, Schema, SourceError
+from .mr import Formula, MrError, Schema
 
 
 class Verdict(Enum):
@@ -117,12 +117,14 @@ def classify(
     *,
     limit: int = DEFAULT_ASSIGNMENT_LIMIT,
 ) -> Verdict:
-    """Assign the unique verdict for this (input, output) pair."""
+    """Assign the unique verdict for this (input, output) pair.
+
+    A pair whose joint search goes over ``limit`` falls back to the
+    input's own, smaller search: an unsatisfiable input is still
+    inconsistent-input; otherwise ResourceLimit is raised."""
     try:
         return decide(schema, input_mr, output_mr, limit=limit).verdict
-    except (ResourceLimit, SourceError):
-        # A refused pair falls back to the input alone: it may still be
-        # inconsistent, or be refused with its own, smaller size.
+    except ResourceLimit:
         if satisfiable(schema, input_mr, limit=limit):
             raise
         return Verdict.INCONSISTENT_INPUT

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -14,18 +17,30 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import verity
+from randgen import random_formula, random_schema
 from verity import (
+    DEFAULT_ASSIGNMENT_LIMIT,
+    FALSE,
+    TRUE,
+    And,
     CatAtom,
     CorpusRecord,
     OracleDivergence,
+    Not,
     ResourceLimit,
+    ValueNotInDomain,
     Verdict,
+    checked_classify,
     classify,
     entail,
+    entails,
+    format_model,
     parse_formula,
     parse_schema,
+    print_formula,
     satisfiable,
     tally,
 )
@@ -130,7 +145,8 @@ def test_refused_pair_falls_back_to_the_input_alone(capsys):
     fits the limit but the pair's joint search (7 nodes) does not: an
     unsatisfiable input is still inconsistent-input, an input over the
     limit is refused by its own search, on the node after the limit, and
-    the verbose facts, which need the joint search, are refused."""
+    the verbose facts, which need the joint search, are refused.  Only a
+    refusal falls back: an output atom outside the schema is an error."""
     schema = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
     input_text = "Food(x)=Italian & !Food(x)=Italian"
     output_text = "Price(x)=Low & Style(x)=Vegetarian"
@@ -147,7 +163,9 @@ def test_refused_pair_falls_back_to_the_input_alone(capsys):
         classify(schema, input_mr, output_mr, limit=3)
     assert (exc_info.value.required, exc_info.value.limit) == (4, 3)
     outside_schema = CatAtom("Food", "x", "Sushi")
-    assert classify(schema, input_mr, outside_schema) is Verdict.INCONSISTENT_INPUT
+    for fn in (classify, checked_classify):
+        with pytest.raises(ValueNotInDomain):
+            fn(schema, input_mr, outside_schema)
 
     args = ("-s", RESTAURANT, "--limit", "4", input_text, output_text)
     assert run(capsys, "classify", *args)[:2] == (0, "inconsistent-input\n")
@@ -412,6 +430,69 @@ def test_check_unknown_kind(capsys):
 
 def test_no_command(capsys):
     assert main([]) == 2
+
+
+# Each kind as the (a, b) of the entailment question check asks, and as
+# the satisfiability question that decides it too: sat answers yes, and the
+# other kinds no, exactly when that question has a model, which is the
+# model shown.
+CHECK_KINDS = {
+    "entails": (lambda f, g: (f, g), lambda f, g: And(f, Not(g)), "countermodel"),
+    "sat": (lambda f, g: (f, FALSE), lambda f, g: f, "witness"),
+    "taut": (lambda f, g: (TRUE, f), lambda f, g: Not(f), "countermodel"),
+    "contra": (lambda f, g: (f, FALSE), lambda f, g: f, "witness"),
+}
+
+
+def _schema_text(schema):
+    lines = [f"attr {attr} : {{ {', '.join(vals)} }}" for attr, vals in schema.categorical.items()]
+    return "\n".join(lines + [f"num {attr}" for attr in sorted(schema.numeric)]) + "\n"
+
+
+def _outcome(fn, schema, *formulas, limit):
+    try:
+        result = fn(schema, *formulas, limit=limit)
+    except ResourceLimit as exc:
+        return exc.required
+    return result.holds, result.witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(sorted(CHECK_KINDS)),
+    limit=st.sampled_from([1, 2, 3, 5, 8, 13, DEFAULT_ASSIGNMENT_LIMIT]),
+    oracle=st.booleans(),
+)
+def test_check_entailment_equals_the_satisfiability_question(tmp_path_factory, seed, kind, limit, oracle):
+    """entails(a, b) gives the answer, witness and refusal size of the
+    satisfiability question each kind stands for, and check KIND -v
+    prints that answer and witness."""
+    rng = random.Random(seed)
+    schema = random_schema(rng)
+    f, g = random_formula(rng, schema), random_formula(rng, schema)
+    ask, question, label = CHECK_KINDS[kind]
+    expected = _outcome(satisfiable, schema, question(f, g), limit=limit)
+    asked = _outcome(entails, schema, *ask(f, g), limit=limit)
+    if isinstance(expected, int):
+        assert asked == expected
+        stdout, stderr, code = "", f"error: {expected} search nodes exceeds limit {limit}\n", 3
+    else:
+        has_model, witness = expected
+        assert asked == (not has_model, witness)
+        stdout = "yes\n" if has_model == (kind == "sat") else "no\n"
+        if witness is not None:
+            stdout += f"{label}: {format_model(witness)}\n"
+        stderr, code = "", 0
+
+    schema_path = tmp_path_factory.getbasetemp() / "check.schema"
+    schema_path.write_text(_schema_text(schema), encoding="utf-8")
+    texts = [print_formula(x) for x in (f, g)[: 2 if kind == "entails" else 1]]
+    argv = ["check", kind, "-v", "-s", str(schema_path), "--limit", str(limit), *texts]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv + ["--oracle"] * oracle) == code
+    assert (out.getvalue(), err.getvalue()) == (stdout, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +822,46 @@ def test_limit_env_invalid(capsys, monkeypatch):
     assert "must be an integer" in err
 
 
+LIMITED = [
+    ("classify", "-s", RESTAURANT, "true", "true"),
+    ("check", "sat", "-s", RESTAURANT, "true"),
+    ("report", "-s", RESTAURANT, CORPUS),
+    ("bdi", str(fixture_path("hurricane.scenario.json"))),
+]
+
+
+@pytest.mark.parametrize("argv", LIMITED, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "flag, env, stderr",
+    [
+        (("--limit", "-3"), None, "--limit must be a non-negative integer, got -3"),
+        ((), "-3", f"{ENV_LIMIT} must be a non-negative integer, got '-3'"),
+    ],
+    ids=["flag", "env"],
+)
+def test_negative_limit_is_a_usage_error(capsys, monkeypatch, argv, flag, env, stderr):
+    if env is not None:
+        monkeypatch.setenv(ENV_LIMIT, env)
+    assert run(capsys, *argv, *flag) == (2, "", f"error: {stderr}\n")
+
+
+@pytest.mark.parametrize("argv", LIMITED, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_zero_limit_refuses_every_decision(capsys, monkeypatch, argv, via):
+    """A budget of 0 nodes is valid; it refuses every decision, and a
+    report buckets each record instead of exiting."""
+    if via == "env":
+        monkeypatch.setenv(ENV_LIMIT, "0")
+    else:
+        argv += ("--limit", "0")
+    code, out, err = run(capsys, *argv)
+    if argv[0] == "report":
+        assert (code, err) == (0, "")
+        assert "resource limited: 4\n" in out
+    else:
+        assert (code, out, err) == (3, "", "error: 1 search nodes exceeds limit 0\n")
+
+
 def test_oracle_divergence_exit_code(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise OracleDivergence("classify mismatch on a pair")
@@ -764,14 +885,13 @@ def test_oracle_divergence_exit_code(capsys, monkeypatch):
         ),
         (
             ("check", "entails", "Food(x)=Italian", "Price(x)=Low"),
-            "satisfiable",
-            "satisfiable('Food(x)=Italian & !(Price(x)=Low)'): "
-            "engine says True, oracle says False",
+            "entails",
+            "entails('Food(x)=Italian', 'Price(x)=Low'): engine says False, oracle says True",
         ),
         (
             ("check", "taut", "-v", "Food(x)=Italian"),
-            "satisfiable",
-            "satisfiable('!(Food(x)=Italian)'): engine says True, oracle says False",
+            "entails",
+            "entails('true', 'Food(x)=Italian'): engine says False, oracle says True",
         ),
         (
             ("report", CORPUS),
@@ -788,8 +908,8 @@ def test_divergence_exits_5_with_empty_stdout(capsys, monkeypatch, argv, wrong, 
         monkeypatch.setattr("verity.oracle.oracle_classify", lambda *a: Verdict.WELL_MATCHED)
     else:
         monkeypatch.setattr(
-            "verity.oracle.oracle_satisfiable",
-            lambda schema, f: not entail.satisfiable(schema, f).holds,
+            "verity.oracle.oracle_entails",
+            lambda schema, a, b: not entail.entails(schema, a, b).holds,
         )
     code, out, err = run(capsys, *argv, "--oracle", "-s", RESTAURANT)
     assert (code, out) == (5, "")

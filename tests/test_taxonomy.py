@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randgen import random_formula, random_schema
 from verity import (
+    DEFAULT_ASSIGNMENT_LIMIT,
+    CatAtom,
     JiLabel,
+    NumAtom,
+    NumericComparisonOnCategorical,
     LegacyLabels,
     ResourceLimit,
     UnmappableVerdict,
+    ValueNotInDomain,
     Verdict,
+    checked_classify,
+    checked_decide,
     classify,
     entails,
     legacy_labels,
@@ -135,6 +143,29 @@ def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
     with pytest.raises(ResourceLimit) as exc_info:
         classify(E2E, input_mr, output_mr, limit=85)
     assert (exc_info.value.required, exc_info.value.limit) == (86, 85)
+
+
+@pytest.mark.parametrize(
+    "input_text, output, error",
+    [
+        ("Food(x)=Italian & !Food(x)=Italian", CatAtom("Food", "x", "Sushi"), ValueNotInDomain),
+        ("Food(x)=Italian", CatAtom("Food", "x", "Sushi"), ValueNotInDomain),
+        (
+            "Food(x)=Italian & !Food(x)=Italian",
+            NumAtom("Food", "x", ">", Fraction(1)),
+            NumericComparisonOnCategorical,
+        ),
+    ],
+    ids=["inconsistent-input", "consistent-input", "numeric-on-categorical"],
+)
+@pytest.mark.parametrize("limit", [0, 3, DEFAULT_ASSIGNMENT_LIMIT])
+@pytest.mark.parametrize("fn", [decide, classify, checked_decide, checked_classify])
+def test_an_invalid_atom_is_an_error_not_a_refusal(fn, limit, input_text, output, error):
+    """Only a ResourceLimit sends classify to its input-alone fallback, so
+    the engine and its checked twins raise the same error on an atom
+    outside the schema, whatever the input and the limit."""
+    with pytest.raises(error):
+        fn(RESTAURANT, parse_formula(input_text, RESTAURANT), output, limit=limit)
 
 
 def test_verdict_serialization_names_sort_ascending():
