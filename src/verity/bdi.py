@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .entail import ResourceLimit, entails
 from .mr import (
+    _CMP_SYMBOLS,
     _NUMBER,
     FALSE,
     CatAtom,
@@ -160,8 +161,6 @@ def detect_half_truth(
 
 DEFAULT_PAIR_LIMIT = 10**4
 
-_NUM_OPS = ("<", "<=", "=", ">=", ">")
-
 
 def default_candidates(scenario: Scenario) -> list[Formula]:
     """All atoms over the keys the scenario's world covers.
@@ -189,7 +188,7 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
                 constants[atom.attr, atom.entity].add(atom.constant)
     for attr, entity in sorted(scenario.world.numeric):
         for constant in sorted(constants[attr, entity]):
-            for op in _NUM_OPS:
+            for op in _CMP_SYMBOLS:
                 candidates.append(NumAtom(attr, entity, op, constant))
     return candidates
 
@@ -344,10 +343,16 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
             raise ScenarioError(f"{path}: unknown attribute {attr!r} in world")
     world = Model(world_cat, world_num)
 
-    norms = [formula("norms", str(t)) for t in field("norms", list)]
+    def formulas(name: str) -> list[Formula]:
+        texts = field(name, list)
+        if not all(isinstance(t, str) for t in texts):
+            raise ScenarioError(f"{path}: field {name!r} must be a list of strings")
+        return [formula(name, t) for t in texts]
+
+    norms = formulas("norms")
     candidates: Optional[list[Formula]] = None
     if "candidates" in doc:
-        candidates = [formula("candidates", str(t)) for t in field("candidates", list)]
+        candidates = formulas("candidates")
         if not candidates:
             # An empty list would make a scan fall back to every default atom.
             raise ScenarioError(f"{path}: field 'candidates' must not be empty")

@@ -91,21 +91,21 @@ def _samples(constants: list[Fraction]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # Compilation: negation normal form with n-ary connectives
 #
-# A node is [is_and, atoms, subs, dominated]: ``atoms`` holds (atom,
-# negated) pairs, ``subs`` child nodes of the other connective, and
-# ``dominated`` is set by a constant that decides the node outright (false
-# under &, true under |).  Compiling appends to each node the function that
-# evaluates it, reading an atom's value from a truth table indexed by its
-# key's value.
+# An NNF node is [is_and, atoms, children, dominated]: ``atoms`` holds
+# (atom, negated) pairs, ``children`` the preorder positions of the nodes
+# of the other connective under it, and ``dominated`` is set by a constant
+# that decides the node outright (false under &, true under |).  Compiling
+# turns the nodes into a program that the search runs in one loop, so
+# nothing recurses on a formula's depth.
 
 
-def _nnf(formula: Formula, nodes: list[list]) -> list:
+def _nnf(formula: Formula, nodes: list[list]) -> int:
     """Push negations to the atoms and flatten runs of one connective,
     walking with an explicit stack; every node made is appended to
-    ``nodes`` in preorder."""
-    root: list = [True, [], [], False]
-    nodes.append(root)
-    stack = [(formula, False, root)]
+    ``nodes`` in preorder.  Returns the root's position."""
+    root = len(nodes)
+    nodes.append([True, [], [], False])
+    stack = [(formula, False, nodes[root])]
     while stack:
         f, neg, node = stack.pop()
         while type(f) is Not:
@@ -121,10 +121,9 @@ def _nnf(formula: Formula, nodes: list[list]) -> list:
         elif kind is And or kind is Or or kind is Implies:
             is_and = (kind is And) != neg
             if is_and != node[0]:
-                child: list = [is_and, [], [], False]
-                node[2].append(child)
-                nodes.append(child)
-                node = child
+                node[2].append(len(nodes))
+                node = [is_and, [], [], False]
+                nodes.append(node)
             if kind is Implies:
                 # a -> b is !a | b
                 stack.append((f.consequent, neg, node))
@@ -137,36 +136,16 @@ def _nnf(formula: Formula, nodes: list[list]) -> list:
     return root
 
 
-def _node_fn(is_and: bool, atoms: list, subs: list, dominated: bool) -> Callable:
-    decisive = not is_and  # the child value that decides the node
-    if dominated:
-        return lambda a: decisive
-
-    def fn(a: list[int]) -> Truth:
-        unknown = False
-        for i, table in atoms:
-            t = table[a[i]]
-            if t is decisive:
-                return decisive
-            if t is None:
-                unknown = True
-        for sub in subs:
-            t = sub(a)
-            if t is decisive:
-                return decisive
-            if t is None:
-                unknown = True
-        return None if unknown else is_and
-
-    return fn
-
-
 def _compile(schema: Schema, formulas: Sequence[Formula]):
-    """Validate the atoms, order the keys and compile each formula into a
-    function from a partial assignment to its Kleene value.
+    """Validate the atoms, order the keys and compile ``formulas`` into a
+    program that gives their Kleene values under a partial assignment.
 
     An assignment is a list of value indices, one per key; the index
-    ``len(values[k])`` means key k is unassigned.
+    ``len(values[k])`` means key k is unassigned.  The program has one
+    tuple (decisive value, default value, (key index, truth table) pairs,
+    child positions) per node, every child before its parent.  A node has
+    its decisive value when an atom or child has it, else None when one is
+    unknown, else its default.  Each formula's position is returned too.
     """
     nodes: list[list] = []
     roots = [_nnf(f, nodes) for f in formulas]
@@ -185,9 +164,16 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     values += [_samples(sorted(constants[k])) for k in num_keys]
     index = {k: i for i, k in enumerate(cat_keys + num_keys)}
 
-    for node in reversed(nodes):  # children before their parents
+    # In reversed preorder, children come first: preorder p runs at last - p.
+    last = len(nodes) - 1
+    program = []
+    for is_and, node_atoms, children, dominated in reversed(nodes):
+        decisive = not is_and  # the value of an atom or child that decides the node
+        if dominated:
+            program.append((decisive, decisive, (), ()))
+            continue
         atoms = []
-        for atom, neg in node[1]:
+        for atom, neg in node_atoms:
             i = index[atom.attr, atom.entity]
             vals = values[i]
             if type(atom) is NumAtom:
@@ -198,9 +184,8 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 table[vals.index(atom.value)] = not neg
             table.append(None)  # the key is unassigned
             atoms.append((i, table))
-        subs = [child[4] for child in node[2]]
-        node.append(_node_fn(node[0], atoms, subs, node[3]))
-    return cat_keys, num_keys, values, [root[4] for root in roots]
+        program.append((decisive, is_and, tuple(atoms), tuple(last - c for c in children)))
+    return cat_keys, num_keys, values, program, [last - r for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +208,7 @@ def _search(
     when the search ends without stopping; raises ResourceLimit on the
     node after the ``limit``-th.
     """
-    cat_keys, num_keys, values, fns = _compile(schema, formulas)
+    cat_keys, num_keys, values, program, roots = _compile(schema, formulas)
     sizes = [len(v) for v in values]
     a = sizes[:]  # every key unassigned
     path: list[list[Truth]] = []  # the values at each node being branched
@@ -232,7 +217,25 @@ def _search(
         nodes += 1
         if nodes > limit:
             raise ResourceLimit(nodes, limit)
-        truths = [fn(a) for fn in fns]
+        known: list[Truth] = []  # each program node's value, in program order
+        for decisive, value, atoms, children in program:
+            for i, table in atoms:
+                t = table[a[i]]
+                if t is decisive:
+                    value = decisive
+                    break
+                if t is None:
+                    value = None
+            else:
+                for c in children:
+                    t = known[c]
+                    if t is decisive:
+                        value = decisive
+                        break
+                    if t is None:
+                        value = None
+            known.append(value)
+        truths = [known[r] for r in roots]
         go = step(truths)
         if go:
             choice = [v[i] if i < n else v[0] for v, i, n in zip(values, a, sizes)]

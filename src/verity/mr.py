@@ -19,9 +19,8 @@ Text syntax, lowest precedence first::
 
 Parsing scans the whole text into tokens with one regular expression,
 which reads each whole atom as a single token, and then builds the formula
-in one precedence-climbing loop with explicit stacks.  Parentheses nest at
-most MAX_NESTING deep; every other construct is read in that loop, so its
-length is unbounded.
+in one precedence-climbing loop with explicit stacks, so neither the
+length of a formula nor the depth of its parentheses is bounded.
 
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
 hashing, ``repr``, ``print_formula`` and ``iter_atoms`` all read that list,
@@ -597,12 +596,6 @@ def _raise_bad_token(tokens: list[re.Match], text: str, line: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # Parsing
 
-# The parser keeps its own stacks.  Entailment does not: its compiled
-# evaluator (entail._node_fn) spends a Python frame on each switch between
-# '&' and '|', and each parenthesis can add one, so nesting is capped well
-# inside the interpreter's recursion limit.
-MAX_NESTING = 100
-
 
 def read_source(path: str | Path) -> str:
     """Read a UTF-8 source file; bytes that do not decode are a ParseError."""
@@ -706,10 +699,6 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
             stack.append(_NEG)
             continue
         elif kind == "lpar":
-            if depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", *_where(text, tok.start())
-                )
             depth += 1
             stack.append(_STOP)
             continue

@@ -616,6 +616,17 @@ def test_load_scenario_reads_world_numerals(tmp_path, value, expected):
             dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "1e999999999"}),
             "must be a number", id="exponent-string",
         ),
+        pytest.param(
+            dict(GOOD_DOC, norms=[True]), "field 'norms' must be a list of strings", id="norms-bool"
+        ),
+        pytest.param(
+            dict(GOOD_DOC, norms=[3]), "field 'norms' must be a list of strings", id="norms-number"
+        ),
+        pytest.param(
+            dict(GOOD_DOC, candidates=["Hurricane(today)=Yes", None]),
+            "field 'candidates' must be a list of strings",
+            id="candidates-null",
+        ),
     ],
 )
 def test_load_scenario_errors(tmp_path, doc, message):

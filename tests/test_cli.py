@@ -706,14 +706,18 @@ def test_bdi_invalid_scenario(capsys, tmp_path):
 
 LONG_AND = " & ".join(("Food(x)=Italian", "Price(x)=Low", "Style(x)=Vegetarian")[i % 3] for i in range(1500))
 DEEP_NOT = "!" * 2000 + "Food(x)=Italian"
+# 3000 parentheses deep, switching between '&' and '|' at each one
+DEEP_PARENS = "Food(x)=Italian & (Price(x)=Low | (" * 1500 + "Style(x)=Vegetarian" + "))" * 1500
 
 
-@pytest.mark.parametrize("text", [LONG_AND, DEEP_NOT], ids=["long-and", "deep-not"])
+@pytest.mark.parametrize(
+    "text", [LONG_AND, DEEP_NOT, DEEP_PARENS], ids=["long-and", "deep-not", "deep-parens"]
+)
 def test_classify_verbose_oracle_on_deep_formulas(capsys, text):
     argv = ("classify", "-v", "-s", RESTAURANT, text, "Food(x)=Italian")
     code, engine_out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert engine_out.split("\n")[0] == ("1a-too-weak" if text is LONG_AND else "0-well-matched")
+    assert engine_out.split("\n")[0] == ("0-well-matched" if text is DEEP_NOT else "1a-too-weak")
     assert run(capsys, *argv, "--oracle") == (0, engine_out, "")
 
 
@@ -722,30 +726,34 @@ def test_report_oracle_on_deep_formulas(capsys, tmp_path):
     corpus.write_text(
         "".join(
             json.dumps({"id": str(n), "input": text, "output": "Food(x)=Italian"}) + "\n"
-            for n, text in enumerate([LONG_AND, DEEP_NOT, "!" + DEEP_NOT])
+            for n, text in enumerate([LONG_AND, DEEP_NOT, "!" + DEEP_NOT, DEEP_PARENS])
         ),
         encoding="utf-8",
     )
     code, engine_out, err = run(capsys, "report", "-s", RESTAURANT, str(corpus))
     assert (code, err) == (0, "")
-    assert "total                      3\n" in engine_out
+    assert "total                      4\n" in engine_out
     assert run(capsys, "report", "--oracle", "-s", RESTAURANT, str(corpus)) == (0, engine_out, "")
 
 
 @pytest.mark.parametrize("opener", ["(", "!("])
-def test_classify_rejects_parentheses_nested_past_the_cap(capsys, opener):
+def test_classify_decides_parentheses_nested_200_deep(capsys, opener):
     text = opener * 200 + "Food(x)=Italian" + ")" * 200
-    code, out, err = run(capsys, "classify", "-s", RESTAURANT, text, "true")
-    col = 101 if opener == "(" else 202
-    assert (code, out) == (2, "")
-    assert err == f"error: 1:{col}: parentheses nested deeper than 100\n"
+    argv = ("classify", "-s", RESTAURANT, text, "true")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "1b-tautologous\n", "")
+    assert run(capsys, *argv, "--oracle") == (0, out, "")
 
 
 @pytest.mark.parametrize("flags", [(), ("--oracle",)])
 @pytest.mark.parametrize(
     "communicated",
-    [" & ".join(["Sky(today)=Cloudy"] * 1500), "!" * 2000 + "Sky(today)=Cloudy"],
-    ids=["long-and", "deep-not"],
+    [
+        " & ".join(["Sky(today)=Cloudy"] * 1500),
+        "!" * 2000 + "Sky(today)=Cloudy",
+        "Sky(today)=Cloudy & (Sky(today)=Clear | (" * 1500 + "Sky(today)=Cloudy" + "))" * 1500,
+    ],
+    ids=["long-and", "deep-not", "deep-parens"],
 )
 def test_bdi_on_deep_communicated(capsys, tmp_path, communicated, flags):
     (tmp_path / "w.schema").write_text(

@@ -21,13 +21,17 @@ from verity import (
     And,
     Implies,
     Not,
+    Or,
     ResourceLimit,
     Schema,
+    checked_classify,
+    classify,
     entails,
     evaluate,
     is_contradiction,
     is_tautology,
     iter_atoms,
+    oracle_classify,
     oracle_entails,
     oracle_is_contradiction,
     oracle_is_tautology,
@@ -36,7 +40,8 @@ from verity import (
     parse_schema,
     satisfiable,
 )
-from verity.entail import _samples, pair_cells
+from verity.entail import _samples, _search, pair_cells
+from verity.taxonomy import decide
 
 RESTAURANT = parse_schema(
     """
@@ -255,10 +260,9 @@ class TestEntailmentLaws:
 # The search against a full product enumeration
 
 
-def _product_models(schema, formulas):
-    """Every model over the formulas' keys in sorted-key product order, on
-    the engine's sample grid: the enumeration the search must agree with,
-    first witness included."""
+def _grid(schema, formulas):
+    """The formulas' categorical and numeric keys, each sorted, and every
+    key's values on the engine's sample grid, in the search's order."""
     cat_keys, constants = set(), {}
     for f in formulas:
         for atom in iter_atoms(f):
@@ -269,8 +273,47 @@ def _product_models(schema, formulas):
     cat_keys, num_keys = sorted(cat_keys), sorted(constants)
     domains = [schema.domain(attr) for attr, _ in cat_keys]
     domains += [_samples(sorted(constants[k])) for k in num_keys]
+    return cat_keys, num_keys, domains
+
+
+def _model(cat_keys, num_keys, choice):
+    return Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[len(cat_keys):])))
+
+
+def _product_models(schema, formulas):
+    """Every model over the formulas' keys in sorted-key product order, on
+    the engine's sample grid: the enumeration the search must agree with,
+    first witness included."""
+    cat_keys, num_keys, domains = _grid(schema, formulas)
     for choice in itertools.product(*domains):
-        yield Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[len(cat_keys):])))
+        yield _model(cat_keys, num_keys, choice)
+
+
+def _visits(schema, formulas, rnd):
+    """Run the search with a step that branches at random while a formula
+    is unknown, and return every node it visits as (the value index of
+    each assigned key, the formulas' values there).
+
+    The step is asked about each visited node with a new list, and again
+    before each further sibling with the parent's list, so the list says
+    which key advanced."""
+    visits = []
+    branched = []  # [values, value index of the next key] per branched node
+
+    def step(truths):
+        if any(truths is node[0] for node in branched):
+            while branched[-1][0] is not truths:
+                branched.pop()
+            branched[-1][1] += 1
+        else:
+            visits.append((tuple(node[1] for node in branched), truths))
+            if None not in truths or rnd.random() < 0.3:
+                return False
+            branched.append([truths, 0])
+        return None
+
+    _search(schema, formulas, DEFAULT_ASSIGNMENT_LIMIT, step)
+    return visits
 
 
 class TestSearchMatchesProduct:
@@ -293,6 +336,23 @@ class TestSearchMatchesProduct:
         assert got[:3] == tuple(cells[:3])
         if not all(got[:3]):
             assert got[3] == cells[3]
+
+    @given(schema_and_formulas(count=2), st.randoms(use_true_random=False))
+    def test_known_values_hold_on_every_completion(self, case, rnd):
+        """A value the compiled formulas take under a partial assignment is
+        the value of every completion on the sample grid, and a full
+        assignment decides each formula with its value there."""
+        schema, formulas = case
+        cat_keys, num_keys, domains = _grid(schema, formulas)
+        for assigned, truths in _visits(schema, formulas, rnd):
+            head = [domains[k][i] for k, i in enumerate(assigned)]
+            if len(assigned) == len(domains):
+                assert None not in truths
+            for tail in itertools.product(*domains[len(assigned):]):
+                m = _model(cat_keys, num_keys, head + list(tail))
+                for f, t in zip(formulas, truths):
+                    if t is not None:
+                        assert evaluate(m, f) == t
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +421,30 @@ class TestSympyDifferential:
         for question in (f, And(f, Not(g))):
             expected = bool(inference.satisfiable(_sympy_encoding(schema, question)))
             assert satisfiable(schema, question).holds == expected
+
+
+# ---------------------------------------------------------------------------
+# Depth: compiled formulas are evaluated in a loop, not by recursion
+
+
+def test_deep_alternations_are_decided():
+    """Formulas that switch between & and | 3000 times, built with the
+    constructors, are decided by every entry point, as the oracle decides
+    them."""
+    atoms = [
+        _f(text)
+        for text in ("Food(x)=Italian", "Style(x)=Vegetarian", "Food(x)=Norwegian", "Style(x)=Steakhouse")
+    ]
+    f, g = atoms[0], atoms[1]
+    for i in range(3000):
+        f = (And, Or)[i % 2](atoms[i % 4], f)
+        g = (Or, And)[i % 2](atoms[(i + 1) % 4], g)
+    assert satisfiable(RESTAURANT, f).holds == oracle_satisfiable(RESTAURANT, f)
+    assert entails(RESTAURANT, f, g).holds == oracle_entails(RESTAURANT, f, g)
+    cells = pair_cells(RESTAURANT, f, g)
+    for cell, question in zip(cells[:3], (And(f, g), And(f, Not(g)), And(Not(f), g))):
+        assert cell == oracle_satisfiable(RESTAURANT, question)
+    verdict = oracle_classify(RESTAURANT, f, g)
+    assert decide(RESTAURANT, f, g).verdict is verdict
+    assert classify(RESTAURANT, f, g) is verdict
+    assert checked_classify(RESTAURANT, f, g) is verdict

@@ -39,7 +39,6 @@ from verity import (
     validate_formula,
     validate_model,
 )
-from verity.mr import MAX_NESTING
 from randgen import random_ast
 
 SCHEMA = Schema(
@@ -230,7 +229,6 @@ def test_parse_error_position_points_at_offender():
 # Every error path of the formula and schema parsers, pinned by exception
 # class and full message, position included.
 ERR_SCHEMA = Schema({"Alpha": ("V1", "V2"), "Beta": ("V1", "V2", "V3")}, frozenset({"Level"}))
-DEEP = MAX_NESTING + 1
 
 FORMULA_ERRORS = [
     # a lexical error anywhere wins over a parse or semantic error before it
@@ -273,10 +271,6 @@ FORMULA_ERRORS = [
     ("zero-denominator", "Level(e) < 1/0", ParseError, "1:12: zero denominator in '1/0'"),
     ("zero-denominator-neg", "Level(e) > -3/0", ParseError, "1:12: zero denominator in '-3/0'"),
     ("long-numeral", "Level(e) > " + "1" * 5000, ParseError, "1:12: numeric constant of 5000 characters has too many digits"),
-    # the nesting cap points at the first opener past it
-    ("nesting", "(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{DEEP}: parentheses nested deeper than {MAX_NESTING}"),
-    ("nesting-not", "!(" * DEEP + "Alpha(e)=V1" + ")" * DEEP, ParseError, f"1:{2 * DEEP}: parentheses nested deeper than {MAX_NESTING}"),
-    ("nesting-spaced", " ( " * DEEP + "true" + ")" * DEEP, ParseError, f"1:{3 * DEEP - 1}: parentheses nested deeper than {MAX_NESTING}"),
     # a token after a whole formula
     ("trailing-atom", "Alpha(e)=V1 Beta(e)=V1", ParseError, "1:13: unexpected 'Beta' after formula"),
     ("trailing-paren", "Alpha(e)=V1)", ParseError, "1:12: unexpected ')' after formula"),
@@ -653,27 +647,16 @@ class TestFormulaLaws:
 # Depth: no input reaches the interpreter's recursion limit
 
 
-def test_parentheses_nest_up_to_the_cap():
-    text = "(" * MAX_NESTING + "Food(x)=Italian" + ")" * MAX_NESTING
-    assert parse_formula(text, SCHEMA) == CatAtom("Food", "x", "Italian")
-    text = "!(" * MAX_NESTING + "Food(x)=Italian" + ")" * MAX_NESTING
-    f = parse_formula(text, SCHEMA)
-    for _ in range(MAX_NESTING):
-        f = f.operand
-    assert f == CatAtom("Food", "x", "Italian")
-
-
-@pytest.mark.parametrize(
-    "opener, col",
-    [("(", MAX_NESTING + 1), ("!(", 2 * MAX_NESTING + 2), (" ( ", 3 * MAX_NESTING + 2)],
-)
-@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 200, 3000])
-def test_parentheses_past_the_cap_are_a_parse_error_at_the_opener(opener, col, depth):
+@pytest.mark.parametrize("opener", ["(", "!(", " ( "])
+@pytest.mark.parametrize("depth", [101, 200, 3000])
+def test_parentheses_nest_to_any_depth(opener, depth):
     text = opener * depth + "Food(x)=Italian" + ")" * depth
-    with pytest.raises(ParseError) as exc_info:
-        parse_formula(text, SCHEMA)
-    assert (exc_info.value.line, exc_info.value.col) == (1, col)
-    assert exc_info.value.message == f"parentheses nested deeper than {MAX_NESTING}"
+    expected = CatAtom("Food", "x", "Italian")
+    for _ in range(depth if "!" in opener else 0):
+        expected = Not(expected)
+    f = parse_formula(text, SCHEMA)
+    assert f == expected
+    assert parse_formula(print_formula(f), SCHEMA) == f
 
 
 def test_long_implication_chain_is_right_associative():
@@ -829,8 +812,8 @@ class TestParseIsTotal:
     @settings(max_examples=60, deadline=None)
     @given(nested_text())
     def test_nested_openers(self, text):
-        """Deep nesting parses when it stays within the cap and balanced,
-        and is a SourceError otherwise; never a RecursionError."""
+        """Deep nesting parses when it is balanced, and is a SourceError
+        otherwise; never a RecursionError."""
         try:
             parse_formula(text, SCHEMA)
         except SourceError:
