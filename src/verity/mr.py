@@ -20,7 +20,10 @@ Text syntax, lowest precedence first::
 Parsing scans the whole text into tokens with one regular expression,
 which reads each whole atom as a single token, and then builds the formula
 in one precedence-climbing loop with explicit stacks, so neither the
-length of a formula nor the depth of its parentheses is bounded.
+length of a formula nor the depth of its parentheses is bounded.  An atom
+token's parts build and check the atom, once per schema; text that starts
+like an atom but that the scanner could not read whole is read again token
+by token, which finds its error.
 
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
 hashing, ``repr``, ``print_formula`` and ``iter_atoms`` all read that list,
@@ -30,6 +33,9 @@ path; and ``oracle._postfix``, which shares no code with the engine.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and spaces and tabs are the only
+blanks.  One regular expression reads each well-formed line whole; any
+other line is read token by token, which words and places its error.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Container, Iterator, Mapping, Union
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -560,6 +566,14 @@ _FORMULA_RE = re.compile(
     rf"{_GAP}(<=|>=|[=<>]){_GAP}({_NUMBER}|{_NAME}))|" + _TOKENS
 )
 
+# A whole schema line that is blank, a comment, or one well-formed
+# declaration with an optional comment: group 1 names an ``attr`` and
+# group 2 holds its comma-separated values, or group 3 names a ``num``.
+_DECL_RE = re.compile(
+    rf"[ \t]*(?:(?:attr[ \t]+({_NAME})[ \t]*:[ \t]*\{{[ \t]*({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)"
+    rf"[ \t]*\}}|num[ \t]+({_NAME}))[ \t]*)?(?:#.*)?"
+)
+
 
 def _where(text: str, pos: int, line: int = 1) -> tuple[int, int]:
     """Line and column, both from 1, of offset ``pos`` in ``text``, whose
@@ -569,9 +583,12 @@ def _where(text: str, pos: int, line: int = 1) -> tuple[int, int]:
 
 def _got(tok: re.Match) -> str:
     kind = tok.lastgroup
-    if kind == "end":
-        return "end of input"
-    return repr(tok.group(2) if kind == "atom" else tok.group())
+    return _got_kind(kind, tok.group(2) if kind == "atom" else tok.group())
+
+
+def _got_kind(kind: str, text: str) -> str:
+    """How an error names a token of kind ``kind`` and text ``text``."""
+    return "end of input" if kind == "end" else repr(text)
 
 
 def _check(tok: re.Match, kind: str, what: str, text: str, line: int = 1) -> re.Match:
@@ -606,56 +623,90 @@ def read_source(path: str | Path) -> str:
 
 
 def parse_schema(text: str) -> Schema:
-    """Parse schema source: one declaration per line, ``#`` comments."""
-    categorical: dict[str, tuple[str, ...]] = {}
-    numeric: set[str] = set()
-    for line, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        if not code.strip():
-            continue
-        tokens = list(_TOKEN_RE.finditer(code))
-        rest = iter(tokens)
+    """Parse schema source: one declaration per line, ``#`` comments.
 
-        def expect(kind: str, what: str) -> re.Match:
-            return _check(next(rest), kind, what, code, line)
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and only spaces and tabs
+    separate tokens.  One regular expression reads each line; a line it
+    rejects, or whose declaration uses a reserved name or repeats a value
+    or an attribute, is read again by ``_read_decl``, which words and
+    places every schema error.
+    """
+    # Each declared name: its domain, or None for a numeric attribute.
+    declared: dict[str, tuple[str, ...] | None] = {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line, raw in enumerate(lines, start=1):
+        m = _DECL_RE.fullmatch(raw)
+        name = m and (m[1] or m[3])
+        # The values are names, which hold no blanks.
+        values = m and m[2] and tuple(m[2].replace(" ", "").replace("\t", "").split(","))
+        if (
+            m is None
+            or name in declared
+            or name in _CONSTANTS
+            or (values and len(set(values)) < len(values))
+        ):
+            name, values = _read_decl(raw, line, declared)
+        if name is not None:
+            declared[name] = values
+    return Schema(
+        {name: values for name, values in declared.items() if values is not None},
+        frozenset(name for name, values in declared.items() if values is None),
+    )
 
-        try:
-            head = next(rest)
-            if head.group() not in ("attr", "num"):
-                raise ParseError(f"expected 'attr' or 'num', got {_got(head)}", line, head.start() + 1)
-            is_attr = head.group() == "attr"
-            name_tok = expect("ident", "attribute name")
-            name = name_tok.group()
-            if name in _CONSTANTS:
-                raise ParseError(f"attribute name {name!r} is reserved", line, name_tok.start() + 1)
-            values: list[str] = []
-            if is_attr:
-                expect("colon", "':'")
-                expect("lbrace", "'{'")
-                while True:
-                    v = expect("ident", "domain value")
-                    if v.group() in values:
-                        raise DuplicateValue(
-                            f"duplicate value {v.group()!r} for attribute {name!r}",
-                            line,
-                            v.start() + 1,
-                        )
-                    values.append(v.group())
-                    sep = next(rest)
-                    if sep.lastgroup != "comma":
-                        break
-                _check(sep, "rbrace", "'}'", code, line)
-            expect("end", "end of line")
-            if name in categorical or name in numeric:
-                raise DuplicateAttribute(f"duplicate attribute {name!r}", line, name_tok.start() + 1)
-        except SourceError:
-            _raise_bad_token(tokens, code, line)
-            raise
-        if is_attr:
-            categorical[name] = tuple(values)
-        else:
-            numeric.add(name)
-    return Schema(categorical, frozenset(numeric))
+
+def _read_decl(
+    raw: str, line: int, declared: Container[str]
+) -> tuple[str | None, tuple[str, ...] | None]:
+    """Read schema line ``line`` token by token: the name it declares and
+    the domain, None for ``num``, or (None, None) for a blank line.
+
+    Raises the line's first error at its place: a character that starts no
+    token wins, then syntax in line order, then a reserved name, a repeated
+    value, and last a name already in ``declared``.
+    """
+    code = raw.split("#", 1)[0]
+    tokens = list(_TOKEN_RE.finditer(code))
+    rest = iter(tokens)
+
+    def expect(kind: str, what: str) -> re.Match:
+        return _check(next(rest), kind, what, code, line)
+
+    try:
+        head = next(rest)
+        if head.lastgroup == "end":
+            return None, None
+        if head.group() not in ("attr", "num"):
+            raise ParseError(f"expected 'attr' or 'num', got {_got(head)}", line, head.start() + 1)
+        name_tok = expect("ident", "attribute name")
+        name = name_tok.group()
+        if name in _CONSTANTS:
+            raise ParseError(f"attribute name {name!r} is reserved", line, name_tok.start() + 1)
+        values = None
+        if head.group() == "attr":
+            expect("colon", "':'")
+            expect("lbrace", "'{'")
+            seen: dict[str, None] = {}  # a set that keeps declaration order
+            while True:
+                v = expect("ident", "domain value")
+                if v.group() in seen:
+                    raise DuplicateValue(
+                        f"duplicate value {v.group()!r} for attribute {name!r}",
+                        line,
+                        v.start() + 1,
+                    )
+                seen[v.group()] = None
+                sep = next(rest)
+                if sep.lastgroup != "comma":
+                    break
+            _check(sep, "rbrace", "'}'", code, line)
+            values = tuple(seen)
+        expect("end", "end of line")
+        if name in declared:
+            raise DuplicateAttribute(f"duplicate attribute {name!r}", line, name_tok.start() + 1)
+    except SourceError:
+        _raise_bad_token(tokens, code, line)
+        raise
+    return name, values
 
 
 _CONSTANTS = {"true": TRUE, "false": FALSE}
@@ -694,7 +745,12 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
             key = tok.group(2, 3, 4, 5)
             f = atoms.get(key)
             if f is None:
-                f = atoms[key] = _read_atom(text, tok.start(), schema)
+                # The value is a name, which starts with a letter or '_', or a number.
+                value = key[3]
+                kind = "ident" if value[0] == "_" or value[0].isalpha() else "number"
+                f = atoms[key] = _atom(
+                    schema, text, *key, kind, (tok.start(), tok.start(4), tok.start(5))
+                )
         elif kind == "not":
             stack.append(_NEG)
             continue
@@ -744,56 +800,87 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
 
 
 def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
-    """Read and check the atom whose attribute starts at ``pos``, token by
-    token.
+    """Read the atom whose attribute starts at ``pos`` token by token.
 
-    The one reader of atoms: it builds each atom a schema has not cached
-    yet, and finds the error in an atom the scanner could not read whole.
+    For text the scanner could not read as one atom: the walk finds the
+    four parts and raises the error that stopped the scanner, after an
+    unknown attribute, which wins; ``_atom`` checks the parts it finds.
     """
     tokens = _TOKEN_RE.finditer(text, pos)
     attr = next(tokens).group()
     if not schema.is_categorical(attr) and not schema.is_numeric(attr):
-        raise UnknownAttribute(f"unknown attribute {attr!r}", *_where(text, pos))
+        raise _unknown(attr, text, pos)
     _check(next(tokens), "lpar", "'('", text)
     entity = _check(next(tokens), "ident", "entity name", text).group()
     _check(next(tokens), "rpar", "')'", text)
     op_tok = _check(next(tokens), "cmp", "comparison operator", text)
-    op = op_tok.group()
     val_tok = next(tokens)
-    value = val_tok.group()
-    if schema.is_categorical(attr):
+    return _atom(
+        schema, text, attr, entity, op_tok.group(), val_tok.group(), val_tok.lastgroup,
+        (pos, op_tok.start(), val_tok.start()),
+    )
+
+
+def _unknown(attr: str, text: str, pos: int) -> UnknownAttribute:
+    return UnknownAttribute(f"unknown attribute {attr!r}", *_where(text, pos))
+
+
+def _atom(
+    schema: Schema,
+    text: str,
+    attr: str,
+    entity: str,
+    op: str,
+    value: str,
+    kind: str,
+    starts: tuple[int, int, int],
+) -> CatAtom | NumAtom:
+    """Check an atom's parts against ``schema`` and build the atom.
+
+    ``kind`` is the value's token kind, ``number`` or ``ident`` or the kind
+    of whatever token stands in its place, and ``starts`` holds the offsets
+    in ``text`` of the attribute, the operator and the value, where errors
+    point.  The parts come from the scanner's atom token or from
+    ``_read_atom``'s walk.
+    """
+    attr_at, op_at, value_at = starts
+    if attr in schema.categorical:
         if op != "=":
             raise NumericComparisonOnCategorical(
-                f"attribute {attr!r} is categorical; only '=' applies",
-                *_where(text, op_tok.start()),
+                f"attribute {attr!r} is categorical; only '=' applies", *_where(text, op_at)
             )
-        if val_tok.lastgroup == "number":
+        if kind == "number":
             raise NumericComparisonOnCategorical(
                 f"attribute {attr!r} is categorical; compared against a number",
-                *_where(text, val_tok.start()),
+                *_where(text, value_at),
             )
-        _check(val_tok, "ident", "domain value", text)
-        if value not in schema.domain(attr):
+        if kind != "ident":
+            raise ParseError(
+                f"expected domain value, got {_got_kind(kind, value)}", *_where(text, value_at)
+            )
+        if value not in schema.categorical[attr]:
             raise ValueNotInDomain(
-                f"{value!r} is not in the domain of {attr!r}", *_where(text, val_tok.start())
+                f"{value!r} is not in the domain of {attr!r}", *_where(text, value_at)
             )
         return CatAtom(sys.intern(attr), sys.intern(entity), sys.intern(value))
-    if val_tok.lastgroup == "ident":
+    if attr not in schema.numeric:
+        raise _unknown(attr, text, attr_at)
+    if kind == "ident":
         raise CategoricalComparisonOnNumeric(
-            f"attribute {attr!r} is numeric; compared against {value!r}",
-            *_where(text, val_tok.start()),
+            f"attribute {attr!r} is numeric; compared against {value!r}", *_where(text, value_at)
         )
-    _check(val_tok, "number", "numeric constant", text)
+    if kind != "number":
+        raise ParseError(
+            f"expected numeric constant, got {_got_kind(kind, value)}", *_where(text, value_at)
+        )
     try:
         constant = Fraction(value)
     except ZeroDivisionError:
-        raise ParseError(
-            f"zero denominator in {value!r}", *_where(text, val_tok.start())
-        ) from None
+        raise ParseError(f"zero denominator in {value!r}", *_where(text, value_at)) from None
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits().
         raise ParseError(
             f"numeric constant of {len(value)} characters has too many digits",
-            *_where(text, val_tok.start()),
+            *_where(text, value_at),
         ) from None
     return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from verity import (
     validate_formula,
     validate_model,
 )
+from verity import mr
 from randgen import random_ast
 
 SCHEMA = Schema(
@@ -325,6 +327,9 @@ SCHEMA_ERRORS = [
     ("reserved-attr", "attr true : { A }", ParseError, "1:6: attribute name 'true' is reserved"),
     ("reserved-num", "num false", ParseError, "1:5: attribute name 'false' is reserved"),
     ("reserved-before-syntax", "attr false { A }", ParseError, "1:6: attribute name 'false' is reserved"),
+    # only \n, \r\n and \r end a line
+    ("formfeed-is-no-line-break", "attr A : { x }\x0cattr B : { y }", ParseError, "1:15: unexpected character '\\x0c'"),
+    ("line-separator-is-no-line-break", "num A\u2028num A", ParseError, "1:6: unexpected character '\\u2028'"),
 ]
 
 
@@ -333,6 +338,112 @@ def test_schema_error_table(text, error, message):
     with pytest.raises(SourceError) as exc_info:
         parse_schema(text)
     assert (type(exc_info.value), str(exc_info.value)) == (error, message)
+
+
+def test_a_long_domain_parses_in_linear_time():
+    values = [f"V{i}" for i in range(100_000)]
+    start = time.perf_counter()
+    schema = parse_schema("attr A : { " + ", ".join(values) + " }")
+    assert time.perf_counter() - start < 5
+    assert schema.domain("A") == tuple(values)
+    # The token walk, which reads a line with a repeated value, is linear
+    # too and places the repeat at its own column.
+    text = "attr A : { " + ", ".join(values) + ", V99999 }"
+    start = time.perf_counter()
+    with pytest.raises(DuplicateValue) as exc_info:
+        parse_schema(text)
+    assert time.perf_counter() - start < 5
+    assert str(exc_info.value) == f"1:{len(text) - 7}: duplicate value 'V99999' for attribute 'A'"
+
+
+_blanks = st.text(alphabet=" \t", max_size=3)
+_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True) | st.sampled_from(
+    ["true", "false", "attr", "num"]
+)
+_comments = st.sampled_from(["", "#", "# a, b } {", "#attr X : { Y }"])
+
+
+@st.composite
+def _schema_line(draw, name, values):
+    """``name``'s declaration with ``values`` as its domain, or as ``num``
+    when None, spaced at random."""
+
+    def blank():
+        return draw(_blanks)
+
+    after_keyword = draw(_blanks.map(lambda b: b or " "))
+    if values is None:
+        decl = "num" + after_keyword + name
+    else:
+        items = values[0] + "".join(blank() + "," + blank() + v for v in values[1:])
+        decl = "attr" + after_keyword + name + blank() + ":" + blank()
+        decl += "{" + blank() + items + blank() + "}"
+    return blank() + decl + blank() + draw(_comments)
+
+
+@st.composite
+def _schema_texts(draw):
+    """Schema text with the declarations it makes, in order."""
+    names = draw(st.lists(_names.filter(lambda n: n not in ("true", "false")), unique=True, max_size=5))
+    decls = [
+        (name, draw(st.none() | st.lists(_names, min_size=1, max_size=4, unique=True).map(tuple)))
+        for name in names
+    ]
+    lines = []
+    for name, values in decls:
+        lines += draw(st.lists(st.tuples(_blanks, _comments).map("".join), max_size=2))
+        lines.append(draw(_schema_line(name, values)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)), decls
+
+
+class TestSchemaReader:
+    @given(st.text() | st.text(alphabet="attrnum AB_1:{},#-$\t\r\n\x0c\u2028"))
+    def test_any_text_is_a_schema_or_a_source_error(self, text):
+        try:
+            schema = parse_schema(text)
+        except SourceError:
+            return
+        assert isinstance(schema, Schema)
+
+    @given(_schema_texts())
+    def test_spaced_declarations_parse_to_their_domains(self, case):
+        text, decls = case
+        schema = parse_schema(text)
+        assert list(schema.categorical.items()) == [(n, vs) for n, vs in decls if vs is not None]
+        assert schema.numeric == {n for n, vs in decls if vs is None}
+
+    @settings(max_examples=500)
+    @given(
+        st.tuples(_names, st.none() | st.lists(_names, min_size=1, max_size=4).map(tuple)).flatmap(
+            lambda decl: _schema_line(*decl)
+        )
+        | _blanks.map(lambda b: b + "#")
+        | st.lists(
+            st.tuples(_blanks, st.sampled_from(["attr", "num", "A", "true", "1", ":", "{", "}", ",", "#", "$"])),
+            max_size=8,
+        ).map(lambda parts: "".join(b + t for b, t in parts))
+    )
+    def test_the_line_regex_reads_lines_as_the_token_walk_does(self, line):
+        """Every line the regex accepts is read, through ``parse_schema``,
+        to the declaration or the error ``_read_decl`` gives."""
+        if mr._DECL_RE.fullmatch(line) is None:
+            return
+        try:
+            name, values = mr._read_decl(line, 1, ())
+        except SourceError as exc:
+            with pytest.raises(type(exc)) as exc_info:
+                parse_schema(line)
+            assert str(exc_info.value) == str(exc)
+            return
+        schema = parse_schema(line)
+        if name is None:
+            assert schema == Schema({}, frozenset())
+        elif values is None:
+            assert schema == Schema({}, frozenset({name}))
+        else:
+            assert list(schema.categorical.items()) == [(name, values)]
+            assert schema.numeric == frozenset()
 
 
 def test_atom_cache_hands_out_one_node_per_atom():
@@ -359,6 +470,47 @@ def test_atom_cache_keeps_no_error():
             parse_formula("Food(x)=Sushi", schema)
     assert narrow._atoms == {}
     assert list(schema._atoms) == [("Food", "x", "=", "Italian")]
+
+
+@st.composite
+def _atom_texts(draw):
+    """An atom's text, valid or not: each part a fitting or a wrong token,
+    with spaces, tabs and line breaks between the parts."""
+
+    def gap():
+        return draw(st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", " \n "]))
+
+    attr = draw(st.sampled_from(["Alpha", "Beta", "Level", "Delta"]))
+    entity = draw(st.sampled_from(["e", "x1", "_", "1", "=", ""]))
+    op = draw(st.sampled_from(["=", "<", "<=", ">=", ">", "->", "(", ""]))
+    value = draw(
+        st.sampled_from(["V1", "V2", "V3", "true", "_v", "0", "-3", "22.5", "1/3", "1/0", "-3/0", "(", "&", ""])
+        | st.just("9" * 5000)
+    )
+    return attr + gap() + "(" + gap() + entity + gap() + ")" + gap() + op + gap() + value
+
+
+def _outcome(read):
+    try:
+        return read()
+    except SourceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(_atom_texts())
+def test_atoms_read_alike_on_a_cache_miss_a_hit_and_the_token_walk(text):
+    """The scanner's parts (a miss), the schema's cached node (a hit) and
+    ``_read_atom``'s token walk give the same atom or the same error."""
+    fresh = Schema(ERR_SCHEMA.categorical, ERR_SCHEMA.numeric)
+    warm = Schema(ERR_SCHEMA.categorical, ERR_SCHEMA.numeric)
+    _outcome(lambda: parse_formula(text, warm))
+    miss = _outcome(lambda: parse_formula(text, fresh))
+    hit = _outcome(lambda: parse_formula(text, warm))
+    walked = _outcome(lambda: mr._read_atom(text, 0, Schema(ERR_SCHEMA.categorical, ERR_SCHEMA.numeric)))
+    assert miss == hit == walked
+    if not isinstance(miss, tuple):
+        assert parse_formula(text, warm) is hit
 
 
 def test_num_atom_coerces_int_constant():
