@@ -197,7 +197,6 @@ def scan_misleading(
     scenario: Scenario,
     candidates: Sequence[Formula] | None = None,
     *,
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
     entails_fn: EntailsFn | None = None,
 ) -> list[MisleadingFinding]:
     """Apply both detectors over a candidate set, exhaustively.
@@ -208,7 +207,8 @@ def scan_misleading(
     ``default_candidates``.  Returns deduplicated findings ordered by their
     rendered form.  H |= false is asked first: a hearer who believes
     everything can be led to anything, so unsatisfiable beliefs raise
-    ``ScenarioError``.
+    ``ScenarioError``.  Next, a pool of more than ``DEFAULT_PAIR_LIMIT``
+    ordered pairs raises ``ResourceLimit``.
 
     Each candidate is evaluated in the world once.  K |= c is asked at most
     once per candidate, and only when a finding can need the answer: for an
@@ -223,8 +223,8 @@ def scan_misleading(
         pool = default_candidates(scenario)
     else:
         pool = list(dict.fromkeys(candidates))
-    if len(pool) ** 2 > pair_limit:
-        raise ResourceLimit(len(pool) ** 2, pair_limit, "candidate pairs")
+    if len(pool) ** 2 > DEFAULT_PAIR_LIMIT:
+        raise ResourceLimit(len(pool) ** 2, DEFAULT_PAIR_LIMIT, "candidate pairs")
     true = [evaluate(scenario.world, c) for c in pool]
     told: list[Optional[bool]] = [None] * len(pool)
 

@@ -181,7 +181,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 table = [cmp(v, c) != neg for v in vals]
             else:
                 table = [neg] * len(vals)
-                table[vals.index(atom.value)] = not neg
+                table[schema._positions[atom.attr][atom.value]] = not neg
             table.append(None)  # the key is unassigned
             atoms.append((i, table))
         program.append((decisive, is_and, tuple(atoms), tuple(last - c for c in children)))

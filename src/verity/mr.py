@@ -26,10 +26,10 @@ like an atom but that the scanner could not read whole is read again token
 by token, which finds its error.
 
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
-hashing, ``repr``, ``print_formula`` and ``iter_atoms`` all read that list,
-so no formula is too deep for them.  Three walks keep their own stacks:
-``evaluate``, because it short-circuits; ``entail._nnf``, on the decision
-path; and ``oracle._postfix``, which shares no code with the engine.
+hashing, ``repr``, ``print_formula``, ``iter_atoms`` and the oracle's
+compiler all read that list, so no formula is too deep for them.  Two walks
+keep their own stacks: ``evaluate``, because it short-circuits, and
+``entail._nnf``, on the decision path.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
@@ -113,10 +113,16 @@ class Schema:
 
     ``categorical`` maps each categorical attribute to its domain, in
     declaration order; ``numeric`` names the rational-valued attributes.
+    Each domain is indexed once, so no check of a value scans its domain.
     """
 
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
+    # Each categorical attribute's values, each mapped to its position in
+    # the domain.
+    _positions: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # Every atom parsed under this schema, keyed by the text of its parts
     # (attribute, entity, operator, value); only valid atoms are kept.
     _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom] = field(
@@ -131,7 +137,8 @@ class Schema:
         for attr, values in self.categorical.items():
             if not values:
                 raise ValueError(f"attribute {attr!r} has an empty domain")
-            if len(set(values)) != len(values):
+            positions = self._positions[attr] = {v: i for i, v in enumerate(values)}
+            if len(positions) != len(values):
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
             if attr in self.numeric:
                 raise ValueError(f"attribute {attr!r} is both categorical and numeric")
@@ -320,40 +327,32 @@ def validate_formula(schema: Schema, formula: Formula) -> None:
 
 def validate_atom(schema: Schema, atom: CatAtom | NumAtom) -> None:
     """Raise if ``atom`` is inconsistent with ``schema``."""
+    positions = schema._positions.get(atom.attr)  # None unless categorical
+    if positions is None and atom.attr not in schema.numeric:
+        raise UnknownAttribute(f"unknown attribute {atom.attr!r}")
     if isinstance(atom, CatAtom):
-        if schema.is_numeric(atom.attr):
+        if positions is None:
             raise CategoricalComparisonOnNumeric(
                 f"attribute {atom.attr!r} is numeric, not categorical"
             )
-        if atom.value not in schema.domain(atom.attr):
+        if atom.value not in positions:
             raise ValueNotInDomain(
                 f"{atom.value!r} is not in the domain of {atom.attr!r}"
             )
-    else:
-        if schema.is_categorical(atom.attr):
-            raise NumericComparisonOnCategorical(
-                f"attribute {atom.attr!r} is categorical, not numeric"
-            )
-        if not schema.is_numeric(atom.attr):
-            raise UnknownAttribute(f"unknown attribute {atom.attr!r}")
+    elif positions is not None:
+        raise NumericComparisonOnCategorical(
+            f"attribute {atom.attr!r} is categorical, not numeric"
+        )
 
 
 def validate_model(schema: Schema, model: Model) -> None:
-    """Raise if ``model`` assigns outside ``schema``'s attributes or domains."""
-    for (attr, _), value in model.categorical.items():
-        if schema.is_numeric(attr):
-            raise CategoricalComparisonOnNumeric(
-                f"attribute {attr!r} is numeric but assigned {value!r}"
-            )
-        if value not in schema.domain(attr):
-            raise ValueNotInDomain(f"{value!r} is not in the domain of {attr!r}")
-    for attr, _ in model.numeric:
-        if schema.is_categorical(attr):
-            raise NumericComparisonOnCategorical(
-                f"attribute {attr!r} is categorical but assigned a number"
-            )
-        if not schema.is_numeric(attr):
-            raise UnknownAttribute(f"unknown attribute {attr!r}")
+    """Raise if ``model`` assigns outside ``schema``'s attributes or domains:
+    ``validate_atom`` checks each entry as an atom over its key, and reads
+    only the attribute of a numeric one."""
+    for (attr, entity), value in model.categorical.items():
+        validate_atom(schema, CatAtom(attr, entity, value))
+    for attr, entity in model.numeric:
+        validate_atom(schema, NumAtom(attr, entity, "=", 0))
 
 
 def evaluate(model: Model, formula: Formula) -> bool:
@@ -858,7 +857,7 @@ def _atom(
             raise ParseError(
                 f"expected domain value, got {_got_kind(kind, value)}", *_where(text, value_at)
             )
-        if value not in schema.categorical[attr]:
+        if value not in schema._positions[attr]:
             raise ValueNotInDomain(
                 f"{value!r} is not in the domain of {attr!r}", *_where(text, value_at)
             )

@@ -7,10 +7,12 @@ formula mentions, the constants' midpoints, and one point beyond each
 extreme.  Each formula is compiled into its truth table over that product:
 a Python int with one bit per model, built from its atoms' tables with
 bitwise operations.  The oracle has its own grid, its own comparisons and
-its own evaluator; it shares only the parser, the formula classes and
-``validate_atom`` with the engine, so agreement between the two is
-informative.  Its cost follows the size of the product, not how hard the
-formula is, so it is meant for tests and the CLI's ``--oracle`` mode.
+its own evaluator, which runs each formula's ``_preorder`` list backwards.
+It shares only the parser, the formula classes with their ``_preorder``
+walk, and ``validate_atom`` with the engine, which decides through
+``entail``'s own walk, so agreement between the two is informative.  Its
+cost follows the size of the product, not how hard the formula is, so it
+is meant for tests and the CLI's ``--oracle`` mode.
 
 Each ``checked_*`` twin makes its engine call once, asks the oracle the
 same question, and raises ``OracleDivergence`` if they disagree.  A caller
@@ -41,6 +43,7 @@ from .mr import (
     Or,
     Schema,
     TrueConst,
+    _preorder,
     print_formula,
     validate_atom,
 )
@@ -60,10 +63,10 @@ _COMPARE = {
 # enumerated, and each of their assignments is one block of the product.
 _BLOCK_MODELS = 1 << 16
 
-# Postfix code: a non-negative int pushes that atom's table; the rest are
-# these operators.
+# Code for ``_run``: a non-negative int pushes that atom's table; the rest
+# are these operators.
 _TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES = range(-1, -7, -1)
-_BINARY = {And: _AND, Or: _OR, Implies: _IMPLIES}
+_OPCODES = {Not: _NOT, And: _AND, Or: _OR, Implies: _IMPLIES}
 
 
 class OracleDivergence(MrError):
@@ -82,16 +85,15 @@ def _grid(constants: set[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sorted(points))
 
 
-def _postfix(
+def _code(
     schema: Schema, formula: Formula, slots: dict[CatAtom | NumAtom, int]
 ) -> list[int]:
-    """``formula`` as postfix code, walked with an explicit stack.  Each
-    atom is validated the first time it is met, left to right, and gets
-    the next free number in ``slots``."""
+    """``formula``'s ``_preorder`` list as code, reversed, so that every
+    connective follows its operands and has its first operand on top of
+    the stack.  Each atom is validated the first time it is met, left to
+    right, and gets the next free number in ``slots``."""
     code: list[int] = []
-    stack: list[tuple[Formula, bool]] = [(formula, False)]
-    while stack:
-        f, operands_done = stack.pop()
+    for f in _preorder(formula):
         kind = type(f)
         if kind is CatAtom or kind is NumAtom:
             if f not in slots:
@@ -102,16 +104,11 @@ def _postfix(
             code.append(_TRUE)
         elif kind is FalseConst:
             code.append(_FALSE)
-        elif operands_done:
-            code.append(_NOT if kind is Not else _BINARY[kind])
-        elif kind is Not:
-            stack += [(f, True), (f.operand, False)]
-        elif kind is And or kind is Or:
-            stack += [(f, True), (f.right, False), (f.left, False)]
-        elif kind is Implies:
-            stack += [(f, True), (f.consequent, False), (f.antecedent, False)]
+        elif kind is type and f in _OPCODES:
+            code.append(_OPCODES[f])
         else:
             raise TypeError(f"not a formula: {f!r}")
+    code.reverse()
     return code
 
 
@@ -127,13 +124,13 @@ def _run(code: list[int], tables: list[int], full: int) -> int:
         elif op == _FALSE:
             stack.append(0)
         else:
-            right = stack.pop()
+            first = stack.pop()
             if op == _AND:
-                stack[-1] &= right
+                stack[-1] &= first
             elif op == _OR:
-                stack[-1] |= right
-            else:
-                stack[-1] = (full & ~stack[-1]) | right
+                stack[-1] |= first
+            else:  # a -> b is b | !a
+                stack[-1] |= full & ~first
     return stack[0]
 
 
@@ -150,7 +147,7 @@ def _truth_tables(
     on each block an atom over one of them is ``full`` or 0.
     """
     slots: dict[CatAtom | NumAtom, int] = {}
-    codes = [_postfix(schema, f, slots) for f in formulas]
+    codes = [_code(schema, f, slots) for f in formulas]
     cat_keys: set[Key] = set()
     constants: dict[Key, set[Fraction]] = {}
     for atom in slots:

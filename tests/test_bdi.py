@@ -280,14 +280,16 @@ def test_scan_orders_findings_and_dedupes_candidates():
     ]
 
 
-def test_scan_pair_limit():
+def test_scan_pair_limit(monkeypatch):
     # Default candidate pool for the hurricane world is 5 atoms, 25 pairs.
+    monkeypatch.setattr(verity.bdi, "DEFAULT_PAIR_LIMIT", 24)
     with pytest.raises(ResourceLimit) as info:
-        scan_misleading(hurricane_scenario(), pair_limit=24)
+        scan_misleading(hurricane_scenario())
     assert info.value.required == 25
     assert info.value.limit == 24
     assert str(info.value) == "25 candidate pairs exceeds limit 24"
-    assert scan_misleading(hurricane_scenario(), pair_limit=25)
+    monkeypatch.setattr(verity.bdi, "DEFAULT_PAIR_LIMIT", 25)
+    assert scan_misleading(hurricane_scenario())
 
 
 def _brute_force_scan(scenario, candidates, entails_fn=None):
@@ -494,8 +496,9 @@ def test_default_candidates_cover_domains_and_constants():
 # Scenario validation
 
 
-def test_scenario_rejects_unsatisfiable_beliefs():
+def test_scenario_rejects_unsatisfiable_beliefs(monkeypatch):
     # The scan asks H |= false before anything else, the pair limit too.
+    monkeypatch.setattr(verity.bdi, "DEFAULT_PAIR_LIMIT", 0)
     scenario = dataclasses.replace(
         hurricane_scenario(),
         hearer_beliefs=_weather("Sky(today)=Clear & Sky(today)=Rainy"),
@@ -503,7 +506,7 @@ def test_scenario_rejects_unsatisfiable_beliefs():
     for decide in (entails, oracle_entails):
         fn, calls = _counting(partial(decide, WEATHER))
         with pytest.raises(ScenarioError, match="unsatisfiable"):
-            scan_misleading(scenario, pair_limit=0, entails_fn=fn)
+            scan_misleading(scenario, entails_fn=fn)
         assert calls == [(scenario.hearer_beliefs, FALSE)]
 
 

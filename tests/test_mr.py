@@ -356,6 +356,21 @@ def test_a_long_domain_parses_in_linear_time():
     assert str(exc_info.value) == f"1:{len(text) - 7}: duplicate value 'V99999' for attribute 'A'"
 
 
+def test_a_long_domain_is_not_scanned_for_each_atom():
+    # 1,000 distinct atoms whose values sit at the end of a 100,000-value
+    # domain; a scan of the domain per atom takes seconds.
+    values = [f"V{i}" for i in range(100_000)]
+    schema = Schema({"A": values}, frozenset())
+    text = " | ".join(f"A(x)={v}" for v in values[-1000:])
+    start = time.perf_counter()
+    formula = parse_formula(text, schema)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    validate_formula(schema, formula)
+    assert time.perf_counter() - start < 0.5
+    assert [a.value for a in iter_atoms(formula)] == values[-1000:]
+
+
 _blanks = st.text(alphabet=" \t", max_size=3)
 _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True) | st.sampled_from(
     ["true", "false", "attr", "num"]

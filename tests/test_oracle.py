@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,14 @@ from test_taxonomy import E2E
 from verity import (
     And,
     CatAtom,
+    Implies,
     Model,
     Not,
     NumAtom,
     NumericComparisonOnCategorical,
+    Or,
     Schema,
+    UnknownAttribute,
     ValueNotInDomain,
     Verdict,
     evaluate,
@@ -199,9 +203,35 @@ def test_atoms_are_validated_left_to_right():
     good = CatAtom("Food", "x", "Italian")
     not_in_domain = CatAtom("Food", "x", "Sushi")
     ordered = NumAtom("Food", "x", "<", 1)
+    unknown = NumAtom("Pressure", "x", "<", 1)
     with pytest.raises(ValueNotInDomain):
         oracle.oracle_entails(SCHEMA, And(good, not_in_domain), ordered)
     with pytest.raises(NumericComparisonOnCategorical):
         oracle.oracle_entails(SCHEMA, good, And(ordered, not_in_domain))
     with pytest.raises(TypeError, match="not a formula"):
         oracle.oracle_satisfiable(SCHEMA, Not("junk"))
+    # A bad node in each formula: the left formula's error is raised.
+    for left, right, error in [
+        (not_in_domain, ordered, ValueNotInDomain),
+        (ordered, not_in_domain, NumericComparisonOnCategorical),
+        (unknown, not_in_domain, UnknownAttribute),
+        (not_in_domain, Not("junk"), ValueNotInDomain),
+        (Not("junk"), unknown, TypeError),
+    ]:
+        for ask in (oracle.oracle_entails, oracle.oracle_classify):
+            with pytest.raises(error):
+                ask(SCHEMA, Implies(good, Or(good, left)), And(right, good))
+    # A node that is no formula, under '!' or on either side of '&', '|'
+    # and '->'.
+    for junk in ("junk", None, 3, ["list"], Fraction(1)):
+        for f in (
+            Not(junk),
+            And(junk, good),
+            And(good, junk),
+            Or(junk, good),
+            Or(good, junk),
+            Implies(junk, good),
+            Implies(good, junk),
+        ):
+            with pytest.raises(TypeError, match="^not a formula: "):
+                oracle.oracle_satisfiable(SCHEMA, f)
