@@ -5,7 +5,7 @@ formula, K), the hearer's background beliefs (one formula, H), the actual
 world (a model), and the disclosure expectations (formulas the hearer
 expects to be told whenever they are true).  Belief and communication
 operators are deliberately flattened into these explicit parts rather than
-interpreted over possible worlds; the two detectors below then check their
+interpreted over possible worlds; ``scan_misleading`` then checks the
 defining conditions directly.
 
 Withholding a fact q:    q is expected, q is true in the world, and K does
@@ -20,7 +20,12 @@ any rephrasing would defeat detection.
 A scan asks one entailment function (the engine, or an injected
 ``entails_fn``) three kinds of question: H |= false, once and first; K |= c,
 at most once per candidate c; and H |= p -> r, at most once per ordered
-pair and only for a pair whose other four half-truth conditions hold.
+pair and only for a pair whose other four half-truth conditions hold.  A
+question whose answer is "no" by a model already in hand is not asked:
+a model of K that falsifies c refutes K |= c, and a model of H & p that
+falsifies r refutes H |= p -> r.  The world is such a model when it
+satisfies K, or H; otherwise the countermodel of the first such question
+answered "no" is, once ``evaluate`` confirms it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from numbers import Rational
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +63,10 @@ from .mr import (
     validate_model,
 )
 
-# Called as fn(a, b); the truth of its result answers a |= b.
+# Called as fn(a, b); the truth of its result answers a |= b.  When that is
+# "no", the result's ``witness`` attribute, if any, may be a countermodel
+# (as in ``EntailmentResult``); a scan reuses it only after ``evaluate``
+# confirms it, so a missing or wrong witness costs questions, not findings.
 EntailsFn = Callable[[Formula, Formula], object]
 
 
@@ -127,38 +136,6 @@ def _require_world_keys(world: Model, f: Formula) -> None:
             raise ScenarioError(f"world assigns no value to {a.attr}({a.entity})")
 
 
-def detect_withholding(
-    scenario: Scenario, q: Formula, *, entails_fn: EntailsFn | None = None
-) -> bool:
-    """True iff q is expected, true in the world, and not communicated."""
-    if q not in scenario.expectation_norms:
-        return False
-    if not evaluate(scenario.world, q):
-        return False
-    fn = entails_fn or partial(entails, scenario.schema)
-    return not fn(scenario.communicated, q)
-
-
-def detect_half_truth(
-    scenario: Scenario, p: Formula, r: Formula, *, entails_fn: EntailsFn | None = None
-) -> bool:
-    """True iff communicating p leads the hearer to the false conclusion r.
-
-    Checked conditions, exactly these five: K entails p; K does not entail
-    r; the hearer believes p -> r; p is true in the world; r is false in
-    the world.  The hearer's beliefs are taken to be satisfiable, which
-    ``scan_misleading`` checks.
-    """
-    if not evaluate(scenario.world, p) or evaluate(scenario.world, r):
-        return False
-    fn = entails_fn or partial(entails, scenario.schema)
-    return (
-        bool(fn(scenario.communicated, p))
-        and not fn(scenario.communicated, r)
-        and bool(fn(scenario.hearer_beliefs, Implies(p, r)))
-    )
-
-
 DEFAULT_PAIR_LIMIT = 10**4
 
 
@@ -199,25 +176,34 @@ def scan_misleading(
     *,
     entails_fn: EntailsFn | None = None,
 ) -> list[MisleadingFinding]:
-    """Apply both detectors over a candidate set, exhaustively.
+    """Check every candidate for withholding and every ordered candidate
+    pair for a half truth, exhaustively.
 
-    Withholding is checked per candidate, half truths per ordered candidate
-    pair, under the conditions of ``detect_withholding`` and
-    ``detect_half_truth``.  An empty candidate set defaults to
-    ``default_candidates``.  Returns deduplicated findings ordered by their
-    rendered form.  H |= false is asked first: a hearer who believes
-    everything can be led to anything, so unsatisfiable beliefs raise
-    ``ScenarioError``.  Next, a pool of more than ``DEFAULT_PAIR_LIMIT``
-    ordered pairs raises ``ResourceLimit``.
+    An empty candidate set defaults to ``default_candidates``.  Returns
+    deduplicated findings ordered by their rendered form.  H |= false is
+    asked first: a hearer who believes everything can be led to anything,
+    so unsatisfiable beliefs raise ``ScenarioError``.  Next, a pool of more
+    than ``DEFAULT_PAIR_LIMIT`` ordered pairs raises ``ResourceLimit``.
 
     Each candidate is evaluated in the world once.  K |= c is asked at most
     once per candidate, and only when a finding can need the answer: for an
     expected q that is true, for a p that is true, and, once some true p is
     communicated, for an r that is false.  H |= p -> r is asked only for a
     p that is true and communicated and an r that is false and not.
+
+    Of those, a question is skipped, as answered "no", when a model in hand
+    falsifies its right side.  For K |= c that is one model of K: the world
+    if it satisfies K, else the countermodel of the first K |= c answered
+    "no".  For H |= p -> r it is one model of H & p per p: the world if it
+    satisfies H, else the countermodel of the first H |= p -> r answered
+    "no" for that p.  A countermodel is the result's ``witness`` completed
+    with the world's values for the keys it leaves out, and is used only if
+    it is a ``Model`` within the schema that ``evaluate`` finds satisfies K,
+    or H & p.  Every "yes" still comes from ``entails_fn``.
     """
     fn = entails_fn or partial(entails, scenario.schema)
-    if fn(scenario.hearer_beliefs, FALSE):
+    k, h, world = scenario.communicated, scenario.hearer_beliefs, scenario.world
+    if fn(h, FALSE):
         raise ScenarioError("hearer_beliefs is unsatisfiable")
     if not candidates:
         pool = default_candidates(scenario)
@@ -225,12 +211,20 @@ def scan_misleading(
         pool = list(dict.fromkeys(candidates))
     if len(pool) ** 2 > DEFAULT_PAIR_LIMIT:
         raise ResourceLimit(len(pool) ** 2, DEFAULT_PAIR_LIMIT, "candidate pairs")
-    true = [evaluate(scenario.world, c) for c in pool]
+    true = [evaluate(world, c) for c in pool]
     told: list[Optional[bool]] = [None] * len(pool)
+    k_model = world if evaluate(world, k) else None
 
     def communicated(i: int) -> bool:
+        nonlocal k_model
         if told[i] is None:
-            told[i] = bool(fn(scenario.communicated, pool[i]))
+            if k_model is not None and not evaluate(k_model, pool[i]):
+                told[i] = False
+            else:
+                result = fn(k, pool[i])
+                told[i] = bool(result)
+                if not told[i] and k_model is None:
+                    k_model = _model_of(scenario, result, k)
         return told[i]
 
     findings = []
@@ -245,12 +239,44 @@ def scan_misleading(
         if premises
         else []
     )
+    # Every premise is true in the world, so a world that satisfies H is a
+    # model of H & p for each of them, and falsifies every conclusion.
+    h_world = world if evaluate(world, h) else None
     for p in premises:
+        model = h_world
         for r in conclusions:
-            if fn(scenario.hearer_beliefs, Implies(p, r)):
+            if model is not None and not evaluate(model, r):
+                continue
+            result = fn(h, Implies(p, r))
+            if result:
                 findings.append(MisleadingFinding(FindingKind.HALF_TRUTH, p, r))
+            elif model is None:
+                model = _model_of(scenario, result, h, p)
     findings.sort(key=MisleadingFinding.render)
     return findings
+
+
+def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optional[Model]:
+    """The witness of an entailment ``result``, completed with the world's
+    values for the keys it leaves out, if that is a model of every formula
+    in ``formulas``; None otherwise.  The witness must be a ``Model`` whose
+    categorical values lie in the schema's domains and whose numeric values
+    are rational."""
+    witness = getattr(result, "witness", None)
+    if not isinstance(witness, Model):
+        return None
+    world = scenario.world
+    model = Model(
+        {**world.categorical, **witness.categorical},
+        {**world.numeric, **witness.numeric},
+    )
+    try:
+        validate_model(scenario.schema, model)
+    except MrError:
+        return None
+    if not all(isinstance(v, Rational) for v in model.numeric.values()):
+        return None
+    return model if all(evaluate(model, f) for f in formulas) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bundled example schemas, a demo corpus, and two scenarios.
+"""Bundled example schemas, a demo corpus, and three scenarios.
 
 These files double as documentation and as acceptance-test inputs; the CLI
 usage examples in the README run against them verbatim.

@@ -215,7 +215,8 @@ class NumAtom:
 def _preorder(formula: Formula) -> list:
     """``formula`` in preorder: each connective as its class, each atom or
     constant as itself.  Connectives have fixed arity, so two formulas are
-    equal exactly when these lists are."""
+    equal exactly when these lists are.  Raises TypeError at a node that
+    is a class."""
     out: list = []
     stack = [formula]
     while stack:
@@ -232,6 +233,10 @@ def _preorder(formula: Formula) -> list:
             out.append(Implies)
             stack.append(f.consequent)
             stack.append(f.antecedent)
+        elif isinstance(f, type):
+            # In the output a class stands for a connective node, so a class
+            # given as an operand would read as one.
+            raise TypeError(f"not a formula: {f!r}")
         else:
             out.append(f)
     return out

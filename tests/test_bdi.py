@@ -1,4 +1,8 @@
-"""Misleading-communication detectors and scenario files."""
+"""Misleading-communication scans and scenario files.
+
+``detect_withholding`` and ``detect_half_truth`` below state the two
+definitions directly; the scan is checked against them.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from randgen import ENTITY, NUM_ATTR, random_atom, random_formula, random_schema
 from verity import (
     FALSE,
     And,
+    EntailmentResult,
     FindingKind,
     Implies,
     MisleadingFinding,
@@ -32,14 +37,13 @@ from verity import (
     ScenarioError,
     Schema,
     default_candidates,
-    detect_half_truth,
-    detect_withholding,
     entails,
     evaluate,
     load_scenario,
     oracle_entails,
     parse_formula,
     parse_schema,
+    print_formula,
     satisfiable,
     scan_misleading,
 )
@@ -89,7 +93,35 @@ def employment_scenario():
 
 
 # ---------------------------------------------------------------------------
-# Detectors
+# Reference definitions
+
+
+def detect_withholding(scenario, q, *, entails_fn=None):
+    """True iff q is expected, true in the world, and not communicated."""
+    if q not in scenario.expectation_norms:
+        return False
+    if not evaluate(scenario.world, q):
+        return False
+    fn = entails_fn or partial(entails, scenario.schema)
+    return not fn(scenario.communicated, q)
+
+
+def detect_half_truth(scenario, p, r, *, entails_fn=None):
+    """True iff communicating p leads the hearer to the false conclusion r.
+
+    Checked conditions, exactly these five: K entails p; K does not entail
+    r; the hearer believes p -> r; p is true in the world; r is false in
+    the world.  The hearer's beliefs are taken to be satisfiable, which
+    ``scan_misleading`` checks.
+    """
+    if not evaluate(scenario.world, p) or evaluate(scenario.world, r):
+        return False
+    fn = entails_fn or partial(entails, scenario.schema)
+    return (
+        bool(fn(scenario.communicated, p))
+        and not fn(scenario.communicated, r)
+        and bool(fn(scenario.hearer_beliefs, Implies(p, r)))
+    )
 
 
 def test_withholding_detected():
@@ -340,10 +372,39 @@ def _random_scenario(rng):
         return scenario, candidates
 
 
+def storm_scenario():
+    """The world satisfies neither K nor H.  K entails Sky(today)=Cloudy
+    only by ruling out the other two values, and the first H |= p -> r for
+    p = Sky(today)=Cloudy is answered "no" before the half truth's r."""
+    schema = parse_schema(
+        "attr Hurricane : { Yes, No }\n"
+        "attr Sky : { Cloudy, Clear, Rainy }\n"
+        "attr Wind : { Calm, Strong }\n"
+    )
+    scenario = Scenario(
+        schema=schema,
+        communicated=parse_formula(
+            "Wind(today)=Strong & !(Sky(today)=Clear) & !(Sky(today)=Rainy)", schema
+        ),
+        hearer_beliefs=parse_formula("Sky(today)=Cloudy -> Hurricane(today)=No", schema),
+        world=Model(
+            {("Hurricane", "today"): "Yes", ("Sky", "today"): "Cloudy", ("Wind", "today"): "Calm"},
+            {},
+        ),
+        expectation_norms=(parse_formula("Hurricane(today)=Yes", schema),),
+    )
+    candidates = [
+        parse_formula(text, schema)
+        for text in ("Sky(today)=Cloudy", "Sky(today)=Clear", "Hurricane(today)=No", "Hurricane(today)=Yes")
+    ]
+    return scenario, candidates
+
+
 def _scan_cases():
     yield "hurricane", hurricane_scenario(), None
     yield "employment", employment_scenario(), None
-    for name in ("hurricane.scenario.json", "employment.scenario.json"):
+    yield "storm", *storm_scenario()
+    for name in ("hurricane.scenario.json", "employment.scenario.json", "lying.scenario.json"):
         yield (name, *load_scenario(fixture_path(name)))
     rng = random.Random(2024)
     for n in range(60):
@@ -366,6 +427,97 @@ def test_scan_returns_exactly_the_brute_force_findings(injected):
     assert kinds[FindingKind.HALF_TRUTH] > 5
 
 
+def _bogus_witness(kind, schema, world, a, b):
+    """A witness an injected entails_fn might attach to its answer to
+    a |= b: no model, or one the scan must not use."""
+    if kind == "none":
+        return None
+    if kind == "not-a-model":
+        return dict(world.categorical)
+    if kind == "falsifies-left":
+        # A model of !a: it falsifies K, or H.
+        return satisfiable(schema, Not(a)).witness
+    if kind == "falsifies-premise":
+        # For H |= p -> r, a model of H & !p: a model of H but not of H & p.
+        if type(b) is Implies:
+            return satisfiable(schema, And(a, Not(b.antecedent))).witness
+        return satisfiable(schema, Not(a)).witness
+    if kind == "value-outside-domain":
+        # The countermodel with every categorical value that a can spare
+        # replaced by a name outside the key's domain.
+        model = entails(schema, a, b).witness
+        for key in model.categorical if model is not None else ():
+            bogus = Model({**model.categorical, key: "Bogus"}, model.numeric)
+            if evaluate(bogus, a):
+                model = bogus
+        return model if model and "Bogus" in model.categorical.values() else None
+    assert kind == "nan-number"
+    # NaN compares false with every constant, so it satisfies !(x < c) &
+    # !(x >= c), which no number does.
+    return Model({}, {key: float("nan") for key in world.numeric})
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        "none",
+        "not-a-model",
+        "falsifies-left",
+        "falsifies-premise",
+        "value-outside-domain",
+        "nan-number",
+    ],
+)
+def test_scan_uses_no_witness_it_cannot_confirm(witness):
+    # Every answer is the engine's; only the attached witness is wrong, so a
+    # scan that trusted it would skip a question whose answer is "yes".
+    for name, scenario, candidates in _scan_cases():
+        schema, world = scenario.schema, scenario.world
+
+        def fn(a, b):
+            holds = entails(schema, a, b).holds
+            return EntailmentResult(holds, _bogus_witness(witness, schema, world, a, b))
+
+        findings = scan_misleading(scenario, candidates, entails_fn=fn)
+        assert findings == _brute_force_scan(scenario, candidates), name
+
+
+def test_lying_speaker_scan_reuses_countermodels_unlike_the_world():
+    scenario, candidates = load_scenario(fixture_path("lying.scenario.json"))
+    k, h, world = scenario.communicated, scenario.hearer_beliefs, scenario.world
+    # The speaker says something false, and the hearer believes something
+    # false, so the world is a model of neither K nor H.
+    assert not evaluate(world, k)
+    assert not evaluate(world, h)
+    answers = []
+
+    def fn(a, b):
+        result = entails(scenario.schema, a, b)
+        answers.append((a, b, result))
+        return result
+
+    findings = scan_misleading(scenario, candidates, entails_fn=fn)
+    assert findings == _brute_force_scan(scenario, candidates)
+    assert [f.render() for f in findings] == [
+        "half-truth: Temperature(today) > 20 => Hurricane(today)=No",
+        "half-truth: Temperature(today) >= 22 => Hurricane(today)=No",
+        "withholding: Hurricane(today)=Yes",
+        "withholding: Temperature(today) = 22",
+    ]
+    # The first K |= c answered "no" puts the temperature at a sample point
+    # above 25, not at the world's 22; the numeric candidates it falsifies
+    # are not asked about.
+    first = next(result.witness for a, _, result in answers if a == k and not result)
+    temperature = ("Temperature", "today")
+    assert first.numeric[temperature] == 26 != world.numeric[temperature]
+    asked = [b for a, b, _ in answers if a == k]
+    for r in default_candidates(scenario):
+        if not evaluate(world, r) and not evaluate(first, r):
+            assert r not in asked
+    # 18 questions where asking every needed one takes 36.
+    assert len(answers) == 18
+
+
 def _counting(fn):
     calls = []
 
@@ -377,23 +529,64 @@ def _counting(fn):
 
 
 @pytest.mark.parametrize(
-    "scenario, candidates",
+    "scenario, candidates, asked",
     [
-        (hurricane_scenario(), None),
-        (dataclasses.replace(hurricane_scenario(), communicated=_weather("true")), None),
-        (employment_scenario(), None),
+        (
+            hurricane_scenario(),
+            None,
+            [
+                "true |= false",
+                "Sky(today)=Cloudy |= Hurricane(today)=Yes",
+                "Sky(today)=Cloudy |= Sky(today)=Cloudy",
+            ],
+        ),
+        (
+            dataclasses.replace(hurricane_scenario(), communicated=_weather("true")),
+            None,
+            ["true |= false", "true |= Hurricane(today)=Yes", "true |= Sky(today)=Cloudy"],
+        ),
+        (
+            employment_scenario(),
+            None,
+            [
+                "Position(s)=Permanent -> Solvency(c)=Healthy |= false",
+                "Position(s)=Permanent |= Position(s)=Permanent",
+                "Position(s)=Permanent |= Solvency(c)=Bankrupt",
+                "Position(s)=Permanent -> Solvency(c)=Healthy"
+                " |= Position(s)=Permanent -> Position(s)=Temporary",
+                "Position(s)=Permanent -> Solvency(c)=Healthy"
+                " |= Position(s)=Permanent -> Solvency(c)=Healthy",
+            ],
+        ),
         (
             dataclasses.replace(
                 employment_scenario(),
                 expectation_norms=(_employment("Solvency(c)=Bankrupt"),),
             ),
             None,
+            [
+                "Position(s)=Permanent -> Solvency(c)=Healthy |= false",
+                "Position(s)=Permanent |= Solvency(c)=Bankrupt",
+                "Position(s)=Permanent |= Position(s)=Permanent",
+                "Position(s)=Permanent -> Solvency(c)=Healthy"
+                " |= Position(s)=Permanent -> Position(s)=Temporary",
+                "Position(s)=Permanent -> Solvency(c)=Healthy"
+                " |= Position(s)=Permanent -> Solvency(c)=Healthy",
+            ],
         ),
-        load_scenario(fixture_path("employment.scenario.json")),
+        (
+            *load_scenario(fixture_path("employment.scenario.json")),
+            [
+                "Position(s)=Permanent -> Solvency(c)=Healthy |= false",
+                "Position(s)=Permanent |= Position(s)=Permanent",
+                "Position(s)=Permanent -> Solvency(c)=Healthy"
+                " |= Position(s)=Permanent -> Solvency(c)=Healthy",
+            ],
+        ),
     ],
     ids=["hurricane", "hurricane-silent", "employment", "employment-norm", "employment-fixture"],
 )
-def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candidates):
+def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candidates, asked):
     schema = scenario.schema
     fn, calls = _counting(lambda a, b: entails(schema, a, b))
     findings = scan_misleading(scenario, candidates, entails_fn=fn)
@@ -406,10 +599,9 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
     told_truths = [p for p in truths if entails(schema, k, p)]
     n = len(pool)
     assert len(calls) <= 1 + n + len(told_truths) * n
-    # Exactly the questions a finding can need: H |= false, first; K |= c
-    # for every true c, and, once some true p is communicated, for every
-    # false r; then H |= p -> r for the pairs whose other four conditions
-    # hold.
+    # The questions a finding can need: H |= false, first; K |= c for every
+    # true c, and, once some true p is communicated, for every false r;
+    # then H |= p -> r for the pairs whose other four conditions hold.
     assert calls[0] == (h, FALSE)
     needed = {(h, FALSE)} | {(k, c) for c in truths}
     if told_truths:
@@ -420,7 +612,12 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
         for r in falsehoods
         if not entails(schema, k, r)
     }
-    assert set(calls) == needed
+    assert set(calls) <= needed
+    # Of those, the ones a model in hand does not already answer "no": each
+    # world here satisfies K, so no K |= r is asked for a false r, and the
+    # employment world falsifies H, so the first H |= p -> r is asked; its
+    # countermodel makes Solvency(c)=Healthy true, so that r is asked too.
+    assert [f"{print_formula(a)} |= {print_formula(b)}" for a, b in calls] == asked
 
 
 @pytest.mark.parametrize("name", ["hurricane.scenario.json", "employment.scenario.json"])

@@ -615,6 +615,20 @@ def test_bdi_oracle(capsys):
     assert (code, out) == (0, "withholding: Hurricane(today)=Yes\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["engine", "oracle"])
+def test_bdi_lying_speaker(capsys, flags):
+    # The world satisfies neither what was communicated nor the beliefs.
+    path = str(fixture_path("lying.scenario.json"))
+    assert run(capsys, "bdi", *flags, path) == (
+        0,
+        "half-truth: Temperature(today) > 20 => Hurricane(today)=No\n"
+        "half-truth: Temperature(today) >= 22 => Hurricane(today)=No\n"
+        "withholding: Hurricane(today)=Yes\n"
+        "withholding: Temperature(today) = 22\n",
+        "",
+    )
+
+
 def test_bdi_no_findings(capsys, tmp_path):
     (tmp_path / "w.schema").write_text(
         "attr Hurricane : { Yes, No }\nattr Sky : { Cloudy, Clear, Rainy }\n",
@@ -972,6 +986,7 @@ def test_readme_has_every_example():
         ["verity", "classify"],
         ["verity", "check"],
         ["verity", "report"],
+        ["verity", "bdi"],
         ["verity", "bdi"],
         ["verity", "bdi"],
     ]

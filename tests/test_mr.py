@@ -34,9 +34,11 @@ from verity import (
     format_model,
     fraction_str,
     iter_atoms,
+    oracle_classify,
     parse_formula,
     parse_schema,
     print_formula,
+    satisfiable,
     validate_formula,
     validate_model,
 )
@@ -944,6 +946,26 @@ def test_iter_atoms_rejects_a_non_formula_where_it_meets_it():
     assert next(walk) == CatAtom("Food", "x", "Italian")
     with pytest.raises(TypeError, match="not a formula: 'junk'"):
         next(walk)
+
+
+@pytest.mark.parametrize("operand", [Not, And, Or, Implies, CatAtom])
+@pytest.mark.parametrize(
+    "use",
+    [
+        print_formula,
+        lambda f: list(iter_atoms(f)),
+        lambda f: validate_formula(SCHEMA, f),
+        lambda f: oracle_classify(SCHEMA, f, TRUE),
+        lambda f: satisfiable(SCHEMA, f),
+    ],
+    ids=["print_formula", "iter_atoms", "validate_formula", "oracle_classify", "satisfiable"],
+)
+def test_a_class_as_an_operand_is_not_a_formula(use, operand):
+    # Preorder lists stand for a connective node by its class, so a class
+    # passed as an operand must not read as one.
+    f = And(operand, CatAtom("Food", "x", "Italian"))
+    with pytest.raises(TypeError, match=f"^not a formula: {operand!r}$"):
+        use(f)
 
 
 @st.composite
