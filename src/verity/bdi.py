@@ -261,20 +261,22 @@ def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optiona
     values for the keys it leaves out, if that is a model of every formula
     in ``formulas``; None otherwise.  The witness must be a ``Model`` whose
     categorical values lie in the schema's domains and whose numeric values
-    are rational."""
+    are rational; the world's own values are trusted as they are."""
     witness = getattr(result, "witness", None)
     if not isinstance(witness, Model):
         return None
     world = scenario.world
-    model = Model(
-        {**world.categorical, **witness.categorical},
-        {**world.numeric, **witness.numeric},
-    )
     try:
+        model = Model(
+            {**world.categorical, **witness.categorical},
+            {**world.numeric, **witness.numeric},
+        )
         validate_model(scenario.schema, model)
-    except MrError:
-        return None
-    if not all(isinstance(v, Rational) for v in model.numeric.values()):
+        if not all(isinstance(v, Rational) for v in witness.numeric.values()):
+            return None
+    except (MrError, TypeError, ValueError):
+        # A field that is no mapping, a key that is no pair, a value that
+        # cannot be hashed, or one outside the schema.
         return None
     return model if all(evaluate(model, f) for f in formulas) else None
 

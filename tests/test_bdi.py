@@ -451,6 +451,17 @@ def _bogus_witness(kind, schema, world, a, b):
             if evaluate(bogus, a):
                 model = bogus
         return model if model and "Bogus" in model.categorical.values() else None
+    if kind == "unhashable-value":
+        # The countermodel with its first categorical value put in a list.
+        model = entails(schema, a, b).witness
+        if model is None or not model.categorical:
+            return model
+        key, value = next(iter(model.categorical.items()))
+        return Model({**model.categorical, key: [value]}, model.numeric)
+    if kind == "fields-not-mappings":
+        # The countermodel with its fields as lists of (key, value) pairs.
+        model = entails(schema, a, b).witness
+        return model and Model(list(model.categorical.items()), list(model.numeric.items()))
     assert kind == "nan-number"
     # NaN compares false with every constant, so it satisfies !(x < c) &
     # !(x >= c), which no number does.
@@ -465,6 +476,8 @@ def _bogus_witness(kind, schema, world, a, b):
         "falsifies-left",
         "falsifies-premise",
         "value-outside-domain",
+        "unhashable-value",
+        "fields-not-mappings",
         "nan-number",
     ],
 )
@@ -480,6 +493,31 @@ def test_scan_uses_no_witness_it_cannot_confirm(witness):
 
         findings = scan_misleading(scenario, candidates, entails_fn=fn)
         assert findings == _brute_force_scan(scenario, candidates), name
+
+
+def test_a_float_in_the_world_does_not_stop_countermodel_reuse():
+    # A world built through the API may hold a float such as 5.0.  It is the
+    # world's own value, so a countermodel completed with it is still used,
+    # and the scan asks the same questions as with the world's Fractions.
+    floats = 0
+    for name, scenario, candidates in _scan_cases():
+        candidates = candidates or default_candidates(scenario)
+        world = scenario.world
+        floated = dataclasses.replace(
+            scenario,
+            world=Model(world.categorical, {key: float(v) for key, v in world.numeric.items()}),
+        )
+        if not world.numeric:
+            continue
+        floats += 1
+        asked = []
+        for s in (scenario, floated):
+            counted, calls = _counting(partial(entails, s.schema))
+            findings = scan_misleading(s, candidates, entails_fn=counted)
+            asked.append(calls)
+        assert asked[1] == asked[0], name
+        assert findings == _brute_force_scan(scenario, candidates), name
+    assert floats > 50
 
 
 def test_lying_speaker_scan_reuses_countermodels_unlike_the_world():
