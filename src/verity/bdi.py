@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 from .entail import ResourceLimit, entails
 from .mr import (
     _CMP_SYMBOLS,
+    _NAME,
     _NUMBER,
     FALSE,
     CatAtom,
@@ -284,7 +285,7 @@ def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optiona
 # ---------------------------------------------------------------------------
 # Scenario files
 
-_WORLD_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)\Z")
+_WORLD_KEY_RE = re.compile(rf"({_NAME})\(({_NAME})\)\Z")
 _NUMERAL_RE = re.compile(_NUMBER + r"\Z")
 
 

@@ -6,28 +6,29 @@ c1 - 1, every ci, every midpoint (ci + c(i+1)) / 2, and ck + 1: threshold
 atoms are constant on the regions those points represent, so the finite
 check decides the full rational semantics.
 
-The search (Davis, Logemann & Loveland 1962, over keys instead of boolean
-variables) assigns the keys one at a time, categorical keys sorted and
-then numeric keys sorted, each trying its values in domain or sample
-order.  At every node the formulas get a three-valued (Kleene) value
-under the partial assignment: false prunes the node's subtree, true ends
-the search, and unknown branches on the next key.  A satisfying node is
-completed with every remaining key's first value, so the witness is the
-first model in product order, as a full enumeration would find it, while
-the cost follows how soon the formulas are decided rather than the size
-of the product.  A configurable budget of search nodes guards against
-formulas that stay undecided deep into the search.
+Every question is a search (Davis, Logemann & Loveland 1962, over keys
+instead of boolean variables) for cells of one pair a, b: a & b, a & !b,
+!a & b, !a & !b.  It assigns the joint keys one at a time, categorical
+then numeric, each sorted, trying values in domain or sample order.  The
+formulas' three-valued (Kleene) values under the partial assignment bound
+the cells a node can reach: a node where both are decided marks its cell,
+one that can reach no cell still sought is pruned, any other branches.
+The node where the search stops is completed with every remaining key's
+first value, so a one-cell witness is that cell's first model in product
+order, while the cost follows how soon the formulas are decided rather
+than the size of the product.  A budget of search nodes bounds the cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .mr import (
     _CMP_FUNCS,
+    FALSE,
+    TRUE,
     And,
     CatAtom,
     FalseConst,
@@ -190,28 +191,34 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
 
 # ---------------------------------------------------------------------------
 # Search
+#
+# A pair of formulas a, b splits the models into four cells, named by bit
+# masks: a & b, a & !b, !a & b and !a & !b are bits 0 to 3.  For each
+# value of a and of b, the cells a node can still reach:
+_A_CELLS = {True: 0b0011, False: 0b1100, None: 0b1111}
+_B_CELLS = {True: 0b0101, False: 0b1010, None: 0b1111}
+_A_NOT_B = 0b0010
 
 
 def _search(
-    schema: Schema,
-    formulas: Sequence[Formula],
-    limit: int,
-    step: Callable[[list[Truth]], Truth],
-) -> Optional[Model]:
-    """Depth-first search over the keys of ``formulas``.
+    schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int
+) -> tuple[int, Optional[Model]]:
+    """Depth-first search over the joint keys of ``a`` and ``b`` for the
+    cells in the mask ``explore``.
 
-    ``step`` gets the formulas' Kleene values at each node and answers
-    True to stop (the node's first completion is returned), False to skip
-    the node's subtree, or None to branch on the next key.  Before each
-    further sibling ``step`` is asked again about the parent, so a subtree
-    can be left as soon as it holds nothing more to find.  Returns None
-    when the search ends without stopping; raises ResourceLimit on the
-    node after the ``limit``-th.
+    A node where both formulas are decided marks its cell; a node whose
+    reachable cells in ``explore`` are all marked is pruned, and so is the
+    rest of a parent's subtree, checked before each further sibling.  The
+    search stops once every cell of ``stop`` (a subset of ``explore``) is
+    marked.  Returns the marked cells and the first completion of the node
+    where it stopped, or None when it ran to the end; raises ResourceLimit
+    on the node after the ``limit``-th.
     """
-    cat_keys, num_keys, values, program, roots = _compile(schema, formulas)
+    cat_keys, num_keys, values, program, (root_a, root_b) = _compile(schema, (a, b))
     sizes = [len(v) for v in values]
-    a = sizes[:]  # every key unassigned
-    path: list[list[Truth]] = []  # the values at each node being branched
+    at = sizes[:]  # each key's value index; every key unassigned
+    path: list[int] = []  # the cells each node being branched can still reach
+    seen = 0
     nodes = 0
     while True:
         nodes += 1
@@ -220,7 +227,7 @@ def _search(
         known: list[Truth] = []  # each program node's value, in program order
         for decisive, value, atoms, children in program:
             for i, table in atoms:
-                t = table[a[i]]
+                t = table[at[i]]
                 if t is decisive:
                     value = decisive
                     break
@@ -235,43 +242,40 @@ def _search(
                     if t is None:
                         value = None
             known.append(value)
-        truths = [known[r] for r in roots]
-        go = step(truths)
-        if go:
-            choice = [v[i] if i < n else v[0] for v, i, n in zip(values, a, sizes)]
-            n_cat = len(cat_keys)
-            return Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
-        if go is None:
-            a[len(path)] = 0
-            path.append(truths)
-            continue
+        ta, tb = known[root_a], known[root_b]
+        reach = _A_CELLS[ta] & _B_CELLS[tb] & explore & ~seen
+        if reach:
+            if ta is None or tb is None:
+                at[len(path)] = 0
+                path.append(reach)
+                continue
+            seen |= reach
+            if stop and seen & stop == stop:
+                choice = [v[i] if i < n else v[0] for v, i, n in zip(values, at, sizes)]
+                n_cat = len(cat_keys)
+                return seen, Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
         # Next sibling, or back up a level once the key's values run out or
         # the parent's subtree holds nothing more; a key backed out of is
         # unassigned again.
         while path:
             k = len(path) - 1
-            a[k] += 1
-            if a[k] < sizes[k] and step(path[-1]) is None:
+            at[k] += 1
+            if at[k] < sizes[k] and path[-1] & ~seen:
                 break
-            a[k] = sizes[k]
+            at[k] = sizes[k]
             path.pop()
         else:
-            return None
+            return seen, None
 
 
 def satisfiable(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> EntailmentResult:
-    """Decide whether some model over ``f``'s keys satisfies ``f``; the
-    witness is the first such model in sorted-key product order."""
-    model = _search(schema, (f,), limit, itemgetter(0))
+    """Decide whether some model over ``f``'s keys satisfies ``f`` (the
+    cell ``f & !false``); the witness is the first such model in
+    sorted-key product order."""
+    _, model = _search(schema, f, FALSE, limit, _A_NOT_B, _A_NOT_B)
     return EntailmentResult(model is not None, model)
-
-
-# The cells a node can still reach, as bit masks over the cells a & b,
-# a & !b, !a & b, !a & !b (bits 0 to 3), for each value of a and of b.
-_A_CELLS = {True: 0b0011, False: 0b1100, None: 0b1111}
-_B_CELLS = {True: 0b0101, False: 0b1010, None: 0b1111}
 
 
 def pair_cells(
@@ -279,39 +283,28 @@ def pair_cells(
 ) -> tuple[bool, bool, bool, bool]:
     """Which of ``a & b``, ``a & !b``, ``!a & b`` and ``!a & !b`` have a model.
 
-    One search over the joint keys.  A node where both formulas are
-    decided marks its cell; a subtree whose reachable cells are all marked
-    is skipped.  The search stops once the first three are marked, so a
-    False fourth cell proves nothing unless one of those is False.
+    One search of all four cells, stopped once the first three are
+    marked, so a False fourth cell proves nothing unless one of those is
+    False.
     """
-    seen = 0
-
-    def step(truths: list[Truth]) -> Truth:
-        nonlocal seen
-        ta, tb = truths
-        reach = _A_CELLS[ta] & _B_CELLS[tb]
-        if ta is not None and tb is not None:
-            seen |= reach
-            return seen & 0b0111 == 0b0111
-        return None if reach & ~seen else False
-
-    _search(schema, (a, b), limit, step)
+    seen, _ = _search(schema, a, b, limit, 0b1111, 0b0111)
     return tuple(bool(seen >> cell & 1) for cell in range(4))
 
 
 def entails(
     schema: Schema, a: Formula, b: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> EntailmentResult:
-    """Decide ``a |= b``; on failure the witness is a countermodel."""
-    counter = satisfiable(schema, And(a, Not(b)), limit=limit)
-    return EntailmentResult(not counter.holds, counter.witness)
+    """Decide ``a |= b`` by a search of the pair's cell ``a & !b``; on
+    failure the witness is a countermodel, that cell's first model."""
+    _, counter = _search(schema, a, b, limit, _A_NOT_B, _A_NOT_B)
+    return EntailmentResult(counter is None, counter)
 
 
 def is_tautology(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> bool:
-    """True iff ``f`` holds in every model."""
-    return not satisfiable(schema, Not(f), limit=limit).holds
+    """True iff ``f`` holds in every model: the cell ``true & !f`` is empty."""
+    return _search(schema, TRUE, f, limit, _A_NOT_B, _A_NOT_B)[1] is None
 
 
 def is_contradiction(

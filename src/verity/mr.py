@@ -137,12 +137,17 @@ class Schema:
         for attr, values in self.categorical.items():
             if not values:
                 raise ValueError(f"attribute {attr!r} has an empty domain")
+            for value in values:
+                if not _is_name(value):
+                    raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
             positions = self._positions[attr] = {v: i for i, v in enumerate(values)}
             if len(positions) != len(values):
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
             if attr in self.numeric:
                 raise ValueError(f"attribute {attr!r} is both categorical and numeric")
         for attr in (*self.categorical, *self.numeric):
+            if not _is_name(attr):
+                raise ValueError(f"attribute name {attr!r} is not a name")
             if attr in _CONSTANTS:
                 raise ValueError(f"attribute name {attr!r} is reserved")
 
@@ -157,6 +162,12 @@ class Schema:
             return self.categorical[attr]
         except KeyError:
             raise UnknownAttribute(f"unknown attribute {attr!r}") from None
+
+
+def _is_name(text: object) -> bool:
+    """Whether formula and schema text can spell ``text`` as an attribute
+    name or a categorical value."""
+    return isinstance(text, str) and _NAME_RE.fullmatch(text) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +558,7 @@ def format_model(model: Model) -> str:
 # Lexing
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 _NUMBER = r"-?\d+(?:\.\d+|/\d+)?"
 _GAP = r"[ \t\r\n]*"
 

@@ -855,6 +855,10 @@ def test_load_scenario_reads_world_numerals(tmp_path, value, expected):
             "must be a number", id="exponent-string",
         ),
         pytest.param(
+            dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "1/0"}),
+            r"world value for Temperature\(d\): Fraction\(1, 0\)", id="zero-denominator",
+        ),
+        pytest.param(
             dict(GOOD_DOC, norms=[True]), "field 'norms' must be a list of strings", id="norms-bool"
         ),
         pytest.param(

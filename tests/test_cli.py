@@ -91,6 +91,14 @@ def test_classify_legacy(capsys):
     assert out == "3b-conflicting\ndusek: hallucination+omission\nji: intrinsic\n"
 
 
+def test_classify_legacy_hallucination_only(capsys):
+    code, out, _ = run(
+        capsys, "classify", "--legacy", "-s", RESTAURANT, "Food(x)=Italian", "Food(x)=Italian & Price(x)=Low"
+    )
+    assert code == 0
+    assert out == "2a-too-strong\ndusek: hallucination\nji: extrinsic\n"
+
+
 def test_classify_verbose(capsys):
     code, out, _ = run(
         capsys,

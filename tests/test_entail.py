@@ -289,31 +289,14 @@ def _product_models(schema, formulas):
         yield _model(cat_keys, num_keys, choice)
 
 
-def _visits(schema, formulas, rnd):
-    """Run the search with a step that branches at random while a formula
-    is unknown, and return every node it visits as (the value index of
-    each assigned key, the formulas' values there).
+def _cell(m, a, b):
+    """The cell of the pair a, b that ``m`` lies in: bit 0 to 3 for a & b,
+    a & !b, !a & b, !a & !b."""
+    return 2 * (not evaluate(m, a)) + (not evaluate(m, b))
 
-    The step is asked about each visited node with a new list, and again
-    before each further sibling with the parent's list, so the list says
-    which key advanced."""
-    visits = []
-    branched = []  # [values, value index of the next key] per branched node
 
-    def step(truths):
-        if any(truths is node[0] for node in branched):
-            while branched[-1][0] is not truths:
-                branched.pop()
-            branched[-1][1] += 1
-        else:
-            visits.append((tuple(node[1] for node in branched), truths))
-            if None not in truths or rnd.random() < 0.3:
-                return False
-            branched.append([truths, 0])
-        return None
-
-    _search(schema, formulas, DEFAULT_ASSIGNMENT_LIMIT, step)
-    return visits
+# Every (explore, stop) pair of cell masks with stop a subset of explore.
+CELL_MASKS = [(explore, stop) for explore in range(16) for stop in range(16) if not stop & ~explore]
 
 
 class TestSearchMatchesProduct:
@@ -331,28 +314,33 @@ class TestSearchMatchesProduct:
         schema, (a, b) = case
         cells = [False] * 4
         for m in _product_models(schema, [a, b]):
-            cells[2 * (not evaluate(m, a)) + (not evaluate(m, b))] = True
+            cells[_cell(m, a, b)] = True
         got = pair_cells(schema, a, b)
         assert got[:3] == tuple(cells[:3])
         if not all(got[:3]):
             assert got[3] == cells[3]
 
-    @given(schema_and_formulas(count=2), st.randoms(use_true_random=False))
-    def test_known_values_hold_on_every_completion(self, case, rnd):
-        """A value the compiled formulas take under a partial assignment is
-        the value of every completion on the sample grid, and a full
-        assignment decides each formula with its value there."""
-        schema, formulas = case
-        cat_keys, num_keys, domains = _grid(schema, formulas)
-        for assigned, truths in _visits(schema, formulas, rnd):
-            head = [domains[k][i] for k, i in enumerate(assigned)]
-            if len(assigned) == len(domains):
-                assert None not in truths
-            for tail in itertools.product(*domains[len(assigned):]):
-                m = _model(cat_keys, num_keys, head + list(tail))
-                for f, t in zip(formulas, truths):
-                    if t is not None:
-                        assert evaluate(m, f) == t
+    @given(schema_and_formulas(count=2), st.sampled_from(CELL_MASKS))
+    def test_search_marks_the_cells_of_the_product(self, case, masks):
+        """The search marks only nonempty cells it was asked to explore,
+        all of them when it runs to the end; a model it stops at lies in a
+        marked cell of ``stop``, and is the first model of that cell in
+        product order when ``stop`` names one cell."""
+        schema, (a, b) = case
+        explore, stop = masks
+        cells, first = 0, {}
+        for m in _product_models(schema, [a, b]):
+            bit = 1 << _cell(m, a, b)
+            cells |= bit
+            first.setdefault(bit, m)
+        seen, model = _search(schema, a, b, DEFAULT_ASSIGNMENT_LIMIT, explore, stop)
+        assert not seen & ~(explore & cells)
+        if model is None:
+            assert seen == explore & cells
+        else:
+            assert seen & stop & 1 << _cell(model, a, b)
+        if stop in (1, 2, 4, 8):
+            assert model == first.get(stop)
 
 
 # ---------------------------------------------------------------------------

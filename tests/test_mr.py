@@ -132,6 +132,37 @@ def test_schema_constructor_invariants():
         SCHEMA.domain("Missing")
 
 
+@pytest.mark.parametrize(
+    "categorical, numeric, message",
+    [
+        ({"City": ("New York",)}, (), "attribute 'City' has value 'New York', which is not a name"),
+        ({"City": ("Oslo", "")}, (), "attribute 'City' has value '', which is not a name"),
+        ({"Food": (1,)}, (), "attribute 'Food' has value 1, which is not a name"),
+        ({"Ci ty": ("Oslo",)}, (), "attribute name 'Ci ty' is not a name"),
+        ({}, ("2nd",), "attribute name '2nd' is not a name"),
+    ],
+)
+def test_schema_rejects_names_the_grammar_cannot_read(categorical, numeric, message):
+    with pytest.raises(ValueError) as exc_info:
+        Schema(categorical, frozenset(numeric))
+    assert str(exc_info.value) == message
+
+
+NAMEISH = st.one_of(st.text(max_size=4), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True))
+
+
+@given(NAMEISH, NAMEISH)
+def test_every_schema_atom_prints_back_to_itself(attr, value):
+    """An atom over any schema the constructor accepts parses back from
+    its printed text."""
+    try:
+        schema = Schema({attr: (value,)}, frozenset())
+    except ValueError:
+        return
+    atom = CatAtom(attr, "x", value)
+    assert parse_formula(print_formula(atom), schema) == atom
+
+
 # ---------------------------------------------------------------------------
 # Formula parsing
 
