@@ -4,7 +4,12 @@ Categorical keys range over their declared domains.  For a numeric key
 whose atoms mention the constants c1 < ... < ck, it suffices to test
 c1 - 1, every ci, every midpoint (ci + c(i+1)) / 2, and ck + 1: threshold
 atoms are constant on the regions those points represent, so the finite
-check decides the full rational semantics.
+check decides the full rational semantics.  The search works on the
+points' indices: with c1 - 1 as point 0, constant ci is point 2i - 1, so a
+threshold atom's truth table is cut at its constant's rank, and the
+constants are ranked by integer keys over their common denominator.  No
+``Fraction`` is hashed, compared or computed with on the way to a verdict;
+the points themselves are made only for a witness.
 
 Every question is a search (Davis, Logemann & Loveland 1962, over keys
 instead of boolean variables) for cells of one pair a, b: a & b, a & !b,
@@ -21,12 +26,12 @@ than the size of the product.  A budget of search nodes bounds the cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .mr import (
-    _CMP_FUNCS,
     FALSE,
     TRUE,
     And,
@@ -89,6 +94,11 @@ def _samples(constants: list[Fraction]) -> list[Fraction]:
     return points
 
 
+# An ordering atom whose constant is sample s holds on the samples before
+# s + shift when ``below`` is set, else on that sample and those after it.
+_SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
+
+
 # ---------------------------------------------------------------------------
 # Compilation: negation normal form with n-ary connectives
 #
@@ -142,28 +152,46 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     program that gives their Kleene values under a partial assignment.
 
     An assignment is a list of value indices, one per key; the index
-    ``len(values[k])`` means key k is unassigned.  The program has one
-    tuple (decisive value, default value, (key index, truth table) pairs,
-    child positions) per node, every child before its parent.  A node has
-    its decisive value when an atom or child has it, else None when one is
-    unknown, else its default.  Each formula's position is returned too.
+    ``sizes[k]`` means key k is unassigned.  A categorical key's values
+    are its domain.  A numeric key's are its sample points (see
+    ``_samples``), which are never built here: the constant of rank r
+    (from 0) is sample 2r + 1, so an atom's table is cut there.  The
+    program has one tuple (decisive value, default value, (key index,
+    truth table) pairs, child positions) per node, every child before its
+    parent.  A node has its decisive value when an atom or child has it,
+    else None when one is unknown, else its default.  Returns the
+    categorical and numeric keys, each numeric key's constants in
+    ascending order, the keys' sizes, the program and each formula's
+    position in it.
     """
     nodes: list[list] = []
     roots = [_nnf(f, nodes) for f in formulas]
+    # Each distinct atom object is validated once, in order of occurrence;
+    # keyed by identity, since hashing a NumAtom hashes its Fraction.
+    atoms = {id(atom): atom for node in nodes for atom, _ in node[1]}
     cat_set: set[Key] = set()
-    constants: dict[Key, set[Fraction]] = {}
-    for node in nodes:
-        for atom, _ in node[1]:
-            validate_atom(schema, atom)
-            if type(atom) is NumAtom:
-                constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
-            else:
-                cat_set.add((atom.attr, atom.entity))
+    constants: dict[Key, dict[tuple[int, int], Fraction]] = {}
+    for atom in atoms.values():
+        validate_atom(schema, atom)
+        if type(atom) is NumAtom:
+            c = atom.constant
+            constants.setdefault((atom.attr, atom.entity), {})[c.numerator, c.denominator] = c
+        else:
+            cat_set.add((atom.attr, atom.entity))
     cat_keys = sorted(cat_set)
     num_keys = sorted(constants)
-    values = [schema.domain(attr) for attr, _ in cat_keys]
-    values += [_samples(sorted(constants[k])) for k in num_keys]
+    sizes = [len(schema.categorical[attr]) for attr, _ in cat_keys]
+    ordered = []  # each numeric key's constants, ascending
+    ranks = []  # each numeric key's (numerator, denominator) -> rank
+    for k in num_keys:
+        cs = constants[k]
+        common = math.lcm(*(d for _, d in cs))
+        pairs = sorted(cs, key=lambda nd: nd[0] * (common // nd[1]))
+        ordered.append([cs[nd] for nd in pairs])
+        ranks.append({nd: r for r, nd in enumerate(pairs)})
+        sizes.append(2 * len(pairs) + 1)
     index = {k: i for i, k in enumerate(cat_keys + num_keys)}
+    n_cat = len(cat_keys)
 
     # In reversed preorder, children come first: preorder p runs at last - p.
     last = len(nodes) - 1
@@ -173,20 +201,27 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         if dominated:
             program.append((decisive, decisive, (), ()))
             continue
-        atoms = []
+        tables = []
         for atom, neg in node_atoms:
             i = index[atom.attr, atom.entity]
-            vals = values[i]
+            n = sizes[i]
             if type(atom) is NumAtom:
-                cmp, c = _CMP_FUNCS[atom.cmp], atom.constant
-                table = [cmp(v, c) != neg for v in vals]
+                c = atom.constant
+                sample = 2 * ranks[i - n_cat][c.numerator, c.denominator] + 1
+                if atom.cmp == "=":
+                    table = [neg] * n
+                    table[sample] = not neg
+                else:
+                    shift, below = _SPLITS[atom.cmp]
+                    cut = sample + shift
+                    table = [below != neg] * cut + [below == neg] * (n - cut)
             else:
-                table = [neg] * len(vals)
+                table = [neg] * n
                 table[schema._positions[atom.attr][atom.value]] = not neg
             table.append(None)  # the key is unassigned
-            atoms.append((i, table))
-        program.append((decisive, is_and, tuple(atoms), tuple(last - c for c in children)))
-    return cat_keys, num_keys, values, program, [last - r for r in roots]
+            tables.append((i, table))
+        program.append((decisive, is_and, tuple(tables), tuple(last - c for c in children)))
+    return cat_keys, num_keys, ordered, sizes, program, [last - r for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +237,7 @@ _A_NOT_B = 0b0010
 
 def _search(
     schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int
-) -> tuple[int, Optional[Model]]:
+) -> tuple[int, Optional[tuple]]:
     """Depth-first search over the joint keys of ``a`` and ``b`` for the
     cells in the mask ``explore``.
 
@@ -210,12 +245,12 @@ def _search(
     reachable cells in ``explore`` are all marked is pruned, and so is the
     rest of a parent's subtree, checked before each further sibling.  The
     search stops once every cell of ``stop`` (a subset of ``explore``) is
-    marked.  Returns the marked cells and the first completion of the node
-    where it stopped, or None when it ran to the end; raises ResourceLimit
-    on the node after the ``limit``-th.
+    marked.  Returns the marked cells and, where it stopped, the keys, each
+    numeric key's constants and the value indices of the node's first
+    completion (see ``_witness``), or None when it ran to the end; raises
+    ResourceLimit on the node after the ``limit``-th.
     """
-    cat_keys, num_keys, values, program, (root_a, root_b) = _compile(schema, (a, b))
-    sizes = [len(v) for v in values]
+    cat_keys, num_keys, constants, sizes, program, (root_a, root_b) = _compile(schema, (a, b))
     at = sizes[:]  # each key's value index; every key unassigned
     path: list[int] = []  # the cells each node being branched can still reach
     seen = 0
@@ -251,9 +286,8 @@ def _search(
                 continue
             seen |= reach
             if stop and seen & stop == stop:
-                choice = [v[i] if i < n else v[0] for v, i, n in zip(values, at, sizes)]
-                n_cat = len(cat_keys)
-                return seen, Model(dict(zip(cat_keys, choice)), dict(zip(num_keys, choice[n_cat:])))
+                first = [i if i < n else 0 for i, n in zip(at, sizes)]
+                return seen, (cat_keys, num_keys, constants, first)
         # Next sibling, or back up a level once the key's values run out or
         # the parent's subtree holds nothing more; a key backed out of is
         # unassigned again.
@@ -268,13 +302,25 @@ def _search(
             return seen, None
 
 
+def _witness(schema: Schema, stopped: Optional[tuple]) -> Optional[Model]:
+    """The model at which ``_search`` stopped, or None when it ran to the
+    end.  Only here are a numeric key's sample points made."""
+    if stopped is None:
+        return None
+    cat_keys, num_keys, constants, at = stopped
+    return Model(
+        {k: schema.categorical[k[0]][i] for k, i in zip(cat_keys, at)},
+        {k: _samples(cs)[i] for k, cs, i in zip(num_keys, constants, at[len(cat_keys):])},
+    )
+
+
 def satisfiable(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> EntailmentResult:
     """Decide whether some model over ``f``'s keys satisfies ``f`` (the
     cell ``f & !false``); the witness is the first such model in
     sorted-key product order."""
-    _, model = _search(schema, f, FALSE, limit, _A_NOT_B, _A_NOT_B)
+    model = _witness(schema, _search(schema, f, FALSE, limit, _A_NOT_B, _A_NOT_B)[1])
     return EntailmentResult(model is not None, model)
 
 
@@ -296,7 +342,7 @@ def entails(
 ) -> EntailmentResult:
     """Decide ``a |= b`` by a search of the pair's cell ``a & !b``; on
     failure the witness is a countermodel, that cell's first model."""
-    _, counter = _search(schema, a, b, limit, _A_NOT_B, _A_NOT_B)
+    counter = _witness(schema, _search(schema, a, b, limit, _A_NOT_B, _A_NOT_B)[1])
     return EntailmentResult(counter is None, counter)
 
 

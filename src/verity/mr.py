@@ -99,6 +99,10 @@ class CategoricalComparisonOnNumeric(SourceError):
     """A numeric attribute is equated with a value name."""
 
 
+class InvalidEntity(SourceError):
+    """An atom's entity is not a name the formula grammar reads."""
+
+
 class MissingKey(MrError):
     """A model assigns nothing to a key the formula mentions."""
 
@@ -137,9 +141,10 @@ class Schema:
         for attr, values in self.categorical.items():
             if not values:
                 raise ValueError(f"attribute {attr!r} has an empty domain")
-            for value in values:
-                if not _is_name(value):
-                    raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
+            if not _all_names(values):
+                for value in values:
+                    if not _is_name(value):
+                        raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
             positions = self._positions[attr] = {v: i for i, v in enumerate(values)}
             if len(positions) != len(values):
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
@@ -168,6 +173,17 @@ def _is_name(text: object) -> bool:
     """Whether formula and schema text can spell ``text`` as an attribute
     name or a categorical value."""
     return isinstance(text, str) and _NAME_RE.fullmatch(text) is not None
+
+
+def _all_names(texts: tuple) -> bool:
+    """Whether ``_is_name`` holds for each of ``texts`` (at least one), by
+    one match over them joined with newlines.  A name holds no newline, so
+    a text that does adds one too many."""
+    try:
+        joined = "\n".join(texts)
+    except TypeError:  # not every text is a string
+        return False
+    return joined.count("\n") == len(texts) - 1 and _NAMES_RE.fullmatch(joined) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +358,13 @@ def validate_formula(schema: Schema, formula: Formula) -> None:
 
 
 def validate_atom(schema: Schema, atom: CatAtom | NumAtom) -> None:
-    """Raise if ``atom`` is inconsistent with ``schema``."""
+    """Raise if ``atom`` is inconsistent with ``schema``, or if its entity
+    is not a name, which printed text could not spell."""
     positions = schema._positions.get(atom.attr)  # None unless categorical
     if positions is None and atom.attr not in schema.numeric:
         raise UnknownAttribute(f"unknown attribute {atom.attr!r}")
+    if not _is_name(atom.entity):
+        raise InvalidEntity(f"entity {atom.entity!r} is not a name")
     if isinstance(atom, CatAtom):
         if positions is None:
             raise CategoricalComparisonOnNumeric(
@@ -559,6 +578,7 @@ def format_model(model: Model) -> str:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
+_NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 _NUMBER = r"-?\d+(?:\.\d+|/\d+)?"
 _GAP = r"[ \t\r\n]*"
 

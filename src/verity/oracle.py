@@ -4,10 +4,13 @@ Everything here re-derives its answer from first principles.  Models range
 over every value of each categorical key and, for each numeric key, over a
 fixed rational grid (halves from -1 to 6) refined with every constant a
 formula mentions, the constants' midpoints, and one point beyond each
-extreme.  Each formula is compiled into its truth table over that product:
-a Python int with one bit per model, built from its atoms' tables with
-bitwise operations.  The oracle has its own grid, its own comparisons and
-its own evaluator, which runs each formula's ``_preorder`` list backwards.
+extreme.  Each key's grid and constants are scaled by 2 * lcm(2, the
+constants' denominators), which makes every point an integer, so atoms
+compare integers, not Fractions.  Each formula is compiled into its truth
+table over that product: a Python int with one bit per model, built from
+its atoms' tables with bitwise operations.  The oracle has its own grid,
+its own comparisons and its own evaluator, which runs each formula's
+``_preorder`` list backwards.
 It shares only the parser, the formula classes with their ``_preorder``
 walk, and ``validate_atom`` with the engine, which decides through
 ``entail``'s own walk, so agreement between the two is informative.  Its
@@ -26,8 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails
 from .mr import (
@@ -49,7 +51,8 @@ from .mr import (
 )
 from .taxonomy import PairFacts, Verdict, classify, decide
 
-_BASE_GRID = tuple(Fraction(n, 2) for n in range(-2, 13))
+# The base grid, -1, -1/2, ..., 6, counted in halves.
+_BASE_HALVES = range(-2, 13)
 
 _COMPARE = {
     "<": operator.lt,
@@ -73,33 +76,45 @@ class OracleDivergence(MrError):
     """The engine and the reference disagree; one of them is wrong."""
 
 
-def _grid(constants: set[Fraction]) -> tuple[Fraction, ...]:
-    points = set(_BASE_GRID)
-    points.update(constants)
-    ordered = sorted(constants)
-    for lo, hi in zip(ordered, ordered[1:]):
-        points.add((lo + hi) / 2)
+def _grid(constants: Collection[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """The grid for a numeric key whose atoms mention the constants given
+    as (numerator, denominator) pairs, scaled to integers.
+
+    Returns the scale, 2 * lcm(2, denominators), and the grid points times
+    the scale, ascending: the halves from -1 to 6, the constants, their
+    midpoints, and one point below the least and above the greatest.  Every
+    scaled constant is even, so its midpoints are integers too."""
+    scale = 2 * math.lcm(2, *(q for _, q in constants))
+    half = scale // 2
+    ordered = sorted({p * (scale // q) for p, q in constants})
+    points = {n * half for n in _BASE_HALVES}
+    points.update(ordered)
+    points.update((lo + hi) // 2 for lo, hi in zip(ordered, ordered[1:]))
     if ordered:
-        points.add(ordered[0] - 1)
-        points.add(ordered[-1] + 1)
-    return tuple(sorted(points))
+        points.add(ordered[0] - scale)
+        points.add(ordered[-1] + scale)
+    return scale, tuple(sorted(points))
 
 
 def _code(
-    schema: Schema, formula: Formula, slots: dict[CatAtom | NumAtom, int]
+    schema: Schema, formula: Formula, slots: dict[int, int], atoms: list[CatAtom | NumAtom]
 ) -> list[int]:
     """``formula``'s ``_preorder`` list as code, reversed, so that every
     connective follows its operands and has its first operand on top of
     the stack.  Each atom is validated the first time it is met, left to
-    right, and gets the next free number in ``slots``."""
+    right, and gets the next free number: its position in ``atoms``.
+    ``slots`` maps each atom object's ``id`` to that number; hashing a
+    NumAtom would hash its Fraction."""
     code: list[int] = []
     for f in _preorder(formula):
         kind = type(f)
         if kind is CatAtom or kind is NumAtom:
-            if f not in slots:
+            slot = slots.get(id(f))
+            if slot is None:
                 validate_atom(schema, f)
-                slots[f] = len(slots)
-            code.append(slots[f])
+                slot = slots[id(f)] = len(atoms)
+                atoms.append(f)
+            code.append(slot)
         elif kind is TrueConst:
             code.append(_TRUE)
         elif kind is FalseConst:
@@ -146,17 +161,20 @@ def _truth_tables(
     _BLOCK_MODELS make up a table; the keys before them are enumerated, and
     on each block an atom over one of them is ``full`` or 0.
     """
-    slots: dict[CatAtom | NumAtom, int] = {}
-    codes = [_code(schema, f, slots) for f in formulas]
+    slots: dict[int, int] = {}
+    atoms: list[CatAtom | NumAtom] = []
+    codes = [_code(schema, f, slots, atoms) for f in formulas]
     cat_keys: set[Key] = set()
-    constants: dict[Key, set[Fraction]] = {}
-    for atom in slots:
+    constants: dict[Key, set[tuple[int, int]]] = {}
+    for atom in atoms:
         if type(atom) is NumAtom:
-            constants.setdefault((atom.attr, atom.entity), set()).add(atom.constant)
+            c = atom.constant
+            constants.setdefault((atom.attr, atom.entity), set()).add((c.numerator, c.denominator))
         else:
             cat_keys.add((atom.attr, atom.entity))
     cat, num = sorted(cat_keys), sorted(constants)
-    values = [schema.domain(attr) for attr, _ in cat] + [_grid(constants[k]) for k in num]
+    grids = [_grid(constants[k]) for k in num]
+    values = [schema.domain(attr) for attr, _ in cat] + [points for _, points in grids]
     index = {k: i for i, k in enumerate(cat + num)}
     sizes = [len(v) for v in values]
 
@@ -166,13 +184,15 @@ def _truth_tables(
         span *= sizes[split]
     full = (1 << span) - 1
 
-    tables = [0] * len(slots)
+    tables = [0] * len(atoms)
     leading = []  # (slot, key index, truth per value) of atoms over enumerated keys
-    for slot, atom in enumerate(slots):
+    for slot, atom in enumerate(atoms):
         i = index[atom.attr, atom.entity]
         if type(atom) is NumAtom:
-            compare, c = _COMPARE[atom.cmp], atom.constant
-            truth = [compare(v, c) for v in values[i]]
+            scale, c = grids[i - len(cat)][0], atom.constant
+            scaled = c.numerator * (scale // c.denominator)
+            compare = _COMPARE[atom.cmp]
+            truth = [compare(v, scaled) for v in values[i]]
         else:
             truth = [v == atom.value for v in values[i]]
         if i < split:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -40,7 +41,8 @@ from verity import (
     parse_schema,
     satisfiable,
 )
-from verity.entail import _samples, _search, pair_cells
+from verity import entail
+from verity.entail import _compile, _samples, _search, _witness, pair_cells
 from verity.taxonomy import decide
 
 RESTAURANT = parse_schema(
@@ -333,7 +335,8 @@ class TestSearchMatchesProduct:
             bit = 1 << _cell(m, a, b)
             cells |= bit
             first.setdefault(bit, m)
-        seen, model = _search(schema, a, b, DEFAULT_ASSIGNMENT_LIMIT, explore, stop)
+        seen, stopped = _search(schema, a, b, DEFAULT_ASSIGNMENT_LIMIT, explore, stop)
+        model = _witness(schema, stopped)
         assert not seen & ~(explore & cells)
         if model is None:
             assert seen == explore & cells
@@ -341,6 +344,96 @@ class TestSearchMatchesProduct:
             assert seen & stop & 1 << _cell(model, a, b)
         if stop in (1, 2, 4, 8):
             assert model == first.get(stop)
+
+
+# ---------------------------------------------------------------------------
+# Numeric keys are decided on constant ranks; sample points are made only
+# for a witness
+
+COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+# Mixed denominators, negatives, and numerators past 2**53, where a float
+# would round.
+CONSTANTS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(10**20), Fraction(10**20 + 1), Fraction(-1, 3)]
+        ),
+        st.builds(Fraction, st.integers(-(10**21), 10**21), st.integers(1, 10**6)),
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(CONSTANTS, st.lists(st.tuples(st.sampled_from(sorted(COMPARE)), st.booleans()), min_size=8, max_size=8))
+def test_numeric_tables_are_comparisons_on_the_sample_points(constants, literals):
+    """Each atom's table, cut at its constant's rank, holds the truth of
+    the atom (or of its negation) at every sample point, then None for
+    the unassigned key."""
+    atoms = [NumAtom("Temperature", "d", op, c) for c, (op, _) in zip(constants, literals)]
+    f = None
+    for atom, (_, neg) in zip(atoms, literals):
+        literal = Not(atom) if neg else atom
+        f = literal if f is None else And(f, literal)
+    _, num_keys, ordered, sizes, program, _ = _compile(TEMPERATURE, (f,))
+    points = _samples(sorted(set(constants)))
+    assert (num_keys, ordered, sizes) == ([("Temperature", "d")], [sorted(set(constants))], [len(points)])
+    ((_, _, tables, _),) = program  # one & node holding every literal
+    assert len(tables) == len(atoms)
+    for atom, (_, neg), (key, table) in zip(atoms, literals, tables):
+        assert key == 0
+        assert table == [COMPARE[atom.cmp](p, atom.constant) != neg for p in points] + [None]
+
+
+def test_classify_and_pair_cells_make_no_sample_points(monkeypatch):
+    """A question that returns no witness never turns value indices into
+    sample points, so it does no Fraction arithmetic."""
+
+    def refuse(constants):
+        raise AssertionError("sample points made")
+
+    monkeypatch.setattr(entail, "_samples", refuse)
+    rng = random.Random(18)
+    numeric = 0
+    for _ in range(300):
+        schema = random_schema(rng)
+        a, b = random_formula(rng, schema), random_formula(rng, schema)
+        numeric += any(type(atom) is NumAtom for atom in iter_atoms(And(a, b)))
+        pair_cells(schema, a, b)
+        decide(schema, a, b)
+        assert classify(schema, a, b) is oracle_classify(schema, a, b)
+        is_tautology(schema, a)
+    assert numeric > 100
+
+
+@pytest.mark.parametrize(
+    "ask, text, expected",
+    [
+        (satisfiable, ("Temperature(d) > 1/3 & Temperature(d) < 2/5",), Fraction(11, 30)),
+        (satisfiable, ("Temperature(d) >= 100000000000000000001 & Temperature(d) < 100000000000000000001",), None),
+        (
+            entails,
+            ("Temperature(d) > -1/3", "Temperature(d) > 100000000000000000001/10"),
+            Fraction(299999999999999999993, 60),
+        ),
+        (entails, ("Temperature(d) = 7/3", "Temperature(d) > 2 & Temperature(d) < 12/5"), None),
+        (
+            entails,
+            ("Temperature(d) < -5/2", "Temperature(d) <= -5/2 & Temperature(d) > -100000000000000000001"),
+            Fraction(-100000000000000000002),
+        ),
+    ],
+)
+def test_numeric_witnesses_are_exact_sample_points(ask, text, expected):
+    """Witnesses and countermodels are the same exact rationals as when
+    the search compared Fractions."""
+    result = ask(TEMPERATURE, *(_f(t, TEMPERATURE) for t in text))
+    if expected is None:
+        assert result.witness is None
+    else:
+        assert result.witness.numeric == {("Temperature", "d"): expected}
 
 
 # ---------------------------------------------------------------------------

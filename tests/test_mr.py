@@ -18,6 +18,7 @@ from verity import (
     DuplicateValue,
     FALSE,
     Implies,
+    InvalidEntity,
     MissingKey,
     Model,
     Not,
@@ -30,6 +31,7 @@ from verity import (
     TRUE,
     UnknownAttribute,
     ValueNotInDomain,
+    classify,
     evaluate,
     format_model,
     fraction_str,
@@ -43,6 +45,7 @@ from verity import (
     validate_model,
 )
 from verity import mr
+from verity.mr import validate_atom
 from randgen import random_ast
 
 SCHEMA = Schema(
@@ -138,6 +141,9 @@ def test_schema_constructor_invariants():
         ({"City": ("New York",)}, (), "attribute 'City' has value 'New York', which is not a name"),
         ({"City": ("Oslo", "")}, (), "attribute 'City' has value '', which is not a name"),
         ({"Food": (1,)}, (), "attribute 'Food' has value 1, which is not a name"),
+        ({"City": ("Oslo", "New\nYork")}, (), "attribute 'City' has value 'New\\nYork', which is not a name"),
+        ({"City": ("Oslo", "Bergen\n")}, (), "attribute 'City' has value 'Bergen\\n', which is not a name"),
+        ({"Food": ("Italian", b"Sushi")}, (), "attribute 'Food' has value b'Sushi', which is not a name"),
         ({"Ci ty": ("Oslo",)}, (), "attribute name 'Ci ty' is not a name"),
         ({}, ("2nd",), "attribute name '2nd' is not a name"),
     ],
@@ -576,6 +582,27 @@ def test_validate_formula_checks_atoms():
         validate_formula(SCHEMA, CatAtom("Temp", "x", "Italian"))
     with pytest.raises(UnknownAttribute):
         validate_formula(SCHEMA, NumAtom("Pressure", "x", "<", 2))
+
+
+@pytest.mark.parametrize("entity", ["new york", "", "2nd", "x\ny", 7])
+@pytest.mark.parametrize("make", [lambda e: CatAtom("Food", e, "Italian"), lambda e: NumAtom("Temp", e, "<", 2)])
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda atom: validate_atom(SCHEMA, atom),
+        lambda atom: satisfiable(SCHEMA, atom),
+        lambda atom: classify(SCHEMA, CatAtom("Food", "x", "Italian"), atom),
+        lambda atom: oracle_classify(SCHEMA, atom, CatAtom("Food", "x", "Italian")),
+    ],
+    ids=["validate_atom", "satisfiable", "classify", "oracle_classify"],
+)
+def test_an_entity_that_is_no_name_is_refused(make, entity, ask):
+    """An atom whose entity printed text could not spell is refused where
+    atoms are validated, with a SourceError like every other bad atom;
+    before, it was decided and printed as text that does not parse."""
+    with pytest.raises(InvalidEntity, match="^entity .* is not a name$"):
+        ask(make(entity))
+    assert issubclass(InvalidEntity, SourceError)
 
 
 def test_validate_model_checks_assignments():

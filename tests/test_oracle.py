@@ -35,6 +35,42 @@ from verity.cli import main
 # The reference: every model of the product, evaluated one at a time
 
 
+def _grid(constants):
+    """A numeric key's grid in Fractions: the halves from -1 to 6, the
+    constants, their midpoints, and one point beyond each extreme."""
+    points = {Fraction(n, 2) for n in range(-2, 13)}
+    points.update(constants)
+    ordered = sorted(constants)
+    for lo, hi in zip(ordered, ordered[1:]):
+        points.add((lo + hi) / 2)
+    if ordered:
+        points.add(ordered[0] - 1)
+        points.add(ordered[-1] + 1)
+    return sorted(points)
+
+
+# Mixed denominators, negatives, and numerators past 2**53.
+CONSTANTS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(10**20), Fraction(10**20 + 1), Fraction(-1, 3)]
+        ),
+        st.builds(Fraction, st.integers(-(10**21), 10**21), st.integers(1, 10**6)),
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    ),
+    max_size=8,
+)
+
+
+@given(CONSTANTS)
+def test_scaled_grid_is_the_fraction_grid(constants):
+    """The oracle's integer grid, divided by its scale, is the Fraction
+    grid point for point."""
+    scale, points = oracle._grid({(c.numerator, c.denominator) for c in constants})
+    assert all(type(p) is int for p in points)
+    assert [Fraction(p, scale) for p in points] == _grid(set(constants))
+
+
 def _product(schema, formulas):
     cat_set, constants = set(), {}
     for f in formulas:
@@ -45,7 +81,7 @@ def _product(schema, formulas):
                 cat_set.add((atom.attr, atom.entity))
     cat, num = sorted(cat_set), sorted(constants)
     domains = [schema.domain(attr) for attr, _ in cat]
-    domains += [oracle._grid(constants[k]) for k in num]
+    domains += [_grid(constants[k]) for k in num]
     for choice in itertools.product(*domains):
         yield Model(dict(zip(cat, choice)), dict(zip(num, choice[len(cat):])))
 
