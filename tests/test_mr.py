@@ -141,11 +141,11 @@ def test_schema_constructor_invariants():
         ({"City": ("New York",)}, (), "attribute 'City' has value 'New York', which is not a name"),
         ({"City": ("Oslo", "")}, (), "attribute 'City' has value '', which is not a name"),
         ({"Food": (1,)}, (), "attribute 'Food' has value 1, which is not a name"),
+        ({"Ci ty": ("Oslo",)}, (), "attribute name 'Ci ty' is not a name"),
+        ({}, ("2nd",), "attribute name '2nd' is not a name"),
         ({"City": ("Oslo", "New\nYork")}, (), "attribute 'City' has value 'New\\nYork', which is not a name"),
         ({"City": ("Oslo", "Bergen\n")}, (), "attribute 'City' has value 'Bergen\\n', which is not a name"),
         ({"Food": ("Italian", b"Sushi")}, (), "attribute 'Food' has value b'Sushi', which is not a name"),
-        ({"Ci ty": ("Oslo",)}, (), "attribute name 'Ci ty' is not a name"),
-        ({}, ("2nd",), "attribute name '2nd' is not a name"),
     ],
 )
 def test_schema_rejects_names_the_grammar_cannot_read(categorical, numeric, message):
