@@ -28,8 +28,12 @@ by token, which finds its error.
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
 hashing, ``repr``, ``print_formula``, ``iter_atoms`` and the oracle's
 compiler all read that list, so no formula is too deep for them.  Two walks
-keep their own stacks: ``evaluate``, because it short-circuits, and
-``entail._nnf``, on the decision path.
+keep their own stacks, because reading ``_preorder`` was measured to be
+slower.  ``evaluate`` short-circuits; read from ``_preorder`` backwards it
+gave the same results on 20,000 random cases, but bdi scans, which call it
+about 300 times each, ran 29% slower (4-14% with a fast path for atoms).
+``entail._nnf``, on the decision path, saved no lines on ``_preorder``,
+ran 1.5 times slower and made random-mix ``classify`` 4-7% slower.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.
@@ -141,10 +145,9 @@ class Schema:
         for attr, values in self.categorical.items():
             if not values:
                 raise ValueError(f"attribute {attr!r} has an empty domain")
-            if not _all_names(values):
-                for value in values:
-                    if not _is_name(value):
-                        raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
+            for value in values:
+                if not _is_name(value):
+                    raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
             positions = self._positions[attr] = {v: i for i, v in enumerate(values)}
             if len(positions) != len(values):
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
@@ -173,17 +176,6 @@ def _is_name(text: object) -> bool:
     """Whether formula and schema text can spell ``text`` as an attribute
     name or a categorical value."""
     return isinstance(text, str) and _NAME_RE.fullmatch(text) is not None
-
-
-def _all_names(texts: tuple) -> bool:
-    """Whether ``_is_name`` holds for each of ``texts`` (at least one), by
-    one match over them joined with newlines.  A name holds no newline, so
-    a text that does adds one too many."""
-    try:
-        joined = "\n".join(texts)
-    except TypeError:  # not every text is a string
-        return False
-    return joined.count("\n") == len(texts) - 1 and _NAMES_RE.fullmatch(joined) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +570,6 @@ def format_model(model: Model) -> str:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
-_NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 _NUMBER = r"-?\d+(?:\.\d+|/\d+)?"
 _GAP = r"[ \t\r\n]*"
 

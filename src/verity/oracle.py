@@ -18,7 +18,9 @@ cost follows the size of the product, not how hard the formula is, so it
 is meant for tests and the CLI's ``--oracle`` mode.
 
 Each ``checked_*`` twin makes its engine call once, asks the oracle the
-same question, and raises ``OracleDivergence`` if they disagree.  A caller
+same question, and raises ``OracleDivergence`` if they disagree on any
+fact or witness it returns: ``checked_decide`` compares all four facts,
+and ``checked_entails`` confirms a countermodel with ``evaluate``.  A caller
 that takes a decision function is checked by passing it one, as the CLI
 does: ``partial(checked_entails, schema, limit=N)`` for ``check`` and
 ``scan_misleading``, ``partial(checked_classify, ...)`` for ``tally``.
@@ -39,6 +41,7 @@ from .mr import (
     Formula,
     Implies,
     Key,
+    Model,
     MrError,
     Not,
     NumAtom,
@@ -46,8 +49,11 @@ from .mr import (
     Schema,
     TrueConst,
     _preorder,
+    evaluate,
+    format_model,
     print_formula,
     validate_atom,
+    validate_model,
 )
 from .taxonomy import PairFacts, Verdict, classify, decide
 
@@ -231,7 +237,7 @@ def oracle_is_contradiction(schema: Schema, f: Formula) -> bool:
     return not oracle_satisfiable(schema, f)
 
 
-def oracle_classify(schema: Schema, input_mr: Formula, output_mr: Formula) -> Verdict:
+def oracle_decide(schema: Schema, input_mr: Formula, output_mr: Formula) -> PairFacts:
     # One pass over the joint keys finds which of the cells I & O, I & !O,
     # !I & O and !I & !O have a model; it stops once all four do.  The joint
     # grid refines each formula's own grid, so the facts below are each
@@ -256,46 +262,78 @@ def oracle_classify(schema: Schema, input_mr: Formula, output_mr: Formula) -> Ve
     conflict = not i_and_o  # I |= !O
 
     # The decision tree is repeated here on purpose; sharing it with
-    # taxonomy.classify would make the cross-check vacuous.
+    # taxonomy.decide would make the cross-check vacuous.
     if not input_satisfiable:
-        return Verdict.INCONSISTENT_INPUT
-    if forward and backward:
-        return Verdict.WELL_MATCHED
-    if forward:
-        if output_tautology:
-            return Verdict.TAUTOLOGOUS
-        return Verdict.TOO_WEAK
-    if backward:
-        if output_contradiction:
-            return Verdict.SELF_CONTRADICTORY
-        return Verdict.TOO_STRONG
-    if conflict:
-        return Verdict.CONFLICTING
-    return Verdict.INDEPENDENT
+        verdict = Verdict.INCONSISTENT_INPUT
+    elif forward and backward:
+        verdict = Verdict.WELL_MATCHED
+    elif forward:
+        verdict = Verdict.TAUTOLOGOUS if output_tautology else Verdict.TOO_WEAK
+    elif backward:
+        verdict = Verdict.SELF_CONTRADICTORY if output_contradiction else Verdict.TOO_STRONG
+    elif conflict:
+        verdict = Verdict.CONFLICTING
+    else:
+        verdict = Verdict.INDEPENDENT
+    return PairFacts(input_satisfiable, forward, backward, conflict, verdict)
+
+
+def oracle_classify(schema: Schema, input_mr: Formula, output_mr: Formula) -> Verdict:
+    return oracle_decide(schema, input_mr, output_mr).verdict
+
+
+def _shown(formulas: Sequence[Formula]) -> str:
+    return ", ".join(repr(print_formula(f)) for f in formulas)
 
 
 def _agree(operation: str, engine: object, reference: object, *formulas: Formula) -> None:
     if engine != reference:
-        shown = ", ".join(repr(print_formula(f)) for f in formulas)
         raise OracleDivergence(
-            f"{operation}({shown}): engine says {engine}, oracle says {reference}"
+            f"{operation}({_shown(formulas)}): engine says {engine}, oracle says {reference}"
         )
 
 
 def checked_entails(
     schema: Schema, a: Formula, b: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> EntailmentResult:
+    """``entails``, checked: the answer against ``oracle_entails``, and the
+    countermodel by evaluating ``a`` (true) and ``b`` (false) in it."""
     engine = entails(schema, a, b, limit=limit)
     _agree("entails", engine.holds, oracle_entails(schema, a, b), a, b)
+    if not engine.holds and not _counters(schema, engine.witness, a, b):
+        raise OracleDivergence(
+            f"entails({_shown((a, b))}): engine's countermodel {format_model(engine.witness)} "
+            "does not make the first true and the second false"
+        )
     return engine
+
+
+def _counters(schema: Schema, model: Model, a: Formula, b: Formula) -> bool:
+    """Whether ``model`` is a model of ``schema`` in which ``a`` holds and
+    ``b`` does not."""
+    try:
+        validate_model(schema, model)
+        return evaluate(model, a) and not evaluate(model, b)
+    except MrError:  # a value outside the schema, or a key the model lacks
+        return False
 
 
 def checked_decide(
     schema: Schema, input_mr: Formula, output_mr: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> PairFacts:
+    """``decide``, checked: the verdict, then each fact, against
+    ``oracle_decide``."""
     engine = decide(schema, input_mr, output_mr, limit=limit)
-    reference = oracle_classify(schema, input_mr, output_mr)
-    _agree("classify", engine.verdict.value, reference.value, input_mr, output_mr)
+    reference = oracle_decide(schema, input_mr, output_mr)
+    _agree("classify", engine.verdict.value, reference.verdict.value, input_mr, output_mr)
+    for fact in ("input_satisfiable", "forward", "backward", "conflict"):
+        _agree(
+            "classify",
+            f"{fact}={getattr(engine, fact)}",
+            f"{fact}={getattr(reference, fact)}",
+            input_mr,
+            output_mr,
+        )
     return engine
 
 

@@ -10,9 +10,8 @@ generated text into an output MR (for example an NLI-based extractor) can
 feed the same record shape; nothing here would change.
 
 Tallying is order independent and merge homomorphic: tallying a
-concatenation equals merging the tallies of the parts.  That equation is
-what lets a corpus be sharded across processes, each tallying its part, and
-the parts' counts merged with ``CategoryCounts.merge``.
+concatenation equals merging, with ``CategoryCounts.merge``, the tallies
+of the parts.
 
 ``tally`` decides every record through one classify function, the engine's
 by default.  The caller picks the limit, or the oracle cross-check, by

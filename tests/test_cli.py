@@ -23,11 +23,13 @@ import verity
 from randgen import random_formula, random_schema
 from verity import (
     DEFAULT_ASSIGNMENT_LIMIT,
+    EntailmentResult,
     FALSE,
     TRUE,
     And,
     CatAtom,
     CorpusRecord,
+    Model,
     OracleDivergence,
     Not,
     ResourceLimit,
@@ -47,6 +49,7 @@ from verity import (
 from verity.cli import ENV_LIMIT, main
 from verity.entail import pair_cells
 from verity.fixtures import fixture_path
+from verity.taxonomy import PairFacts
 
 RESTAURANT = str(fixture_path("restaurant.schema"))
 TEMPERATURE = str(fixture_path("temperature.schema"))
@@ -935,7 +938,10 @@ def test_oracle_divergence_exit_code(capsys, monkeypatch):
 def test_divergence_exits_5_with_empty_stdout(capsys, monkeypatch, argv, wrong, stderr):
     """The oracle is patched to answer wrongly; the engine's answer is never printed."""
     if wrong == "classify":
-        monkeypatch.setattr("verity.oracle.oracle_classify", lambda *a: Verdict.WELL_MATCHED)
+        monkeypatch.setattr(
+            "verity.oracle.oracle_decide",
+            lambda *a: PairFacts(True, True, True, False, Verdict.WELL_MATCHED),
+        )
     else:
         monkeypatch.setattr(
             "verity.oracle.oracle_entails",
@@ -944,6 +950,65 @@ def test_divergence_exits_5_with_empty_stdout(capsys, monkeypatch, argv, wrong, 
     code, out, err = run(capsys, *argv, "--oracle", "-s", RESTAURANT)
     assert (code, out) == (5, "")
     assert err == f"oracle divergence: {stderr}\n"
+
+
+def test_a_wrong_fact_beside_a_right_verdict_exits_5(capsys, monkeypatch):
+    """The engine is patched to find a !input & output model of an
+    inconsistent input, which changes only the line output |= input."""
+    def flipped(schema, a, b, **kw):
+        both, input_only, output_only, neither = pair_cells(schema, a, b, **kw)
+        if not (both or input_only):
+            output_only = not output_only
+        return both, input_only, output_only, neither
+
+    monkeypatch.setattr("verity.taxonomy.pair_cells", flipped)
+    argv = ("-s", RESTAURANT, "Food(x)=Italian & !Food(x)=Italian", "Price(x)=Low")
+    code, out, err = run(capsys, "classify", "-v", "--oracle", *argv)
+    assert (code, out) == (5, "")
+    assert err == (
+        "oracle divergence: classify('Food(x)=Italian & !(Food(x)=Italian)', 'Price(x)=Low'): "
+        "engine says backward=True, oracle says backward=False\n"
+    )
+    # Unchecked, the engine's wrong line is printed.
+    code, out, _ = run(capsys, "classify", "-v", *argv)
+    assert code == 0 and "output |= input: yes\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv, question, wrong",
+    [
+        (
+            ("sat", "Food(x)=Italian & Type(x)=Pub"),
+            "'Food(x)=Italian & Type(x)=Pub', 'false'",
+            {("Food", "x"): "Norwegian", ("Type", "x"): "Restaurant"},
+        ),
+        (
+            ("entails", "Food(x)=Italian", "Price(x)=Low"),
+            "'Food(x)=Italian', 'Price(x)=Low'",
+            {("Food", "x"): "Norwegian", ("Price", "x"): "Low"},
+        ),
+        (
+            ("taut", "Food(x)=Italian | Price(x)=Low"),
+            "'true', 'Food(x)=Italian | Price(x)=Low'",
+            {("Food", "x"): "Italian", ("Price", "x"): "High"},
+        ),
+    ],
+    ids=["sat", "entails", "taut"],
+)
+def test_a_wrong_witness_exits_5_with_empty_stdout(capsys, monkeypatch, argv, question, wrong):
+    """The engine's witness is patched to other domain values; its answer
+    stays right, so only the witness check can catch it."""
+    model = Model(wrong, {})
+    monkeypatch.setattr(
+        "verity.oracle.entails",
+        lambda schema, a, b, **kw: EntailmentResult(entails(schema, a, b, **kw).holds, model),
+    )
+    code, out, err = run(capsys, "check", *argv, "-v", "--oracle", "-s", RESTAURANT)
+    assert (code, out) == (5, "")
+    assert err == (
+        f"oracle divergence: entails({question}): engine's countermodel {format_model(model)} "
+        "does not make the first true and the second false\n"
+    )
 
 
 def test_module_entry_point():

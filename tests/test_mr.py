@@ -634,6 +634,8 @@ def test_fraction_str():
 def test_fraction_str_writes_ints_longer_than_str_converts():
     assert fraction_str(Fraction(10**5000)) == "1" + "0" * 5000
     assert fraction_str(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+    # A terminating decimal whose integer part has 5000 digits.
+    assert fraction_str(Fraction(10**5000 + 1, 2)) == "1" + "0" * 4999 + "1/2"
 
 
 @pytest.mark.parametrize(
@@ -1004,6 +1006,16 @@ def test_iter_atoms_rejects_a_non_formula_where_it_meets_it():
     assert next(walk) == CatAtom("Food", "x", "Italian")
     with pytest.raises(TypeError, match="not a formula: 'junk'"):
         next(walk)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [print_formula, lambda f: evaluate(Model({}, {}), f)],
+    ids=["print_formula", "evaluate"],
+)
+def test_a_non_formula_leaf_is_refused_where_it_is_reached(use):
+    with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
+        use(And(TRUE, "junk"))
 
 
 @pytest.mark.parametrize("operand", [Not, And, Or, Implies, CatAtom])
