@@ -141,13 +141,15 @@ DEFAULT_PAIR_LIMIT = 10**4
 
 
 def default_candidates(scenario: Scenario) -> list[Formula]:
-    """All atoms over the keys the scenario's world covers.
+    """All atoms over the keys the scenario's world covers, then every
+    expectation norm that is not one of them.
 
     Categorical keys contribute one atom per domain value.  Numeric keys
     contribute one atom per comparison operator and constant, where the
     constants are those the scenario's formulas mention for that key plus
     the world's own value (so a withheld numeric fact is expressible even
-    when no formula names a constant).
+    when no formula names a constant).  The norms come last, so that a
+    compound norm is checked for withholding too.
     """
     candidates: list[Formula] = []
     for attr, entity in sorted(scenario.world.categorical):
@@ -168,6 +170,7 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
         for constant in sorted(constants[attr, entity]):
             for op in _CMP_SYMBOLS:
                 candidates.append(NumAtom(attr, entity, op, constant))
+    candidates += [n for n in dict.fromkeys(scenario.expectation_norms) if n not in candidates]
     return candidates
 
 

@@ -14,14 +14,18 @@ the points themselves are made only for a witness.
 Every question is a search (Davis, Logemann & Loveland 1962, over keys
 instead of boolean variables) for cells of one pair a, b: a & b, a & !b,
 !a & b, !a & !b.  It assigns the joint keys one at a time, categorical
-then numeric, each sorted, trying values in domain or sample order.  The
-formulas' three-valued (Kleene) values under the partial assignment bound
-the cells a node can reach: a node where both are decided marks its cell,
-one that can reach no cell still sought is pruned, any other branches.
-The node where the search stops is completed with every remaining key's
-first value, so a one-cell witness is that cell's first model in product
-order, while the cost follows how soon the formulas are decided rather
-than the size of the product.  A budget of search nodes bounds the cost.
+then numeric, each sorted, trying values in domain or sample order.  A
+categorical key tries the values its atoms mention and the first value
+they do not: every atom over the key is false on each unmentioned value,
+so that value stands for all of them.  The formulas' three-valued
+(Kleene) values under the partial assignment bound the cells a node can
+reach: a node where both are decided marks its cell, one that can reach
+no cell still sought is pruned, any other branches.  The node where the
+search stops is completed with every remaining key's first value, so a
+one-cell witness is that cell's first model in product order, while the
+cost follows how soon the formulas are decided rather than the size of
+the product or of a key's domain.  A budget of search nodes bounds the
+cost.
 """
 
 from __future__ import annotations
@@ -161,8 +165,11 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     parent.  A node has its decisive value when an atom or child has it,
     else None when one is unknown, else its default.  Returns the
     categorical and numeric keys, each numeric key's constants in
-    ascending order, the keys' sizes, the program and each formula's
-    position in it.
+    ascending order, the keys' sizes, the values to try, the program and
+    each formula's position in it.  The values to try are a bit mask per
+    key: every sample of a numeric key; the values the program's atoms
+    over a categorical key mention, plus the first one they do not, if
+    any.
     """
     nodes: list[list] = []
     roots = [_nnf(f, nodes) for f in formulas]
@@ -195,6 +202,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
 
     # In reversed preorder, children come first: preorder p runs at last - p.
     last = len(nodes) - 1
+    masks = [0] * n_cat + [-1] * len(num_keys)  # numeric keys try every sample
     program = []
     for is_and, node_atoms, children, dominated in reversed(nodes):
         decisive = not is_and  # the value of an atom or child that decides the node
@@ -216,12 +224,17 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     cut = sample + shift
                     table = [below != neg] * cut + [below == neg] * (n - cut)
             else:
+                pos = schema._positions[atom.attr][atom.value]
+                masks[i] |= 1 << pos
                 table = [neg] * n
-                table[schema._positions[atom.attr][atom.value]] = not neg
+                table[pos] = not neg
             table.append(None)  # the key is unassigned
             tables.append((i, table))
-        program.append((decisive, is_and, tuple(tables), tuple(last - c for c in children)))
-    return cat_keys, num_keys, ordered, sizes, program, [last - r for r in roots]
+        program.append((decisive, is_and, tables, [last - c for c in children]))
+    # Every atom over a key is false on each value it does not mention, so
+    # those values give identical subtrees and the first stands for all.
+    masks = [(m | m + 1) & (1 << n) - 1 for m, n in zip(masks, sizes)]
+    return cat_keys, num_keys, ordered, sizes, masks, program, [last - r for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +252,8 @@ def _search(
     schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int
 ) -> tuple[int, Optional[tuple]]:
     """Depth-first search over the joint keys of ``a`` and ``b`` for the
-    cells in the mask ``explore``.
+    cells in the mask ``explore``.  Each key runs through the values in
+    its mask from ``_compile``, in domain or sample order.
 
     A node where both formulas are decided marks its cell; a node whose
     reachable cells in ``explore`` are all marked is pruned, and so is the
@@ -250,7 +264,7 @@ def _search(
     completion (see ``_witness``), or None when it ran to the end; raises
     ResourceLimit on the node after the ``limit``-th.
     """
-    cat_keys, num_keys, constants, sizes, program, (root_a, root_b) = _compile(schema, (a, b))
+    cat_keys, num_keys, constants, sizes, masks, program, (root_a, root_b) = _compile(schema, (a, b))
     at = sizes[:]  # each key's value index; every key unassigned
     path: list[int] = []  # the cells each node being branched can still reach
     seen = 0
@@ -293,8 +307,9 @@ def _search(
         # unassigned again.
         while path:
             k = len(path) - 1
-            at[k] += 1
-            if at[k] < sizes[k] and path[-1] & ~seen:
+            rest = masks[k] >> at[k] + 1  # the values still to try
+            if rest and path[-1] & ~seen:
+                at[k] += (rest & -rest).bit_length()
                 break
             at[k] = sizes[k]
             path.pop()

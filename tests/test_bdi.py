@@ -727,6 +727,22 @@ def test_default_candidates_cover_domains_and_constants():
     assert NumAtom("Temperature", "d", "<=", Fraction(20)) in pool
 
 
+def test_default_candidates_end_with_the_norms_they_lack():
+    """A compound norm joins the default pool after the atoms, once, so it
+    is checked for withholding; an atomic norm is already in the pool."""
+    norm = _weather("Hurricane(today)=Yes | Sky(today)=Clear")
+    scenario = dataclasses.replace(
+        hurricane_scenario(),
+        expectation_norms=(_weather("Hurricane(today)=Yes"), norm, norm),
+    )
+    pool = default_candidates(scenario)
+    assert pool == default_candidates(hurricane_scenario()) + [norm]
+    assert scan_misleading(scenario) == [
+        MisleadingFinding(FindingKind.WITHHOLDING, _weather("Hurricane(today)=Yes")),
+        MisleadingFinding(FindingKind.WITHHOLDING, norm),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Scenario validation
 

@@ -152,8 +152,9 @@ def test_classify_oracle_agrees(capsys):
 
 
 def test_refused_pair_falls_back_to_the_input_alone(capsys):
-    """The input's own search (4 nodes: the root and one per Food value)
-    fits the limit but the pair's joint search (7 nodes) does not: an
+    """The input's own search (3 nodes: the root, Italian, and Norwegian,
+    which stands for the unmentioned Japanese too) fits the limit but the
+    pair's joint search (6 nodes) does not: an
     unsatisfiable input is still inconsistent-input, an input over the
     limit is refused by its own search, on the node after the limit, and
     the verbose facts, which need the joint search, are refused.  Only a
@@ -164,30 +165,30 @@ def test_refused_pair_falls_back_to_the_input_alone(capsys):
     input_mr = parse_formula(input_text, schema)
     output_mr = parse_formula(output_text, schema)
 
-    assert pair_cells(schema, input_mr, output_mr, limit=7) == (False, False, True, True)
+    assert pair_cells(schema, input_mr, output_mr, limit=6) == (False, False, True, True)
     with pytest.raises(ResourceLimit) as exc_info:
-        pair_cells(schema, input_mr, output_mr, limit=6)
-    assert (exc_info.value.required, exc_info.value.limit) == (7, 6)
-    assert not satisfiable(schema, input_mr, limit=4)
-    assert classify(schema, input_mr, output_mr, limit=4) is Verdict.INCONSISTENT_INPUT
+        pair_cells(schema, input_mr, output_mr, limit=5)
+    assert (exc_info.value.required, exc_info.value.limit) == (6, 5)
+    assert not satisfiable(schema, input_mr, limit=3)
+    assert classify(schema, input_mr, output_mr, limit=3) is Verdict.INCONSISTENT_INPUT
     with pytest.raises(ResourceLimit) as exc_info:
-        classify(schema, input_mr, output_mr, limit=3)
-    assert (exc_info.value.required, exc_info.value.limit) == (4, 3)
+        classify(schema, input_mr, output_mr, limit=2)
+    assert (exc_info.value.required, exc_info.value.limit) == (3, 2)
     outside_schema = CatAtom("Food", "x", "Sushi")
     for fn in (classify, checked_classify):
         with pytest.raises(ValueNotInDomain):
             fn(schema, input_mr, outside_schema)
 
-    args = ("-s", RESTAURANT, "--limit", "4", input_text, output_text)
+    args = ("-s", RESTAURANT, "--limit", "3", input_text, output_text)
     assert run(capsys, "classify", *args)[:2] == (0, "inconsistent-input\n")
     assert run(capsys, "classify", "-v", *args) == (
-        3, "", "error: 5 search nodes exceeds limit 4\n"
+        3, "", "error: 4 search nodes exceeds limit 3\n"
     )
 
     record = CorpusRecord("r", input_mr, output_mr, 1)
-    at_4, at_3 = (partial(classify, schema, limit=n) for n in (4, 3))
-    assert tally(schema, [record], classify_fn=at_4).counts[Verdict.INCONSISTENT_INPUT] == 1
-    assert tally(schema, [record], classify_fn=at_3).resource_limited == 1
+    at_3, at_2 = (partial(classify, schema, limit=n) for n in (3, 2))
+    assert tally(schema, [record], classify_fn=at_3).counts[Verdict.INCONSISTENT_INPUT] == 1
+    assert tally(schema, [record], classify_fn=at_2).resource_limited == 1
 
 
 def _count_searches(monkeypatch) -> list:
@@ -233,11 +234,12 @@ def test_report_oracle_decides_each_record_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "limit, decided, line",
-    [((), 4, "gold matches: 4/4\n"), (("--limit", "10"), 1, "resource limited: 3\n")],
+    [((), 4, "gold matches: 4/4\n"), (("--limit", "10"), 3, "resource limited: 1\n")],
 )
 def test_report_oracle_checks_each_decided_record(capsys, monkeypatch, limit, decided, line):
     """report --oracle decides every record through the CLI's
-    checked_classify; the oracle sees each record that got a verdict."""
+    checked_classify; the oracle sees each record that got a verdict.  The
+    records need 8, 10, 11 and 9 nodes, so --limit 10 refuses one."""
     calls = {"checked": 0, "oracle": 0}
 
     def counting(name, fn):
@@ -662,6 +664,16 @@ def test_bdi_no_findings(capsys, tmp_path):
     assert (code, out) == (0, "no findings\n")
 
 
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["engine", "oracle"])
+def test_bdi_checks_a_compound_norm_without_candidates(capsys, tmp_path, flags):
+    doc = json.loads(fixture_path("hurricane.scenario.json").read_text(encoding="utf-8"))
+    norm = "Hurricane(today)=Yes | Sky(today)=Clear"
+    doc.update(schema=str(fixture_path(doc["schema"])), norms=[norm])
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "bdi", *flags, str(scenario)) == (0, f"withholding: {norm}\n", "")
+
+
 @pytest.mark.parametrize("bad", ["scenario", "schema"])
 def test_bdi_file_not_utf8(capsys, tmp_path, bad):
     (tmp_path / "w.schema").write_bytes(
@@ -687,7 +699,9 @@ def test_bdi_file_not_utf8(capsys, tmp_path, bad):
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_bdi_limit_caps_the_beliefs_check(capsys, tmp_path, monkeypatch, via):
     # The scan asks no question (its one candidate is false in the world),
-    # so only the satisfiability check of the beliefs, 6 nodes, can refuse.
+    # so only the satisfiability check of the beliefs can refuse: 5 nodes,
+    # the root, both Hurricane values, then Sky(today)=Cloudy (standing for
+    # the unmentioned Clear too) and Rainy under Hurricane(today)=No.
     (tmp_path / "w.schema").write_text(
         "attr Hurricane : { Yes, No }\nattr Sky : { Cloudy, Clear, Rainy }\n",
         encoding="utf-8",
@@ -714,8 +728,8 @@ def test_bdi_limit_caps_the_beliefs_check(capsys, tmp_path, monkeypatch, via):
         return run(capsys, "bdi", "--limit", str(limit), str(scenario))
 
     assert bdi(3) == (3, "", "error: 4 search nodes exceeds limit 3\n")
-    assert bdi(5) == (3, "", "error: 6 search nodes exceeds limit 5\n")
-    assert bdi(6) == (0, "no findings\n", "")
+    assert bdi(4) == (3, "", "error: 5 search nodes exceeds limit 4\n")
+    assert bdi(5) == (0, "no findings\n", "")
 
 
 def test_bdi_invalid_scenario(capsys, tmp_path):

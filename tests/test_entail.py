@@ -153,13 +153,14 @@ def _iff(p, q):
 def test_resource_limit_multiplies_keys():
     """A formula that stays unknown until every key is assigned, and is
     false on each full assignment, makes the search visit the whole tree:
-    1 + 2 + 2 * 2 + 2 * 2 * 3 = 19 nodes."""
+    1 + 2 + 2 * 2 + 2 * 2 * 2 = 15 nodes, since Style(x) tries Vegetarian
+    and Steakhouse, which stands for the unmentioned FamilyFriendly too."""
     parity = _iff(_iff(_f("Food(x)=Italian"), _f("Food(y)=Norwegian")), _f("Style(x)=Vegetarian"))
     f = And(parity, Not(parity))
     with pytest.raises(ResourceLimit) as exc_info:
-        satisfiable(RESTAURANT, f, limit=18)
-    assert exc_info.value.required == 19
-    assert not satisfiable(RESTAURANT, f, limit=19)
+        satisfiable(RESTAURANT, f, limit=14)
+    assert exc_info.value.required == 15
+    assert not satisfiable(RESTAURANT, f, limit=15)
     # A satisfiable conjunction is decided down one path: the root, two
     # values of Food(y) under Food(x)=Italian, then Style(x)=Vegetarian.
     g = _f("Food(x)=Italian & Food(y)=Norwegian & Style(x)=Vegetarian")
@@ -347,6 +348,66 @@ class TestSearchMatchesProduct:
 
 
 # ---------------------------------------------------------------------------
+# Values no atom mentions are tried once per key
+
+
+def _widened(schema, formulas, extra):
+    """``schema`` with ``extra`` new values at the end of each domain that
+    already holds a value no atom of ``formulas`` mentions, so each key's
+    first unmentioned value stays the same."""
+    mentioned = {(atom.attr, atom.value) for f in formulas for atom in iter_atoms(f) if type(atom) is CatAtom}
+    return Schema(
+        {
+            attr: values + tuple(f"W{i}" for i in range(extra))
+            if any((attr, v) not in mentioned for v in values)
+            else values
+            for attr, values in schema.categorical.items()
+        },
+        schema.numeric,
+    )
+
+
+def _budget(ask):
+    """The fewest search nodes under which ``ask(limit)`` is decided."""
+    hi = 1
+    while True:
+        try:
+            ask(hi)
+            break
+        except ResourceLimit:
+            hi *= 2
+    lo = hi // 2  # refused at lo, unless lo is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            ask(mid)
+            hi = mid
+        except ResourceLimit:
+            lo = mid
+    return hi
+
+
+@given(schema_and_formulas(count=2), st.integers(1, 20))
+def test_unmentioned_values_cost_no_nodes(case, extra):
+    """Widening domains with values no atom mentions changes no cell, no
+    witness and no question's node budget."""
+    schema, (a, b) = case
+    wide = _widened(schema, (a, b), extra)
+    questions = (
+        lambda s, limit: pair_cells(s, a, b, limit=limit),
+        lambda s, limit: satisfiable(s, a, limit=limit),
+        lambda s, limit: entails(s, a, b, limit=limit),
+    )
+    for ask in questions:
+        assert ask(wide, DEFAULT_ASSIGNMENT_LIMIT) == ask(schema, DEFAULT_ASSIGNMENT_LIMIT)
+        budget = _budget(lambda limit: ask(schema, limit))
+        ask(wide, budget)
+        with pytest.raises(ResourceLimit) as exc_info:
+            ask(wide, budget - 1)
+        assert exc_info.value.required == budget
+
+
+# ---------------------------------------------------------------------------
 # Numeric keys are decided on constant ranks; sample points are made only
 # for a witness
 
@@ -377,9 +438,10 @@ def test_numeric_tables_are_comparisons_on_the_sample_points(constants, literals
     for atom, (_, neg) in zip(atoms, literals):
         literal = Not(atom) if neg else atom
         f = literal if f is None else And(f, literal)
-    _, num_keys, ordered, sizes, program, _ = _compile(TEMPERATURE, (f,))
+    _, num_keys, ordered, sizes, masks, program, _ = _compile(TEMPERATURE, (f,))
     points = _samples(sorted(set(constants)))
     assert (num_keys, ordered, sizes) == ([("Temperature", "d")], [sorted(set(constants))], [len(points)])
+    assert masks == [2 ** len(points) - 1]  # every sample is tried
     ((_, _, tables, _),) = program  # one & node holding every literal
     assert len(tables) == len(atoms)
     for atom, (_, neg), (key, table) in zip(atoms, literals, tables):

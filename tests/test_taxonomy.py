@@ -113,36 +113,46 @@ def test_tautologous_input_and_output_is_well_matched():
 
 # The E2E NLG slot inventory (Novikova, Dusek & Rieser 2017): domains of
 # 34/3/7/6/6/2/2/19 values, 1,953,504 models over all eight slots.
-E2E = parse_schema(
-    "attr Name : { " + ", ".join(f"Venue{i:02d}" for i in range(1, 35)) + " }\n"
-    "attr EatType : { Restaurant, CoffeeShop, Pub }\n"
-    "attr Food : { English, French, Indian, Italian, Japanese, Chinese, FastFood }\n"
-    "attr PriceRange : { Cheap, Moderate, High, LessThan20, From20To25, MoreThan30 }\n"
-    "attr CustomerRating : { Low, Average, High, OneOfFive, ThreeOfFive, FiveOfFive }\n"
-    "attr Area : { CityCentre, Riverside }\n"
-    "attr FamilyFriendly : { Yes, No }\n"
-    "attr Near : { " + ", ".join(f"Landmark{i:02d}" for i in range(1, 20)) + " }\n"
-)
+def _e2e_schema(names=34, landmarks=19):
+    return parse_schema(
+        "attr Name : { " + ", ".join(f"Venue{i:02d}" for i in range(1, names + 1)) + " }\n"
+        "attr EatType : { Restaurant, CoffeeShop, Pub }\n"
+        "attr Food : { English, French, Indian, Italian, Japanese, Chinese, FastFood }\n"
+        "attr PriceRange : { Cheap, Moderate, High, LessThan20, From20To25, MoreThan30 }\n"
+        "attr CustomerRating : { Low, Average, High, OneOfFive, ThreeOfFive, FiveOfFive }\n"
+        "attr Area : { CityCentre, Riverside }\n"
+        "attr FamilyFriendly : { Yes, No }\n"
+        "attr Near : { " + ", ".join(f"Landmark{i:02d}" for i in range(1, landmarks + 1)) + " }\n"
+    )
+
+
+E2E = _e2e_schema()
 
 
 def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
     """A seven-slot input whose output adds the eighth slot, every value
-    the last of its domain: more models than the default limit, but the
-    search decides the pair in 86 nodes and refuses it with 85."""
+    the last of its E2E domain: more models than the default limit, but
+    the search decides the pair in 19 nodes and refuses it with 18.  Each
+    key tries the one value its atoms mention and its first value, which
+    stands for every value no atom mentions: the root, 2 nodes for each
+    of the six keys before Near, 2 for Near and 2 for PriceRange under
+    each Near value, 1 + 12 + 2 + 4.  So widening Name and Near tenfold
+    adds no node."""
     input_text = (
         "Name(x)=Venue34 & EatType(x)=Pub & Food(x)=FastFood & PriceRange(x)=MoreThan30"
         " & CustomerRating(x)=FiveOfFive & Area(x)=Riverside & FamilyFriendly(x)=No"
     )
-    input_mr = parse_formula(input_text, E2E)
-    output_mr = parse_formula(input_text + " & Near(x)=Landmark19", E2E)
-    assert classify(E2E, input_mr, output_mr) is Verdict.TOO_STRONG
-    facts = decide(E2E, input_mr, output_mr, limit=86)
-    assert (facts.input_satisfiable, facts.forward, facts.backward, facts.conflict) == (
-        True, False, True, False,
-    )
-    with pytest.raises(ResourceLimit) as exc_info:
-        classify(E2E, input_mr, output_mr, limit=85)
-    assert (exc_info.value.required, exc_info.value.limit) == (86, 85)
+    for schema in (E2E, _e2e_schema(names=340, landmarks=190)):
+        input_mr = parse_formula(input_text, schema)
+        output_mr = parse_formula(input_text + " & Near(x)=Landmark19", schema)
+        assert classify(schema, input_mr, output_mr) is Verdict.TOO_STRONG
+        facts = decide(schema, input_mr, output_mr, limit=19)
+        assert (facts.input_satisfiable, facts.forward, facts.backward, facts.conflict) == (
+            True, False, True, False,
+        )
+        with pytest.raises(ResourceLimit) as exc_info:
+            classify(schema, input_mr, output_mr, limit=18)
+        assert (exc_info.value.required, exc_info.value.limit) == (19, 18)
 
 
 @pytest.mark.parametrize(
