@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: classify, check, report, bdi.  Exit codes: 0 success, 2 parse
-or validation error (including unreadable files), 3 resource limit, 4
+Subcommands: classify, check, report, bdi.  Exit codes: 0 success, 1
+standard output closed before all of it was written, 2 parse or
+validation error (including unreadable files), 3 resource limit, 4
 unknown report format, 5 oracle divergence.  Identical invocations on
 identical files produce byte-identical standard output.
 """
@@ -44,6 +45,7 @@ from .taxonomy import (
 )
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_FORMAT = 4
@@ -255,7 +257,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader that went away is met below rather
+        # than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early (``verity ... | head``).  What is
+        # still buffered goes to os.devnull, so the flush at exit cannot
+        # fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except UnknownFormat as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

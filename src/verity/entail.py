@@ -26,6 +26,11 @@ one-cell witness is that cell's first model in product order, while the
 cost follows how soon the formulas are decided rather than the size of
 the product or of a key's domain.  A budget of search nodes bounds the
 cost.
+
+A categorical atom that is the schema's own parsed node is not validated
+again, since reading it validated it, and the truth tables of categorical
+atoms are made once per schema and (attribute, value) and shared by every
+entity.
 """
 
 from __future__ import annotations
@@ -151,9 +156,27 @@ def _nnf(formula: Formula, nodes: list[list]) -> int:
     return root
 
 
+def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
+    """The bit of ``value`` in ``attr``'s domain and the truth tables,
+    plain and negated, of every atom ``attr(e)=value``, made once per
+    schema and kept in it.  Every entity shares them, so they are tuples,
+    never changed."""
+    pos = schema._positions[attr][value]
+    n = len(schema.categorical[attr])
+    plain = [False] * n + [None]  # the last entry: the key is unassigned
+    negated = [True] * n + [None]
+    plain[pos], negated[pos] = True, False
+    entry = schema._tables[attr, value] = (1 << pos, (tuple(plain), tuple(negated)))
+    return entry
+
+
 def _compile(schema: Schema, formulas: Sequence[Formula]):
     """Validate the atoms, order the keys and compile ``formulas`` into a
     program that gives their Kleene values under a partial assignment.
+    A categorical atom parsed under ``schema`` was validated when it was
+    read, and its tables are made once per schema (see ``_cat_tables``)
+    and shared by every entity; a numeric atom's table depends on the
+    question's constants, so it is validated and tabled on every call.
 
     An assignment is a list of value indices, one per key; the index
     ``sizes[k]`` means key k is unassigned.  A categorical key's values
@@ -173,18 +196,27 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     """
     nodes: list[list] = []
     roots = [_nnf(f, nodes) for f in formulas]
-    # Each distinct atom object is validated once, in order of occurrence;
+    # Each distinct atom object is looked at once, in order of occurrence;
     # keyed by identity, since hashing a NumAtom hashes its Fraction.
     atoms = {id(atom): atom for node in nodes for atom, _ in node[1]}
+    parsed = schema._atoms
     cat_set: set[Key] = set()
     constants: dict[Key, dict[tuple[int, int], Fraction]] = {}
     for atom in atoms.values():
-        validate_atom(schema, atom)
         if type(atom) is NumAtom:
+            validate_atom(schema, atom)
             c = atom.constant
             constants.setdefault((atom.attr, atom.entity), {})[c.numerator, c.denominator] = c
-        else:
-            cat_set.add((atom.attr, atom.entity))
+            continue
+        # The schema's own node for the atom's text was validated when it
+        # was parsed; any other atom, even an equal one, is validated here.
+        try:
+            known = parsed.get((atom.attr, atom.entity, "=", atom.value)) is atom
+        except TypeError:  # an unhashable part, which validate_atom refuses
+            known = False
+        if not known:
+            validate_atom(schema, atom)
+        cat_set.add((atom.attr, atom.entity))
     cat_keys = sorted(cat_set)
     num_keys = sorted(constants)
     sizes = [len(schema.categorical[attr]) for attr, _ in cat_keys]
@@ -203,6 +235,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     # In reversed preorder, children come first: preorder p runs at last - p.
     last = len(nodes) - 1
     masks = [0] * n_cat + [-1] * len(num_keys)  # numeric keys try every sample
+    cat_tables = schema._tables
     program = []
     for is_and, node_atoms, children, dominated in reversed(nodes):
         decisive = not is_and  # the value of an atom or child that decides the node
@@ -212,22 +245,23 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         tables = []
         for atom, neg in node_atoms:
             i = index[atom.attr, atom.entity]
+            if type(atom) is not NumAtom:
+                entry = cat_tables.get((atom.attr, atom.value)) or _cat_tables(
+                    schema, atom.attr, atom.value
+                )
+                masks[i] |= entry[0]
+                tables.append((i, entry[1][neg]))
+                continue
             n = sizes[i]
-            if type(atom) is NumAtom:
-                c = atom.constant
-                sample = 2 * ranks[i - n_cat][c.numerator, c.denominator] + 1
-                if atom.cmp == "=":
-                    table = [neg] * n
-                    table[sample] = not neg
-                else:
-                    shift, below = _SPLITS[atom.cmp]
-                    cut = sample + shift
-                    table = [below != neg] * cut + [below == neg] * (n - cut)
-            else:
-                pos = schema._positions[atom.attr][atom.value]
-                masks[i] |= 1 << pos
+            c = atom.constant
+            sample = 2 * ranks[i - n_cat][c.numerator, c.denominator] + 1
+            if atom.cmp == "=":
                 table = [neg] * n
-                table[pos] = not neg
+                table[sample] = not neg
+            else:
+                shift, below = _SPLITS[atom.cmp]
+                cut = sample + shift
+                table = [below != neg] * cut + [below == neg] * (n - cut)
             table.append(None)  # the key is unassigned
             tables.append((i, table))
         program.append((decisive, is_and, tables, [last - c for c in children]))
@@ -349,7 +383,7 @@ def pair_cells(
     False.
     """
     seen, _ = _search(schema, a, b, limit, 0b1111, 0b0111)
-    return tuple(bool(seen >> cell & 1) for cell in range(4))
+    return ((seen & 1) != 0, (seen & 2) != 0, (seen & 4) != 0, (seen & 8) != 0)
 
 
 def entails(

@@ -136,6 +136,12 @@ class Schema:
     _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # For each (attribute, value) of a categorical atom decided under this
+    # schema, the value's bit and the atom's truth tables, plain and
+    # negated, that ``entail._compile`` made; every entity shares them.
+    _tables: dict[tuple[str, str], tuple[int, tuple[tuple, tuple]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(

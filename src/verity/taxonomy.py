@@ -24,6 +24,7 @@ extrinsic (source neither supports nor contradicts output) hallucination.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -82,16 +83,9 @@ class PairFacts:
     verdict: Verdict
 
 
-def decide(
-    schema: Schema,
-    input_mr: Formula,
-    output_mr: Formula,
-    *,
-    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
-) -> PairFacts:
-    """The pair's facts and verdict, from one search over its joint keys;
-    raises ResourceLimit when that search needs more than ``limit`` nodes."""
-    both, input_only, output_only, neither = pair_cells(schema, input_mr, output_mr, limit=limit)
+def _facts(both: bool, input_only: bool, output_only: bool, neither: bool) -> PairFacts:
+    """The facts and verdict of a pair whose cells input & output, input &
+    !output, !input & output and !input & !output are as given."""
     consistent = both or input_only
     forward = not input_only
     backward = not output_only
@@ -108,6 +102,23 @@ def decide(
     else:
         verdict = Verdict.CONFLICTING
     return PairFacts(consistent, forward, backward, not both, verdict)
+
+
+# Every pattern of cells has its facts made once, here.
+_FACTS = {cells: _facts(*cells) for cells in itertools.product((False, True), repeat=4)}
+
+
+def decide(
+    schema: Schema,
+    input_mr: Formula,
+    output_mr: Formula,
+    *,
+    limit: int = DEFAULT_ASSIGNMENT_LIMIT,
+) -> PairFacts:
+    """The pair's facts and verdict, looked up in a table of the 16 cell
+    patterns by the cells one search over the pair's joint keys finds;
+    raises ResourceLimit when that search needs more than ``limit`` nodes."""
+    return _FACTS[pair_cells(schema, input_mr, output_mr, limit=limit)]
 
 
 def classify(

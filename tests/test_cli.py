@@ -1047,6 +1047,47 @@ def test_module_entry_point():
     assert proc.stdout == "3b-conflicting\n"
 
 
+def _run_with_stdout_closed(args, unbuffered):
+    """Run the module entry point with stdout a pipe whose read end is
+    already closed, as after ``verity ... | head`` when head has exited."""
+    src = str(Path(verity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "verity.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_in_silence(unbuffered):
+    """Output that finds no reader is exit 1 with nothing on stderr,
+    whether it is written at the final flush or print by print."""
+    proc = _run_with_stdout_closed(
+        ["classify", "-v", "-s", TEMPERATURE, "Temperature(d) = 7/3", "Temperature(d) > 2 & Temperature(d) < 12/5"],
+        unbuffered,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_an_unreadable_file_is_exit_2_with_stdout_closed(tmp_path):
+    proc = _run_with_stdout_closed(
+        ["classify", "-s", str(tmp_path / "missing.schema"), "A(x)=B", "A(x)=B"], False
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory: ")
+
+
 # ---------------------------------------------------------------------------
 # README examples
 

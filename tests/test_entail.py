@@ -39,6 +39,7 @@ from verity import (
     oracle_satisfiable,
     parse_formula,
     parse_schema,
+    print_formula,
     satisfiable,
 )
 from verity import entail
@@ -405,6 +406,60 @@ def test_unmentioned_values_cost_no_nodes(case, extra):
         with pytest.raises(ResourceLimit) as exc_info:
             ask(wide, budget - 1)
         assert exc_info.value.required == budget
+
+
+# ---------------------------------------------------------------------------
+# A schema keeps the compiled form of the categorical atoms decided under it
+
+# One schema per distinct random schema, kept for the whole session, so its
+# questions meet atoms that earlier examples compiled.
+_WARM: dict = {}
+
+
+@given(schema_and_formulas(count=2))
+def test_a_long_lived_schema_answers_as_a_fresh_one(case):
+    """Cells, facts, witnesses and minimum node budgets are the same under
+    a schema that has decided many questions before as under a fresh equal
+    one.  Under the long-lived schema the formulas are also read back from
+    their text, so their atoms are its own parsed nodes, which it does not
+    validate again."""
+    schema, (a, b) = case
+    key = (tuple(schema.categorical.items()), schema.numeric)
+    warm = _WARM.setdefault(key, Schema(schema.categorical, schema.numeric))
+    parsed = [parse_formula(print_formula(f), warm) for f in (a, b)]
+    assert parsed == [a, b]
+
+    def fresh():
+        return Schema(schema.categorical, schema.numeric)
+
+    questions = (
+        lambda s, a, b, limit: pair_cells(s, a, b, limit=limit),
+        lambda s, a, b, limit: decide(s, a, b, limit=limit),
+        lambda s, a, b, limit: satisfiable(s, a, limit=limit),
+        lambda s, a, b, limit: entails(s, a, b, limit=limit),
+    )
+    for ask in questions:
+        expected = ask(fresh(), a, b, DEFAULT_ASSIGNMENT_LIMIT)
+        expected_budget = _budget(lambda limit: ask(fresh(), a, b, limit))
+        for x, y in ((a, b), parsed):
+            assert ask(warm, x, y, DEFAULT_ASSIGNMENT_LIMIT) == expected
+            assert _budget(lambda limit: ask(warm, x, y, limit)) == expected_budget
+
+
+def test_categorical_tables_are_shared_by_every_entity():
+    """Each (attribute, value) has one pair of truth tables per schema,
+    whatever the number of entities its atoms are about, and the tables
+    are tuples, which no question can change."""
+    schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
+    f = TRUE
+    for i in range(50):
+        f = And(f, And(CatAtom("Food", f"e{i}", "Italian"), Not(CatAtom("Food", f"e{i}", "Japanese"))))
+    for _ in range(2):
+        program = _compile(schema, (f,))[5]
+        tables = [table for _, _, atoms, _ in program for _, table in atoms]
+        assert len(tables) == 100
+        assert {id(table) for table in tables} == {id(tables[0]), id(tables[1])}
+        assert tables[:2] == [(True, False, False, None), (True, True, False, None)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import UserString
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from randgen import random_formula, random_schema
 from verity import (
     DEFAULT_ASSIGNMENT_LIMIT,
+    TRUE,
     CatAtom,
+    InvalidEntity,
     JiLabel,
     NumAtom,
     NumericComparisonOnCategorical,
     LegacyLabels,
     ResourceLimit,
+    Schema,
     UnmappableVerdict,
     ValueNotInDomain,
     Verdict,
@@ -165,17 +169,64 @@ def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
             NumAtom("Food", "x", ">", Fraction(1)),
             NumericComparisonOnCategorical,
         ),
+        ("Food(x)=Italian", CatAtom("Food", ["x"], "Italian"), InvalidEntity),
+        ("Food(x)=Italian", CatAtom("Food", "New York", "Italian"), InvalidEntity),
+        # equal to the input's entity, and hashed alike, but no str
+        ("Food(x)=Italian", CatAtom("Food", UserString("x"), "Italian"), InvalidEntity),
     ],
-    ids=["inconsistent-input", "consistent-input", "numeric-on-categorical"],
+    ids=[
+        "inconsistent-input",
+        "consistent-input",
+        "numeric-on-categorical",
+        "unhashable-entity",
+        "non-name-entity",
+        "str-like-entity",
+    ],
 )
 @pytest.mark.parametrize("limit", [0, 3, DEFAULT_ASSIGNMENT_LIMIT])
 @pytest.mark.parametrize("fn", [decide, classify, checked_decide, checked_classify])
 def test_an_invalid_atom_is_an_error_not_a_refusal(fn, limit, input_text, output, error):
     """Only a ResourceLimit sends classify to its input-alone fallback, so
     the engine and its checked twins raise the same error on an atom
-    outside the schema, whatever the input and the limit."""
-    with pytest.raises(error):
-        fn(RESTAURANT, parse_formula(input_text, RESTAURANT), output, limit=limit)
+    outside the schema, whatever the input and the limit.  The schema
+    keeps what it compiled of the valid atoms, so the question is asked
+    twice: an invalid atom is refused again, never cached."""
+    input_mr = parse_formula(input_text, RESTAURANT)
+    for _ in range(2):
+        with pytest.raises(error):
+            fn(RESTAURANT, input_mr, output, limit=limit)
+
+
+def test_an_atom_decided_under_one_schema_is_checked_under_another():
+    """What a schema keeps of an atom is its own: under a schema whose
+    domain lacks the value the atom is refused, even when it was parsed
+    under the first schema, and under one that orders the domain
+    differently its witness follows that order."""
+    with_sushi = Schema({"Food": ("Italian", "Sushi")}, frozenset())
+    without_sushi = Schema({"Food": ("Italian", "Norwegian")}, frozenset())
+    for sushi in (CatAtom("Food", "x", "Sushi"), parse_formula("Food(x)=Sushi", with_sushi)):
+        assert decide(with_sushi, sushi, sushi).verdict is Verdict.WELL_MATCHED
+        with pytest.raises(ValueNotInDomain):
+            decide(without_sushi, sushi, sushi)
+    reordered = Schema({"Food": ("Sushi", "Italian", "Norwegian")}, frozenset())
+    counter = entails(reordered, TRUE, CatAtom("Food", "x", "Sushi")).witness
+    assert counter.categorical == {("Food", "x"): "Italian"}
+
+
+class _Name(str):
+    """A str subclass: equal to, and hashed like, the plain name."""
+
+
+def test_a_witness_takes_its_keys_from_the_question_asked():
+    """An atom whose entity is a str subclass, decided first, leaves
+    nothing behind that reaches a later question's witness: the plain
+    question's witness keys are plain strs."""
+    schema = Schema({"Food": ("Italian", "Norwegian")}, frozenset())
+    assert satisfiable(schema, CatAtom("Food", _Name("x"), "Italian")).holds
+    witness = satisfiable(schema, parse_formula("Food(x)=Italian", schema)).witness
+    assert witness.categorical == {("Food", "x"): "Italian"}
+    [(attr, entity)] = witness.categorical
+    assert (type(attr), type(entity)) == (str, str)
 
 
 def test_verdict_serialization_names_sort_ascending():
