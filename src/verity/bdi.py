@@ -151,10 +151,22 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
     when no formula names a constant).  The norms come last, so that a
     compound norm is checked for withholding too.
     """
+    schema = scenario.schema
+    atoms = schema._atoms
     candidates: list[Formula] = []
     for attr, entity in sorted(scenario.world.categorical):
-        for value in scenario.schema.domain(attr):
-            candidates.append(CatAtom(attr, entity, value))
+        for value in schema.domain(attr):
+            # The schema's own node for the atom's text, which questions
+            # compile without validating it again.  A missing one becomes
+            # that node, as if parsed, unless a part is not a plain str, as
+            # parsed text's parts are.
+            key = (attr, entity, "=", value)
+            atom = atoms.get(key)
+            if atom is None:
+                atom = CatAtom(attr, entity, value)
+                if type(attr) is type(entity) is type(value) is str:
+                    atoms[key] = atom
+            candidates.append(atom)
     constants: dict[Key, set[Fraction]] = {
         key: {value} for key, value in scenario.world.numeric.items()
     }

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from functools import cache, partial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .bdi import load_scenario, scan_misleading
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, entails
@@ -231,7 +231,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.corpus, "r", encoding="utf-8", errors="surrogateescape") as fh:
         records, errors = ingest_corpus(fh, schema)
     for error in errors:
-        print(f"line {error.line_no}: {error.message}", file=sys.stderr)
+        _error(f"line {error.line_no}: {error.message}")
     classify_fn = partial(checked_classify if args.oracle else classify, schema, limit=limit)
     counts = tally(schema, records, parse_failures=len(errors), classify_fn=classify_fn)
     sys.stdout.write(render_report(counts, args.format))
@@ -251,6 +251,25 @@ def _cmd_bdi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _error(line: str) -> None:
+    """Print ``line`` to standard error.  If no one reads it any more, the
+    line is lost and nothing else is: the exit code and standard output
+    stay as they would be."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream: TextIO) -> None:
+    """Point ``stream``'s file descriptor, whose reader went away, at
+    os.devnull, so that what is still buffered cannot fail again when it
+    is flushed, at the latest at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -263,24 +282,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Standard output was closed early (``verity ... | head``).  What is
-        # still buffered goes to os.devnull, so the flush at exit cannot
-        # fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # Standard output was closed early (``verity ... | head``).
+        _to_devnull(sys.stdout)
         return EXIT_CLOSED_STDOUT
     except UnknownFormat as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_FORMAT
     except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_RESOURCE
     except OracleDivergence as exc:
-        print(f"oracle divergence: {exc}", file=sys.stderr)
+        _error(f"oracle divergence: {exc}")
         return EXIT_DIVERGENCE
     except (MrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_PARSE
 
 

@@ -27,10 +27,10 @@ cost follows how soon the formulas are decided rather than the size of
 the product or of a key's domain.  A budget of search nodes bounds the
 cost.
 
-A categorical atom that is the schema's own parsed node is not validated
-again, since reading it validated it, and the truth tables of categorical
-atoms are made once per schema and (attribute, value) and shared by every
-entity.
+Each question is compiled in one walk.  A categorical atom that is the
+schema's own parsed node is not validated again, since reading it
+validated it, and the truth tables of categorical atoms are made once per
+schema and (attribute, value) and shared by every entity.
 """
 
 from __future__ import annotations
@@ -109,51 +109,13 @@ _SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
 
 
 # ---------------------------------------------------------------------------
-# Compilation: negation normal form with n-ary connectives
+# Compilation: one walk to a program of n-ary nodes
 #
-# An NNF node is [is_and, atoms, children, dominated]: ``atoms`` holds
-# (atom, negated) pairs, ``children`` the preorder positions of the nodes
-# of the other connective under it, and ``dominated`` is set by a constant
-# that decides the node outright (false under &, true under |).  Compiling
-# turns the nodes into a program that the search runs in one loop, so
-# nothing recurses on a formula's depth.
-
-
-def _nnf(formula: Formula, nodes: list[list]) -> int:
-    """Push negations to the atoms and flatten runs of one connective,
-    walking with an explicit stack; every node made is appended to
-    ``nodes`` in preorder.  Returns the root's position."""
-    root = len(nodes)
-    nodes.append([True, [], [], False])
-    stack = [(formula, False, nodes[root])]
-    while stack:
-        f, neg, node = stack.pop()
-        while type(f) is Not:
-            f = f.operand
-            neg = not neg
-        kind = type(f)
-        if kind is CatAtom or kind is NumAtom:
-            node[1].append((f, neg))
-        elif kind is TrueConst or kind is FalseConst:
-            # the constant's value is (kind is TrueConst) != neg
-            if ((kind is TrueConst) != neg) != node[0]:
-                node[3] = True
-        elif kind is And or kind is Or or kind is Implies:
-            is_and = (kind is And) != neg
-            if is_and != node[0]:
-                node[2].append(len(nodes))
-                node = [is_and, [], [], False]
-                nodes.append(node)
-            if kind is Implies:
-                # a -> b is !a | b
-                stack.append((f.consequent, neg, node))
-                stack.append((f.antecedent, not neg, node))
-            else:
-                stack.append((f.right, neg, node))
-                stack.append((f.left, neg, node))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-    return root
+# Negations are pushed to the atoms and runs of one connective are
+# flattened into one node, so nothing recurses on a formula's depth.  A
+# node is [decisive, default, (key slot, truth table) pairs, child offsets];
+# a constant that decides a node outright (false under &, true under |)
+# puts (decisive, decisive, (), ()) in its place.
 
 
 def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
@@ -171,104 +133,154 @@ def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple
 
 
 def _compile(schema: Schema, formulas: Sequence[Formula]):
-    """Validate the atoms, order the keys and compile ``formulas`` into a
+    """Compile ``formulas`` in one walk, with an explicit stack, into a
     program that gives their Kleene values under a partial assignment.
-    A categorical atom parsed under ``schema`` was validated when it was
-    read, and its tables are made once per schema (see ``_cat_tables``)
-    and shared by every entity; a numeric atom's table depends on the
-    question's constants, so it is validated and tabled on every call.
+    Each atom is checked, keyed and tabled where the walk meets it, left
+    to right.  A categorical atom parsed under ``schema`` was validated
+    when it was read, and its tables are made once per schema (see
+    ``_cat_tables``) and shared by every entity; a numeric atom's table
+    depends on the question's constants, so it is validated and tabled on
+    every call.
 
-    An assignment is a list of value indices, one per key; the index
-    ``sizes[k]`` means key k is unassigned.  A categorical key's values
-    are its domain.  A numeric key's are its sample points (see
-    ``_samples``), which are never built here: the constant of rank r
-    (from 0) is sample 2r + 1, so an atom's table is cut there.  The
-    program has one tuple (decisive value, default value, (key index,
-    truth table) pairs, child positions) per node, every child before its
-    parent.  A node has its decisive value when an atom or child has it,
-    else None when one is unknown, else its default.  Returns the
-    categorical and numeric keys, each numeric key's constants in
-    ascending order, the keys' sizes, the values to try, the program and
-    each formula's position in it.  The values to try are a bit mask per
-    key: every sample of a numeric key; the values the program's atoms
-    over a categorical key mention, plus the first one they do not, if
-    any.
+    Keys take slots in the order they are first met.  An assignment is a
+    list of value indices, one per slot; the index ``sizes[k]`` means
+    slot k is unassigned.  A categorical key's values are its domain.  A
+    numeric key's are its sample points (see ``_samples``), which are
+    never built here: the constant of rank r (from 0) is sample 2r + 1, so
+    an atom's table is cut there once the walk has seen every constant of
+    its key.  The program lists its nodes children first, and a node
+    names each child by the child's offset back from the end of the values
+    known when the node runs.  A node has its decisive value when an atom
+    or child has it, else None when one is unknown, else its default.
+
+    Returns the categorical and numeric keys, sorted, with each numeric
+    key's constants in ascending order (what a witness needs); the slots in
+    the order the search assigns them, which is those keys' order; the
+    slots' sizes; the values to try; the program; and where each formula's
+    value is among the values one run of the program yields, counted from
+    the end.  The values to try are a bit mask per slot: every sample of a
+    numeric key; the values the program's atoms over a categorical key
+    mention, plus the first one they do not, if any.
     """
-    nodes: list[list] = []
-    roots = [_nnf(f, nodes) for f in formulas]
-    # Each distinct atom object is looked at once, in order of occurrence;
-    # keyed by identity, since hashing a NumAtom hashes its Fraction.
-    atoms = {id(atom): atom for node in nodes for atom, _ in node[1]}
     parsed = schema._atoms
-    cat_set: set[Key] = set()
-    constants: dict[Key, dict[tuple[int, int], Fraction]] = {}
-    for atom in atoms.values():
-        if type(atom) is NumAtom:
-            validate_atom(schema, atom)
-            c = atom.constant
-            constants.setdefault((atom.attr, atom.entity), {})[c.numerator, c.denominator] = c
-            continue
-        # The schema's own node for the atom's text was validated when it
-        # was parsed; any other atom, even an equal one, is validated here.
-        try:
-            known = parsed.get((atom.attr, atom.entity, "=", atom.value)) is atom
-        except TypeError:  # an unhashable part, which validate_atom refuses
-            known = False
-        if not known:
-            validate_atom(schema, atom)
-        cat_set.add((atom.attr, atom.entity))
-    cat_keys = sorted(cat_set)
-    num_keys = sorted(constants)
-    sizes = [len(schema.categorical[attr]) for attr, _ in cat_keys]
-    ordered = []  # each numeric key's constants, ascending
-    ranks = []  # each numeric key's (numerator, denominator) -> rank
+    cat_tables = schema._tables
+    cat_slots: dict[Key, int] = {}
+    num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
+    sizes: list[int] = []
+    masks: list[int] = []
+    numeric = []  # (tables, position, slot, (numerator, denominator), cmp, negated)
+    program: list = []  # in preorder until the end
+    dominated = []  # the nodes a constant took out of the program
+    roots = []
+    for formula in formulas:
+        node = [False, True, [], []]  # every root is an & node
+        pos = len(program)
+        roots.append(-1 - pos)  # where the reversed program puts it
+        program.append(node)
+        f, neg = formula, False
+        stack = []  # the right operands still to read, each with its node
+        while True:
+            while type(f) is Not:
+                f = f.operand
+                neg = not neg
+            kind = type(f)
+            if kind is CatAtom:
+                # The schema's own node for the atom's text was validated
+                # when it was parsed; any other atom, even an equal one, is
+                # validated here.
+                try:
+                    known = parsed.get((f.attr, f.entity, "=", f.value)) is f
+                except TypeError:  # an unhashable part, which validate_atom refuses
+                    known = False
+                if not known:
+                    validate_atom(schema, f)
+                key = (f.attr, f.entity)
+                slot = cat_slots.get(key)
+                if slot is None:
+                    slot = cat_slots[key] = len(sizes)
+                    sizes.append(len(schema.categorical[f.attr]))
+                    masks.append(0)
+                bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
+                masks[slot] |= bit
+                node[2].append((slot, pair[neg]))
+            elif kind is NumAtom:
+                validate_atom(schema, f)
+                key = (f.attr, f.entity)
+                got = num_slots.get(key)
+                if got is None:
+                    got = num_slots[key] = (len(sizes), {})
+                    sizes.append(0)
+                    masks.append(-1)  # every sample is tried
+                c = f.constant
+                nd = (c.numerator, c.denominator)
+                got[1][nd] = c
+                numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))
+                node[2].append(None)
+            elif kind is And or kind is Or or kind is Implies:
+                is_and = (kind is And) != neg
+                if is_and is not node[1]:
+                    node[3].append(pos - len(program))
+                    pos = len(program)
+                    node = [not is_and, is_and, [], []]
+                    program.append(node)
+                # The left operand is read next, the right one later.
+                if kind is Implies:
+                    # a -> b is !a | b
+                    stack.append((f.consequent, neg, node, pos))
+                    f, neg = f.antecedent, not neg
+                else:
+                    stack.append((f.right, neg, node, pos))
+                    f = f.left
+                continue
+            elif kind is TrueConst or kind is FalseConst:
+                # the constant's value is (kind is TrueConst) != neg
+                if ((kind is TrueConst) != neg) is node[0]:
+                    program[pos] = (node[0], node[0], (), ())
+                    dominated.append(node)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            if not stack:
+                break
+            f, neg, node, pos = stack.pop()
+
+    cat_keys = sorted(cat_slots)
+    num_keys = sorted(num_slots)
+    order = [cat_slots[k] for k in cat_keys]
+    constants = []  # each numeric key's constants, ascending
+    ranks = {}  # each numeric slot's (numerator, denominator) -> rank
     for k in num_keys:
-        cs = constants[k]
+        slot, cs = num_slots[k]
         common = math.lcm(*(d for _, d in cs))
         pairs = sorted(cs, key=lambda nd: nd[0] * (common // nd[1]))
-        ordered.append([cs[nd] for nd in pairs])
-        ranks.append({nd: r for r, nd in enumerate(pairs)})
-        sizes.append(2 * len(pairs) + 1)
-    index = {k: i for i, k in enumerate(cat_keys + num_keys)}
-    n_cat = len(cat_keys)
-
-    # In reversed preorder, children come first: preorder p runs at last - p.
-    last = len(nodes) - 1
-    masks = [0] * n_cat + [-1] * len(num_keys)  # numeric keys try every sample
-    cat_tables = schema._tables
-    program = []
-    for is_and, node_atoms, children, dominated in reversed(nodes):
-        decisive = not is_and  # the value of an atom or child that decides the node
-        if dominated:
-            program.append((decisive, decisive, (), ()))
-            continue
-        tables = []
-        for atom, neg in node_atoms:
-            i = index[atom.attr, atom.entity]
-            if type(atom) is not NumAtom:
-                entry = cat_tables.get((atom.attr, atom.value)) or _cat_tables(
-                    schema, atom.attr, atom.value
-                )
-                masks[i] |= entry[0]
-                tables.append((i, entry[1][neg]))
-                continue
-            n = sizes[i]
-            c = atom.constant
-            sample = 2 * ranks[i - n_cat][c.numerator, c.denominator] + 1
-            if atom.cmp == "=":
-                table = [neg] * n
-                table[sample] = not neg
-            else:
-                shift, below = _SPLITS[atom.cmp]
-                cut = sample + shift
-                table = [below != neg] * cut + [below == neg] * (n - cut)
-            table.append(None)  # the key is unassigned
-            tables.append((i, table))
-        program.append((decisive, is_and, tables, [last - c for c in children]))
+        order.append(slot)
+        constants.append([cs[nd] for nd in pairs])
+        ranks[slot] = {nd: r for r, nd in enumerate(pairs)}
+        sizes[slot] = 2 * len(pairs) + 1
+    for tables, i, slot, nd, cmp, neg in numeric:
+        n = sizes[slot]
+        sample = 2 * ranks[slot][nd] + 1
+        if cmp == "=":
+            table = [neg] * n
+            table[sample] = not neg
+        else:
+            shift, below = _SPLITS[cmp]
+            cut = sample + shift
+            table = [below != neg] * cut + [below == neg] * (n - cut)
+        table.append(None)  # the key is unassigned
+        tables[i] = (slot, table)
+    if dominated and any(node[2] for node in dominated):
+        # Atoms of a node that a constant decided were tabled: only those
+        # left in the program name the values to try.
+        bits = {id(table): bit for bit, pair in cat_tables.values() for table in pair}
+        masks = [min(m, 0) for m in masks]
+        for _, _, tables, _ in program:
+            for slot, table in tables:
+                masks[slot] |= bits.get(id(table), -1)
     # Every atom over a key is false on each value it does not mention, so
     # those values give identical subtrees and the first stands for all.
     masks = [(m | m + 1) & (1 << n) - 1 for m, n in zip(masks, sizes)]
-    return cat_keys, num_keys, ordered, sizes, masks, program, [last - r for r in roots]
+    program.reverse()
+    return (cat_keys, num_keys, constants), order, sizes, masks, program, roots
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +298,9 @@ def _search(
     schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int
 ) -> tuple[int, Optional[tuple]]:
     """Depth-first search over the joint keys of ``a`` and ``b`` for the
-    cells in the mask ``explore``.  Each key runs through the values in
-    its mask from ``_compile``, in domain or sample order.
+    cells in the mask ``explore``.  The keys are assigned in ``_compile``'s
+    order, categorical then numeric, each sorted, and each runs through the
+    values in its mask, in domain or sample order.
 
     A node where both formulas are decided marks its cell; a node whose
     reachable cells in ``explore`` are all marked is pruned, and so is the
@@ -298,8 +311,8 @@ def _search(
     completion (see ``_witness``), or None when it ran to the end; raises
     ResourceLimit on the node after the ``limit``-th.
     """
-    cat_keys, num_keys, constants, sizes, masks, program, (root_a, root_b) = _compile(schema, (a, b))
-    at = sizes[:]  # each key's value index; every key unassigned
+    keys, order, sizes, masks, program, (root_a, root_b) = _compile(schema, (a, b))
+    at = sizes[:]  # each slot's value index; every key unassigned
     path: list[int] = []  # the cells each node being branched can still reach
     seen = 0
     nodes = 0
@@ -329,18 +342,17 @@ def _search(
         reach = _A_CELLS[ta] & _B_CELLS[tb] & explore & ~seen
         if reach:
             if ta is None or tb is None:
-                at[len(path)] = 0
+                at[order[len(path)]] = 0
                 path.append(reach)
                 continue
             seen |= reach
             if stop and seen & stop == stop:
-                first = [i if i < n else 0 for i, n in zip(at, sizes)]
-                return seen, (cat_keys, num_keys, constants, first)
+                return seen, (keys, [at[k] if at[k] < sizes[k] else 0 for k in order])
         # Next sibling, or back up a level once the key's values run out or
         # the parent's subtree holds nothing more; a key backed out of is
         # unassigned again.
         while path:
-            k = len(path) - 1
+            k = order[len(path) - 1]
             rest = masks[k] >> at[k] + 1  # the values still to try
             if rest and path[-1] & ~seen:
                 at[k] += (rest & -rest).bit_length()
@@ -356,7 +368,7 @@ def _witness(schema: Schema, stopped: Optional[tuple]) -> Optional[Model]:
     end.  Only here are a numeric key's sample points made."""
     if stopped is None:
         return None
-    cat_keys, num_keys, constants, at = stopped
+    (cat_keys, num_keys, constants), at = stopped
     return Model(
         {k: schema.categorical[k[0]][i] for k, i in zip(cat_keys, at)},
         {k: _samples(cs)[i] for k, cs, i in zip(num_keys, constants, at[len(cat_keys):])},

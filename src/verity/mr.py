@@ -32,8 +32,10 @@ keep their own stacks, because reading ``_preorder`` was measured to be
 slower.  ``evaluate`` short-circuits; read from ``_preorder`` backwards it
 gave the same results on 20,000 random cases, but bdi scans, which call it
 about 300 times each, ran 29% slower (4-14% with a fast path for atoms).
-``entail._nnf``, on the decision path, saved no lines on ``_preorder``,
-ran 1.5 times slower and made random-mix ``classify`` 4-7% slower.
+The other is ``entail._compile``'s, on the decision path, which checks,
+keys and tables each atom where it meets it; when that walk was a pass of
+its own, reading ``_preorder`` instead saved no lines, ran 1.5 times slower
+and made random-mix ``classify`` 4-7% slower.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.

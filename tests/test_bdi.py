@@ -24,6 +24,7 @@ from randgen import ENTITY, NUM_ATTR, random_atom, random_formula, random_schema
 from verity import (
     FALSE,
     And,
+    CatAtom,
     EntailmentResult,
     FindingKind,
     Implies,
@@ -725,6 +726,34 @@ def test_default_candidates_cover_domains_and_constants():
     assert parse_formula("Hurricane(today)=Yes", schema) in pool
     assert NumAtom("Temperature", "d", "=", Fraction(22)) in pool
     assert NumAtom("Temperature", "d", "<=", Fraction(20)) in pool
+
+
+def test_default_candidates_are_the_schemas_own_atoms():
+    """Each categorical candidate is the schema's node for its text: the
+    parsed one where the scenario's formulas wrote it, else one the schema
+    keeps from then on, which parsing the text hands out too.  The pool
+    stays the same, in the same order."""
+    schema = parse_schema("attr Hurricane : { Yes, No }\nattr Sky : { Clear, Cloudy }\nnum Temperature")
+    scenario = Scenario(
+        schema=schema,
+        communicated=parse_formula("Hurricane(today)=No & Temperature(d) > 20", schema),
+        hearer_beliefs=parse_formula("Sky(today)=Clear", schema),
+        world=Model(
+            {("Hurricane", "today"): "No", ("Sky", "today"): "Clear"}, {("Temperature", "d"): Fraction(22)}
+        ),
+    )
+    pool = default_candidates(scenario)
+    atoms = pool[:4]
+    assert atoms == [
+        CatAtom("Hurricane", "today", "Yes"),
+        CatAtom("Hurricane", "today", "No"),
+        CatAtom("Sky", "today", "Clear"),
+        CatAtom("Sky", "today", "Cloudy"),
+    ]
+    assert atoms[1] is scenario.communicated.left and atoms[2] is scenario.hearer_beliefs
+    for atom in atoms:
+        assert parse_formula(print_formula(atom), schema) is atom
+    assert all(a is b for a, b in zip(default_candidates(scenario), atoms))
 
 
 def test_default_candidates_end_with_the_norms_they_lack():

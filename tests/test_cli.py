@@ -1047,9 +1047,10 @@ def test_module_entry_point():
     assert proc.stdout == "3b-conflicting\n"
 
 
-def _run_with_stdout_closed(args, unbuffered):
-    """Run the module entry point with stdout a pipe whose read end is
-    already closed, as after ``verity ... | head`` when head has exited."""
+def _run_with_closed(args, unbuffered, closed="stdout"):
+    """Run the module entry point with the stream ``closed`` ("stdout",
+    "stderr" or None) a pipe whose read end is already closed, as after
+    ``verity ... | head`` when head has exited; the others are read."""
     src = str(Path(verity.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONUNBUFFERED", None)
@@ -1057,13 +1058,15 @@ def _run_with_stdout_closed(args, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if closed:
+        streams[closed] = write_end
     try:
         return subprocess.run(
             [sys.executable, "-m", "verity.cli", *args],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
             text=True,
             env=env,
+            **streams,
         )
     finally:
         os.close(write_end)
@@ -1073,7 +1076,7 @@ def _run_with_stdout_closed(args, unbuffered):
 def test_a_closed_stdout_exits_1_in_silence(unbuffered):
     """Output that finds no reader is exit 1 with nothing on stderr,
     whether it is written at the final flush or print by print."""
-    proc = _run_with_stdout_closed(
+    proc = _run_with_closed(
         ["classify", "-v", "-s", TEMPERATURE, "Temperature(d) = 7/3", "Temperature(d) > 2 & Temperature(d) < 12/5"],
         unbuffered,
     )
@@ -1081,11 +1084,44 @@ def test_a_closed_stdout_exits_1_in_silence(unbuffered):
 
 
 def test_an_unreadable_file_is_exit_2_with_stdout_closed(tmp_path):
-    proc = _run_with_stdout_closed(
+    proc = _run_with_closed(
         ["classify", "-s", str(tmp_path / "missing.schema"), "A(x)=B", "A(x)=B"], False
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: [Errno 2] No such file or directory: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["classify", "-s", "missing.schema", "A(x)=B", "A(x)=B"], 2),
+        (["classify", "--limit", "1", "-s", RESTAURANT, "Food(x)=Italian", "Food(x)=Norwegian"], 3),
+    ],
+    ids=["exit-2", "exit-3"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, args, code, unbuffered):
+    """An error message that finds no reader is lost, and nothing else:
+    the exit code is the error's, not that of a closed stdout."""
+    args = [str(tmp_path / a) if a == "missing.schema" else a for a in args]
+    proc = _run_with_closed(args, unbuffered, closed="stderr")
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stderr_keeps_the_report(tmp_path, unbuffered):
+    """A corpus line that does not parse is reported on stderr; with no
+    reader there, the report is still printed in full, with exit 0."""
+    with open(CORPUS, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join([lines[0], "{not json", *lines[1:]]) + "\n", encoding="utf-8")
+    args = ["report", "-s", RESTAURANT, str(corpus)]
+    expected = _run_with_closed(args, unbuffered, closed=None)
+    assert (expected.returncode, expected.stderr.count("\n")) == (0, 1)
+    assert "parse failures: 1" in expected.stdout
+    proc = _run_with_closed(args, unbuffered, closed="stderr")
+    assert (proc.returncode, proc.stdout) == (0, expected.stdout)
 
 
 # ---------------------------------------------------------------------------

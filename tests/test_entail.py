@@ -43,6 +43,7 @@ from verity import (
     satisfiable,
 )
 from verity import entail
+from verity.mr import UnknownAttribute, ValueNotInDomain, validate_atom
 from verity.entail import _compile, _samples, _search, _witness, pair_cells
 from verity.taxonomy import decide
 
@@ -455,11 +456,65 @@ def test_categorical_tables_are_shared_by_every_entity():
     for i in range(50):
         f = And(f, And(CatAtom("Food", f"e{i}", "Italian"), Not(CatAtom("Food", f"e{i}", "Japanese"))))
     for _ in range(2):
-        program = _compile(schema, (f,))[5]
+        program = _compile(schema, (f,))[4]
         tables = [table for _, _, atoms, _ in program for _, table in atoms]
         assert len(tables) == 100
         assert {id(table) for table in tables} == {id(tables[0]), id(tables[1])}
         assert tables[:2] == [(True, False, False, None), (True, True, False, None)]
+
+
+def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
+    """A categorical atom equal to one the schema parsed, but not its
+    node, is validated on each question, and the parsed node never again;
+    a numeric atom is validated on each question, parsed or not."""
+    schema = parse_schema("attr Food : { Italian, Norwegian }\nnum Temperature")
+    parsed = parse_formula("Food(x)=Italian & Temperature(d) > 1/2", schema)
+    built = And(CatAtom("Food", "x", "Italian"), NumAtom("Temperature", "d", ">", Fraction(1, 2)))
+    assert built == parsed
+    validated = []
+
+    def spy(schema, atom):
+        validated.append(id(atom))
+        validate_atom(schema, atom)
+
+    monkeypatch.setattr(entail, "validate_atom", spy)
+    for f in (parsed, built):
+        validated.clear()
+        for _ in range(2):
+            assert satisfiable(schema, f)
+        expected = [id(f.right)] if f is parsed else [id(f.left), id(f.right)]
+        assert validated == expected * 2
+
+
+@pytest.mark.parametrize(
+    "ask", [satisfiable, oracle_satisfiable, lambda s, f: classify(s, TRUE, f)], ids=["engine", "oracle", "classify"]
+)
+def test_api_built_atoms_are_validated_left_to_right(ask):
+    """Of two invalid atoms, the leftmost raises, even where the other sits
+    nearer the root: the engine validates as the oracle does."""
+    unknown = CatAtom("Colour", "x", "Red")
+    outside = CatAtom("Food", "x", "Sushi")
+    ok = CatAtom("Food", "x", "Italian")
+    for f, error in (
+        (And(Or(unknown, ok), outside), UnknownAttribute),
+        (And(Or(outside, ok), unknown), ValueNotInDomain),
+        (Implies(Not(unknown), outside), UnknownAttribute),
+    ):
+        with pytest.raises(error):
+            ask(RESTAURANT, f)
+
+
+@pytest.mark.parametrize("constant_first", [False, True])
+def test_a_node_decided_by_a_constant_names_no_values(constant_first):
+    """The atoms of a node that a constant decides are keyed but not
+    tabled, whether they come before the constant or after it, so they add
+    no value to try: Food(x) tries Japanese, which an atom that is read
+    mentions, and Italian, the first value none mentions."""
+    schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
+    italian, japanese = CatAtom("Food", "x", "Italian"), CatAtom("Food", "x", "Japanese")
+    decided = And(FALSE, italian) if constant_first else And(italian, FALSE)
+    (keys, _, _), _, sizes, masks, _, _ = _compile(schema, (Or(decided, japanese),))
+    assert (keys, sizes, masks) == ([("Food", "x")], [3], [0b101])
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +548,9 @@ def test_numeric_tables_are_comparisons_on_the_sample_points(constants, literals
     for atom, (_, neg) in zip(atoms, literals):
         literal = Not(atom) if neg else atom
         f = literal if f is None else And(f, literal)
-    _, num_keys, ordered, sizes, masks, program, _ = _compile(TEMPERATURE, (f,))
+    (_, num_keys, ordered), order, sizes, masks, program, _ = _compile(TEMPERATURE, (f,))
     points = _samples(sorted(set(constants)))
-    assert (num_keys, ordered, sizes) == ([("Temperature", "d")], [sorted(set(constants))], [len(points)])
+    assert (num_keys, ordered, order, sizes) == ([("Temperature", "d")], [sorted(set(constants))], [0], [len(points)])
     assert masks == [2 ** len(points) - 1]  # every sample is tried
     ((_, _, tables, _),) = program  # one & node holding every literal
     assert len(tables) == len(atoms)
