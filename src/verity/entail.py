@@ -56,6 +56,7 @@ from .mr import (
     Or,
     Schema,
     TrueConst,
+    iter_atoms,
     validate_atom,
 )
 
@@ -115,7 +116,8 @@ _SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
 # flattened into one node, so nothing recurses on a formula's depth.  A
 # node is [decisive, default, (key slot, truth table) pairs, child offsets];
 # a constant that decides a node outright (false under &, true under |)
-# puts (decisive, decisive, (), ()) in its place.
+# puts (decisive, decisive, (), ()) in its place, and nothing under that
+# node stays in the program.
 
 
 def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
@@ -132,6 +134,33 @@ def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple
     return entry
 
 
+def _key_only(
+    schema: Schema, operands: list, cat_slots: dict, num_slots: dict, sizes: list, masks: list
+) -> None:
+    """Validate and key the atoms of ``operands``, left to right, which are
+    the operands still unread of a node that a constant decided.  They get
+    no table, program node or value to try, but their keys keep slots and
+    their numeric constants sample points, so the search visits no more
+    nodes and a witness names the keys and values it would name if they
+    were compiled."""
+    for operand in operands:
+        for f in iter_atoms(operand):
+            validate_atom(schema, f)
+            key = (f.attr, f.entity)
+            if type(f) is NumAtom:
+                got = num_slots.get(key)
+                if got is None:
+                    got = num_slots[key] = (len(sizes), {})
+                    sizes.append(0)
+                    masks.append(-1)
+                c = f.constant
+                got[1][c.numerator, c.denominator] = c
+            elif key not in cat_slots:
+                cat_slots[key] = len(sizes)
+                sizes.append(len(schema.categorical[f.attr]))
+                masks.append(0)
+
+
 def _compile(schema: Schema, formulas: Sequence[Formula]):
     """Compile ``formulas`` in one walk, with an explicit stack, into a
     program that gives their Kleene values under a partial assignment.
@@ -140,7 +169,9 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     when it was read, and its tables are made once per schema (see
     ``_cat_tables``) and shared by every entity; a numeric atom's table
     depends on the question's constants, so it is validated and tabled on
-    every call.
+    every call.  A node that a constant decides holds no atom or child:
+    what the walk made under it leaves the program, and the atoms of its
+    operands still unread are only validated and keyed (``_key_only``).
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -170,7 +201,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     masks: list[int] = []
     numeric = []  # (tables, position, slot, (numerator, denominator), cmp, negated)
     program: list = []  # in preorder until the end
-    dominated = []  # the nodes a constant took out of the program
+    stale = False  # whether masks hold bits of atoms a constant took out
     roots = []
     for formula in formulas:
         node = [False, True, [], []]  # every root is an & node
@@ -235,8 +266,16 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
             elif kind is TrueConst or kind is FalseConst:
                 # the constant's value is (kind is TrueConst) != neg
                 if ((kind is TrueConst) != neg) is node[0]:
+                    # The nodes made under this one since it was made leave
+                    # the program, and its operands still on the stack,
+                    # which are on top, are only validated and keyed.
+                    stale = stale or bool(node[2]) or len(program) > pos + 1
+                    del program[pos + 1:]
                     program[pos] = (node[0], node[0], (), ())
-                    dominated.append(node)
+                    rest = []
+                    while stack and stack[-1][2] is node:
+                        rest.append(stack.pop()[0])
+                    _key_only(schema, rest, cat_slots, num_slots, sizes, masks)
             else:
                 raise TypeError(f"not a formula: {f!r}")
             if not stack:
@@ -256,6 +295,9 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         constants.append([cs[nd] for nd in pairs])
         ranks[slot] = {nd: r for r, nd in enumerate(pairs)}
         sizes[slot] = 2 * len(pairs) + 1
+    if stale:
+        live = {id(tables) for _, _, tables, _ in program}
+        numeric = [entry for entry in numeric if id(entry[0]) in live]
     for tables, i, slot, nd, cmp, neg in numeric:
         n = sizes[slot]
         sample = 2 * ranks[slot][nd] + 1
@@ -268,9 +310,9 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
             table = [below != neg] * cut + [below == neg] * (n - cut)
         table.append(None)  # the key is unassigned
         tables[i] = (slot, table)
-    if dominated and any(node[2] for node in dominated):
-        # Atoms of a node that a constant decided were tabled: only those
-        # left in the program name the values to try.
+    if stale:
+        # Atoms that a constant took out of the program were tabled first:
+        # only those left in it name the values to try.
         bits = {id(table): bit for bit, pair in cat_tables.values() for table in pair}
         masks = [min(m, 0) for m in masks]
         for _, _, tables, _ in program:

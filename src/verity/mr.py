@@ -18,7 +18,9 @@ Text syntax, lowest precedence first::
               |  Attr '(' entity ')' cmp number         numeric atom, cmp in < <= = >= >
 
 Parsing scans the whole text into tokens with one regular expression,
-which reads each whole atom as a single token, and then builds the formula
+which reads each whole atom as a single token and each token together
+with the blanks before it, so a token's text and place are those of its
+named group rather than of the whole match, and then builds the formula
 in one precedence-climbing loop with explicit stacks, so neither the
 length of a formula nor the depth of its parentheses is bounded.  An atom
 token's parts build and check the atom, once per schema; text that starts
@@ -182,8 +184,8 @@ class Schema:
 
 def _is_name(text: object) -> bool:
     """Whether formula and schema text can spell ``text`` as an attribute
-    name or a categorical value."""
-    return isinstance(text, str) and _NAME_RE.fullmatch(text) is not None
+    name or a categorical value: exactly the strings ``_NAME`` matches."""
+    return isinstance(text, str) and text.isascii() and text.isidentifier()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +579,6 @@ def format_model(model: Model) -> str:
 # Lexing
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(_NAME)
 _NUMBER = r"-?\d+(?:\.\d+|/\d+)?"
 _GAP = r"[ \t\r\n]*"
 
@@ -595,10 +596,12 @@ _TOKEN_RE = re.compile(_TOKENS)
 
 # Formula text also reads each whole atom, ``Attr(entity) cmp value`` with
 # whitespace allowed between the parts, as one ``atom`` token whose groups
-# 2 to 5 hold the parts.  ``true`` and ``false`` are never attributes.
+# 2 to 5 hold the parts.  ``true`` and ``false`` are never attributes.  Each
+# match also reads the blanks before its token, so the alternatives are not
+# tried at every blank; a token's text and place are its named group's.
 _FORMULA_RE = re.compile(
-    rf"(?P<atom>(?!(?:true|false){_GAP}\()({_NAME}){_GAP}\({_GAP}({_NAME}){_GAP}\)"
-    rf"{_GAP}(<=|>=|[=<>]){_GAP}({_NUMBER}|{_NAME}))|" + _TOKENS
+    rf"{_GAP}(?:(?P<atom>(?!(?:true|false){_GAP}\()({_NAME}){_GAP}\({_GAP}({_NAME}){_GAP}\)"
+    rf"{_GAP}(<=|>=|[=<>]){_GAP}({_NUMBER}|{_NAME}))|{_TOKENS})"
 )
 
 # A whole schema line that is blank, a comment, or one well-formed
@@ -618,7 +621,7 @@ def _where(text: str, pos: int, line: int = 1) -> tuple[int, int]:
 
 def _got(tok: re.Match) -> str:
     kind = tok.lastgroup
-    return _got_kind(kind, tok.group(2) if kind == "atom" else tok.group())
+    return _got_kind(kind, tok.group(2 if kind == "atom" else kind))
 
 
 def _got_kind(kind: str, text: str) -> str:
@@ -627,8 +630,9 @@ def _got_kind(kind: str, text: str) -> str:
 
 
 def _check(tok: re.Match, kind: str, what: str, text: str, line: int = 1) -> re.Match:
-    if tok.lastgroup != kind:
-        raise ParseError(f"expected {what}, got {_got(tok)}", *_where(text, tok.start(), line))
+    got = tok.lastgroup
+    if got != kind:
+        raise ParseError(f"expected {what}, got {_got(tok)}", *_where(text, tok.start(got), line))
     return tok
 
 
@@ -641,7 +645,7 @@ def _raise_bad_token(tokens: list[re.Match], text: str, line: int = 1) -> None:
     for tok in tokens:
         if tok.lastgroup == "bad":
             raise ParseError(
-                f"unexpected character {tok.group()!r}", *_where(text, tok.start(), line)
+                f"unexpected character {tok.group('bad')!r}", *_where(text, tok.start("bad"), line)
             ) from None
 
 
@@ -652,7 +656,8 @@ def _raise_bad_token(tokens: list[re.Match], text: str, line: int = 1) -> None:
 def read_source(path: str | Path) -> str:
     """Read a UTF-8 source file; bytes that do not decode are a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
 
@@ -784,7 +789,7 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                 value = key[3]
                 kind = "ident" if value[0] == "_" or value[0].isalpha() else "number"
                 f = atoms[key] = _atom(
-                    schema, text, *key, kind, (tok.start(), tok.start(4), tok.start(5))
+                    schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5))
                 )
         elif kind == "not":
             stack.append(_NEG)
@@ -794,13 +799,13 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
             stack.append(_STOP)
             continue
         elif kind == "ident":
-            f = _CONSTANTS.get(tok.group())
+            f = _CONSTANTS.get(tok.group(kind))
             if f is None:
                 # Any other name starts an atom the scanner could not read
                 # whole; reading it raises that atom's error.
-                f = _read_atom(text, tok.start(), schema)
+                f = _read_atom(text, tok.start(kind), schema)
         else:
-            raise ParseError(f"expected a formula, got {_got(tok)}", *_where(text, tok.start()))
+            raise ParseError(f"expected a formula, got {_got(tok)}", *_where(text, tok.start(kind)))
         # After the operand: apply its '!'s, then close parentheses until a
         # binary operator, or the end, comes.
         while True:
@@ -823,9 +828,11 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
             if kind == "rpar" and depth:
                 depth -= 1
             elif depth:
-                raise ParseError(f"expected ')', got {_got(tok)}", *_where(text, tok.start()))
+                raise ParseError(f"expected ')', got {_got(tok)}", *_where(text, tok.start(kind)))
             elif kind != "end":
-                raise ParseError(f"unexpected {_got(tok)} after formula", *_where(text, tok.start()))
+                raise ParseError(
+                    f"unexpected {_got(tok)} after formula", *_where(text, tok.start(kind))
+                )
             while stack[-1][0]:
                 _, folded, left = stack.pop()
                 f = folded(left, f)

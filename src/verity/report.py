@@ -279,14 +279,15 @@ def _render_csv(c: CategoryCounts) -> str:
 
 
 def _render_text(c: CategoryCounts) -> str:
-    rows = [(v.value, str(c.counts[v]), _freq(c.counts[v], c.total)) for v in Verdict]
+    total = c.total
+    rows = [(v.value, str(n), _freq(n, total)) for v, n in c.counts.items()]
     name_w = max(len("category"), len("total"), *(len(r[0]) for r in rows))
-    count_w = max(len("count"), len(str(c.total)), *(len(r[1]) for r in rows))
+    count_w = max(len("count"), len(str(total)), *(len(r[1]) for r in rows))
     freq_w = max(len("frequency"), *(len(r[2]) for r in rows))
     lines = [f"{'category':<{name_w}}  {'count':>{count_w}}  {'frequency':>{freq_w}}"]
     for name, count, freq in rows:
         lines.append(f"{name:<{name_w}}  {count:>{count_w}}  {freq:>{freq_w}}")
-    lines.append(f"{'total':<{name_w}}  {str(c.total):>{count_w}}")
+    lines.append(f"{'total':<{name_w}}  {str(total):>{count_w}}")
     if c.parse_failures:
         lines.append(f"parse failures: {c.parse_failures}")
     if c.resource_limited:

@@ -491,7 +491,8 @@ def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
 )
 def test_api_built_atoms_are_validated_left_to_right(ask):
     """Of two invalid atoms, the leftmost raises, even where the other sits
-    nearer the root: the engine validates as the oracle does."""
+    nearer the root or the leftmost sits under a node that a constant
+    decides: the engine validates as the oracle does."""
     unknown = CatAtom("Colour", "x", "Red")
     outside = CatAtom("Food", "x", "Sushi")
     ok = CatAtom("Food", "x", "Italian")
@@ -499,6 +500,9 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
         (And(Or(unknown, ok), outside), UnknownAttribute),
         (And(Or(outside, ok), unknown), ValueNotInDomain),
         (Implies(Not(unknown), outside), UnknownAttribute),
+        # under a node that a constant decides
+        (And(Or(TRUE, unknown), outside), UnknownAttribute),
+        (And(And(FALSE, outside), unknown), ValueNotInDomain),
     ):
         with pytest.raises(error):
             ask(RESTAURANT, f)
@@ -506,15 +510,24 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
 
 @pytest.mark.parametrize("constant_first", [False, True])
 def test_a_node_decided_by_a_constant_names_no_values(constant_first):
-    """The atoms of a node that a constant decides are keyed but not
-    tabled, whether they come before the constant or after it, so they add
-    no value to try: Food(x) tries Japanese, which an atom that is read
-    mentions, and Italian, the first value none mentions."""
-    schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
-    italian, japanese = CatAtom("Food", "x", "Italian"), CatAtom("Food", "x", "Japanese")
-    decided = And(FALSE, italian) if constant_first else And(italian, FALSE)
-    (keys, _, _), _, sizes, masks, _, _ = _compile(schema, (Or(decided, japanese),))
-    assert (keys, sizes, masks) == ([("Food", "x")], [3], [0b101])
+    """Nothing under a node that a constant decides, its own atoms or a
+    subtree, stays in the program or names a value to try, whether it
+    comes before the constant or after it: Food(x) tries Japanese, which an
+    atom that is read mentions, and Italian, the first value none mentions.
+    Its atoms keep their keys, and a numeric atom its constant, so the
+    witness is still the first model in product order: Temp(d) takes its
+    first sample, 5 - 1."""
+    schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset({"Temp"}))
+    italian, norwegian, japanese = (CatAtom("Food", "x", v) for v in ("Italian", "Norwegian", "Japanese"))
+    under = And(italian, Or(norwegian, Not(NumAtom("Temp", "d", ">", 5))))
+    decided = And(FALSE, under) if constant_first else And(under, FALSE)
+    f = Or(decided, japanese)
+    (keys, num_keys, constants), _, sizes, masks, program, _ = _compile(schema, (f,))
+    assert (keys, num_keys, constants) == ([("Food", "x")], [("Temp", "d")], [[5]])
+    assert (sizes, masks) == ([3, 3], [0b101, 0b111])
+    # the root, the '|' node, and the decided '&' node, which holds nothing
+    assert len(program) == 3 and (False, False, (), ()) in program
+    assert satisfiable(schema, f).witness == Model({("Food", "x"): "Japanese"}, {("Temp", "d"): Fraction(4)})
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -155,6 +156,26 @@ def test_schema_rejects_names_the_grammar_cannot_read(categorical, numeric, mess
 
 
 NAMEISH = st.one_of(st.text(max_size=4), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True))
+
+
+@given(st.one_of(st.text(), NAMEISH, st.text(alphabet="aZ_09\u0301é٣ﬁ", max_size=4)))
+@settings(max_examples=500)
+def test_is_name_is_the_name_pattern(text):
+    """The str-method name check accepts exactly what the grammar's name
+    pattern reads."""
+    assert mr._is_name(text) == (re.fullmatch(mr._NAME, text) is not None)
+
+
+# Letters, a combining mark, a ligature and a digit outside ASCII, each of
+# which ``str.isidentifier`` alone accepts somewhere in a name.
+@pytest.mark.parametrize(
+    "text, expected",
+    [("é", False), ("ǅ", False), ("x\u0301", False), ("ﬁ", False), ("x٣", False), ("٣", False),
+     ("_", True), ("a_1", True), ("9a", False), ("", False)],
+)
+def test_is_name_fixed_cases(text, expected):
+    assert mr._is_name(text) is expected
+    assert (re.fullmatch(mr._NAME, text) is not None) is expected
 
 
 @given(NAMEISH, NAMEISH)
@@ -339,6 +360,43 @@ def test_formula_error_table(text, error, message):
     with pytest.raises(SourceError) as exc_info:
         parse_formula(text, ERR_SCHEMA)
     assert (type(exc_info.value), str(exc_info.value)) == (error, message)
+
+
+# Each error of the formula parser with blanks before the offending token,
+# which the scanner reads as part of that token's match: the position is
+# the token's own.  Blanks: two spaces, a tab, a newline then two spaces,
+# and a CRLF then a tab; one line:col per blank, in that order.
+BLANKS = ("  ", "\t", " \n  ", "\r\n\t")
+BLANK_ERRORS = [
+    ("bad-character", "Alpha(e)=V1 &{}$", ParseError, "unexpected character '$'", ("1:16", "1:15", "2:3", "2:2")),
+    ("bad-character-in-atom", "Alpha(e){}é", ParseError, "unexpected character 'é'", ("1:11", "1:10", "2:3", "2:2")),
+    ("close-paren", "(Alpha(e)=V1{}Beta(e)=V2)", ParseError, "expected ')', got 'Beta'", ("1:15", "1:14", "2:3", "2:2")),
+    ("close-paren-end", "(Alpha(e)=V1{}", ParseError, "expected ')', got end of input", ("1:15", "1:14", "2:3", "2:2")),
+    ("after-formula", "Alpha(e)=V1{})", ParseError, "unexpected ')' after formula", ("1:14", "1:13", "2:3", "2:2")),
+    ("after-formula-constant", "true{}false", ParseError, "unexpected 'false' after formula", ("1:7", "1:6", "2:3", "2:2")),
+    ("true-call", "true{}(e)=V1", ParseError, "unexpected '(' after formula", ("1:7", "1:6", "2:3", "2:2")),
+    ("formula-operator", "Alpha(e)=V1 |{}->", ParseError, "expected a formula, got '->'", ("1:16", "1:15", "2:3", "2:2")),
+    ("formula-end", "!{}", ParseError, "expected a formula, got end of input", ("1:4", "1:3", "2:3", "2:2")),
+    ("unknown-attribute", "true &{}Delta(e)=V1", UnknownAttribute, "unknown attribute 'Delta'", ("1:9", "1:8", "2:3", "2:2")),
+    ("open-paren", "Alpha{}e)=V1", ParseError, "expected '(', got 'e'", ("1:8", "1:7", "2:3", "2:2")),
+    ("entity", "Alpha({}=V1", ParseError, "expected entity name, got '='", ("1:9", "1:8", "2:3", "2:2")),
+    ("operator", "Alpha(e){}V1", ParseError, "expected comparison operator, got 'V1'", ("1:11", "1:10", "2:3", "2:2")),
+    ("only-eq", "Alpha(e){}< V1", NumericComparisonOnCategorical, "attribute 'Alpha' is categorical; only '=' applies", ("1:11", "1:10", "2:3", "2:2")),
+    ("domain-value", "Alpha(e)={}(", ParseError, "expected domain value, got '('", ("1:12", "1:11", "2:3", "2:2")),
+    ("not-in-domain", "Alpha(e) ={}V3", ValueNotInDomain, "'V3' is not in the domain of 'Alpha'", ("1:13", "1:12", "2:3", "2:2")),
+    ("cat-number", "Alpha(e) ={}2", NumericComparisonOnCategorical, "attribute 'Alpha' is categorical; compared against a number", ("1:13", "1:12", "2:3", "2:2")),
+    ("num-name", "Level(e) <{}V1", CategoricalComparisonOnNumeric, "attribute 'Level' is numeric; compared against 'V1'", ("1:13", "1:12", "2:3", "2:2")),
+    ("constant-end", "Level(e) <{}", ParseError, "expected numeric constant, got end of input", ("1:13", "1:12", "2:3", "2:2")),
+    ("zero-denominator", "Level(e) <{}1/0", ParseError, "zero denominator in '1/0'", ("1:13", "1:12", "2:3", "2:2")),
+]
+
+
+@pytest.mark.parametrize("blank", range(len(BLANKS)), ids=["spaces", "tab", "newline", "crlf"])
+@pytest.mark.parametrize("template, error, message, places", [row[1:] for row in BLANK_ERRORS], ids=[row[0] for row in BLANK_ERRORS])
+def test_formula_errors_after_blanks_point_at_the_token(template, error, message, places, blank):
+    with pytest.raises(SourceError) as exc_info:
+        parse_formula(template.format(BLANKS[blank]), ERR_SCHEMA)
+    assert (type(exc_info.value), str(exc_info.value)) == (error, f"{places[blank]}: {message}")
 
 
 SCHEMA_ERRORS = [

@@ -27,6 +27,7 @@ from verity import (
     render_report,
     tally,
 )
+from verity import cli
 from verity.fixtures import fixture_path
 
 RESTAURANT = parse_schema(
@@ -135,6 +136,24 @@ def test_ingest_isolates_a_zero_denominator():
         LineError(2, "field 'input': 1:11: zero denominator in '1/0'"),
         LineError(3, "field 'output': 1:11: zero denominator in '-3/0'"),
     ]
+
+
+def test_report_places_a_bad_token_after_blanks(tmp_path, capsys):
+    """A formula field's error after spaces, tabs and line breaks is
+    placed at the bad token itself in the report's line on stderr."""
+    lines = [
+        {"id": "a", "input": "Food(x)=Italian &\r\n\t Food(x) =  Sushi", "output": "true"},
+        {"id": "b", "input": "true", "output": "(Food(x)=Italian \t$"},
+        {"id": "c", "input": "Food(x)=Italian\n  \n   )", "output": "true"},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert cli.main(["report", "-s", str(fixture_path("restaurant.schema")), str(corpus)]) == 0
+    assert capsys.readouterr().err == (
+        "line 1: field 'input': 2:14: 'Sushi' is not in the domain of 'Food'\n"
+        "line 2: field 'output': 1:19: unexpected character '$'\n"
+        "line 3: field 'input': 3:4: unexpected ')' after formula\n"
+    )
 
 
 def test_ingest_rejects_lines_that_are_not_utf8():
