@@ -21,11 +21,14 @@ A scan asks one entailment function (the engine, or an injected
 ``entails_fn``) three kinds of question: H |= false, once and first; K |= c,
 at most once per candidate c; and H |= p -> r, at most once per ordered
 pair and only for a pair whose other four half-truth conditions hold.  A
-question whose answer is "no" by a model already in hand is not asked:
-a model of K that falsifies c refutes K |= c, and a model of H & p that
-falsifies r refutes H |= p -> r.  The world is such a model when it
-satisfies K, or H; otherwise the countermodel of the first such question
-answered "no" is, once ``evaluate`` confirms it.
+question whose answer is "no" by a model already in hand is not asked.
+The model is one of K for K |= c, and one of H & p for H |= p -> r: the
+world when it satisfies K, or H; otherwise the countermodel of the first
+such question answered "no", once ``evaluate`` confirms it.  It answers
+"no" when it falsifies the right side, or when the right side is an atom
+over a key the left side never mentions: a satisfiable formula does not
+depend on such a key (Lang, Liberatore & Marquis 2003), so moving the key
+to a value that falsifies the atom keeps a model of the left side.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from .mr import (
     parse_schema,
     print_formula,
     read_source,
+    validate_atom,
+    validate_formula,
     validate_model,
 )
 
@@ -130,11 +135,16 @@ class Scenario:
 
 
 def _require_world_keys(world: Model, f: Formula) -> None:
-    # Categorical keys first, then numeric ones, each in sorted order.
-    for a in sorted(iter_atoms(f), key=lambda a: (type(a) is NumAtom, a.attr, a.entity)):
-        assigned = world.numeric if type(a) is NumAtom else world.categorical
-        if (a.attr, a.entity) not in assigned:
-            raise ScenarioError(f"world assigns no value to {a.attr}({a.entity})")
+    missing = [
+        a
+        for a in iter_atoms(f)
+        if (a.attr, a.entity) not in (world.numeric if type(a) is NumAtom else world.categorical)
+    ]
+    if missing:
+        # The least missing key: categorical keys before numeric ones, each
+        # in sorted order.
+        a = min(missing, key=lambda a: (type(a) is NumAtom, a.attr, a.entity))
+        raise ScenarioError(f"world assigns no value to {a.attr}({a.entity})")
 
 
 DEFAULT_PAIR_LIMIT = 10**4
@@ -182,7 +192,14 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
         for constant in sorted(constants[attr, entity]):
             for op in _CMP_SYMBOLS:
                 candidates.append(NumAtom(attr, entity, op, constant))
-    candidates += [n for n in dict.fromkeys(scenario.expectation_norms) if n not in candidates]
+    # A norm parsed under the schema is mostly the candidate itself, so
+    # identity settles it before any comparison by value.
+    ids = {id(c) for c in candidates}
+    candidates += [
+        n
+        for n in dict.fromkeys(scenario.expectation_norms)
+        if id(n) not in ids and n not in candidates
+    ]
     return candidates
 
 
@@ -208,16 +225,25 @@ def scan_misleading(
     p that is true and communicated and an r that is false and not.
 
     Of those, a question is skipped, as answered "no", when a model in hand
-    falsifies its right side.  For K |= c that is one model of K: the world
-    if it satisfies K, else the countermodel of the first K |= c answered
-    "no".  For H |= p -> r it is one model of H & p per p: the world if it
+    answers it.  For K |= c that is one model of K: the world if it
+    satisfies K, else the countermodel of the first K |= c answered "no".
+    For H |= p -> r it is one model of H & p per p: the world if it
     satisfies H, else the countermodel of the first H |= p -> r answered
-    "no" for that p.  A countermodel is the result's ``witness`` completed
-    with the world's values for the keys it leaves out, and is used only if
-    it is a ``Model`` within the schema that ``evaluate`` finds satisfies K,
-    or H & p.  Every "yes" still comes from ``entails_fn``.
+    "no" for that p.  The model answers when it falsifies the right side,
+    or when the right side is an atom over a key that the left side (K, or
+    H & p) never mentions and the key's domain has another value: the model
+    with that key moved to a value that falsifies the atom (see
+    ``_refutes``) is then a countermodel, once ``evaluate`` confirms it.  A
+    countermodel is the result's ``witness`` completed with the world's
+    values for the keys it leaves out, and is used only if it is a
+    ``Model`` within the schema that ``evaluate`` finds satisfies K, or
+    H & p.  Every "yes" still comes from ``entails_fn``, and a skip makes
+    the schema checks that the question would have made of K and of the
+    atom, so it raises the same errors; only a ``ResourceLimit`` that the
+    question's search would have hit is not raised.
     """
-    fn = entails_fn or partial(entails, scenario.schema)
+    schema = scenario.schema
+    fn = entails_fn or partial(entails, schema)
     k, h, world = scenario.communicated, scenario.hearer_beliefs, scenario.world
     if fn(h, FALSE):
         raise ScenarioError("hearer_beliefs is unsatisfiable")
@@ -228,24 +254,37 @@ def scan_misleading(
     if len(pool) ** 2 > DEFAULT_PAIR_LIMIT:
         raise ResourceLimit(len(pool) ** 2, DEFAULT_PAIR_LIMIT, "candidate pairs")
     true = [evaluate(world, c) for c in pool]
-    told: list[Optional[bool]] = [None] * len(pool)
     k_model = world if evaluate(world, k) else None
+    # A world that satisfies K falsifies every false candidate.
+    told: list[Optional[bool]] = (
+        [None] * len(pool) if k_model is None else [None if t else False for t in true]
+    )
+    k_keys: Optional[set[Key]] = None
 
     def communicated(i: int) -> bool:
-        nonlocal k_model
+        nonlocal k_model, k_keys
         if told[i] is None:
-            if k_model is not None and not evaluate(k_model, pool[i]):
-                told[i] = False
-            else:
-                result = fn(k, pool[i])
-                told[i] = bool(result)
-                if not told[i] and k_model is None:
-                    k_model = _model_of(scenario, result, k)
+            c = pool[i]
+            if k_model is not None:
+                if not evaluate(k_model, c):
+                    told[i] = False
+                    return False
+                if k_keys is None:
+                    # The question's compile would check K first.
+                    validate_formula(schema, k)
+                    k_keys = _keys(k)
+                if _refutes(schema, k_model, k_keys, c, k):
+                    told[i] = False
+                    return False
+            result = fn(k, c)
+            told[i] = bool(result)
+            if not told[i] and k_model is None:
+                k_model = _model_of(scenario, result, k)
         return told[i]
 
     findings = []
     for i, q in enumerate(pool):
-        if q in scenario.expectation_norms and true[i] and not communicated(i):
+        if true[i] and q in scenario.expectation_norms and not communicated(i):
             findings.append(MisleadingFinding(FindingKind.WITHHOLDING, q))
     # A half truth leads from a communicated truth p to an uncommunicated
     # falsehood r; without such a p no r needs asking about.
@@ -258,11 +297,21 @@ def scan_misleading(
     # Every premise is true in the world, so a world that satisfies H is a
     # model of H & p for each of them, and falsifies every conclusion.
     h_world = world if evaluate(world, h) else None
+    h_keys: Optional[set[Key]] = None
     for p in premises:
         model = h_world
+        keys = None  # those of H & p
         for r in conclusions:
-            if model is not None and not evaluate(model, r):
-                continue
+            if model is not None:
+                if not evaluate(model, r):
+                    continue
+                if keys is None:
+                    # H was checked by H |= false, and p by K |= p.
+                    if h_keys is None:
+                        h_keys = _keys(h)
+                    keys = h_keys | _keys(p)
+                if _refutes(schema, model, keys, r, h, p):
+                    continue
             result = fn(h, Implies(p, r))
             if result:
                 findings.append(MisleadingFinding(FindingKind.HALF_TRUTH, p, r))
@@ -270,6 +319,40 @@ def scan_misleading(
                 model = _model_of(scenario, result, h, p)
     findings.sort(key=MisleadingFinding.render)
     return findings
+
+
+def _keys(f: Formula) -> set[Key]:
+    return {(a.attr, a.entity) for a in iter_atoms(f)}
+
+
+def _refutes(
+    schema: Schema, model: Model, keys: set[Key], c: Formula, *left: Formula
+) -> bool:
+    """Whether ``c`` is an atom over a key not in ``keys`` such that
+    ``model``, a model of every formula in ``left``, with that key moved to
+    a value that falsifies ``c`` is still a model of ``left`` and falsifies
+    ``c``, as ``evaluate`` confirms: then ``left`` does not entail ``c``.
+    A categorical key moves to the first other value of its domain, if it
+    has one; a numeric key to the constant + 1 for <, <= and =, and the
+    constant - 1 for > and >=.  An atom that gets this far is checked
+    against the schema, as the question's compile would check it."""
+    kind = type(c)
+    if kind is not CatAtom and kind is not NumAtom:
+        return False
+    key = (c.attr, c.entity)
+    if key in keys:
+        return False
+    validate_atom(schema, c)
+    if kind is CatAtom:
+        domain = schema.categorical[c.attr]
+        if len(domain) == 1:
+            return False
+        other = domain[1] if domain[0] == c.value else domain[0]
+        moved = Model({**model.categorical, key: other}, model.numeric)
+    else:
+        value = c.constant - 1 if c.cmp[0] == ">" else c.constant + 1
+        moved = Model(model.categorical, {**model.numeric, key: value})
+    return all(evaluate(moved, f) for f in left) and not evaluate(moved, c)
 
 
 def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optional[Model]:

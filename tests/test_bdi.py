@@ -33,6 +33,7 @@ from verity import (
     MrError,
     Not,
     NumAtom,
+    Or,
     ResourceLimit,
     Scenario,
     ScenarioError,
@@ -553,8 +554,14 @@ def test_lying_speaker_scan_reuses_countermodels_unlike_the_world():
     for r in default_candidates(scenario):
         if not evaluate(world, r) and not evaluate(first, r):
             assert r not in asked
-    # 18 questions where asking every needed one takes 36.
-    assert len(answers) == 18
+    # Nor is K |= Hurricane(today)=No, though that countermodel satisfies
+    # it: K never mentions the key, so the countermodel with the key moved
+    # to Yes refutes it.  17 questions where asking every needed one takes
+    # 36.
+    assert (k, parse_formula("Hurricane(today)=No", scenario.schema)) not in [
+        (a, b) for a, b, _ in answers
+    ]
+    assert len(answers) == 17
 
 
 def _counting(fn):
@@ -573,16 +580,12 @@ def _counting(fn):
         (
             hurricane_scenario(),
             None,
-            [
-                "true |= false",
-                "Sky(today)=Cloudy |= Hurricane(today)=Yes",
-                "Sky(today)=Cloudy |= Sky(today)=Cloudy",
-            ],
+            ["true |= false", "Sky(today)=Cloudy |= Sky(today)=Cloudy"],
         ),
         (
             dataclasses.replace(hurricane_scenario(), communicated=_weather("true")),
             None,
-            ["true |= false", "true |= Hurricane(today)=Yes", "true |= Sky(today)=Cloudy"],
+            ["true |= false"],
         ),
         (
             employment_scenario(),
@@ -590,7 +593,6 @@ def _counting(fn):
             [
                 "Position(s)=Permanent -> Solvency(c)=Healthy |= false",
                 "Position(s)=Permanent |= Position(s)=Permanent",
-                "Position(s)=Permanent |= Solvency(c)=Bankrupt",
                 "Position(s)=Permanent -> Solvency(c)=Healthy"
                 " |= Position(s)=Permanent -> Position(s)=Temporary",
                 "Position(s)=Permanent -> Solvency(c)=Healthy"
@@ -605,7 +607,6 @@ def _counting(fn):
             None,
             [
                 "Position(s)=Permanent -> Solvency(c)=Healthy |= false",
-                "Position(s)=Permanent |= Solvency(c)=Bankrupt",
                 "Position(s)=Permanent |= Position(s)=Permanent",
                 "Position(s)=Permanent -> Solvency(c)=Healthy"
                 " |= Position(s)=Permanent -> Position(s)=Temporary",
@@ -653,10 +654,107 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
     }
     assert set(calls) <= needed
     # Of those, the ones a model in hand does not already answer "no": each
-    # world here satisfies K, so no K |= r is asked for a false r, and the
-    # employment world falsifies H, so the first H |= p -> r is asked; its
-    # countermodel makes Solvency(c)=Healthy true, so that r is asked too.
+    # world here satisfies K, so no K |= r is asked for a false r, nor any
+    # K |= c for an atom c over a key K never mentions (the world with that
+    # key moved falsifies c).  The employment world falsifies H, so the
+    # first H |= p -> r is asked; its countermodel makes Solvency(c)=Healthy
+    # true, and H mentions that key, so that r is asked too.
     assert [f"{print_formula(a)} |= {print_formula(b)}" for a, b in calls] == asked
+
+
+FORECAST = parse_schema(
+    "attr Hurricane : { Yes, No }\nattr Sky : { Cloudy, Clear }\nattr Planet : { Earth }\nnum Temperature"
+)
+
+
+def forecast_scenario(communicated, norms):
+    return Scenario(
+        schema=FORECAST,
+        communicated=parse_formula(communicated, FORECAST),
+        hearer_beliefs=parse_formula("true", FORECAST),
+        world=Model(
+            {("Hurricane", "today"): "Yes", ("Sky", "today"): "Cloudy", ("Planet", "today"): "Earth"},
+            {("Temperature", "today"): Fraction(22)},
+        ),
+        expectation_norms=tuple(parse_formula(n, FORECAST) for n in norms),
+    )
+
+
+@pytest.mark.parametrize("world_satisfies_k", [True, False])
+def test_atoms_on_keys_k_never_reads_are_not_asked(world_satisfies_k):
+    # K never mentions Hurricane(today) or Temperature(today), so a model of
+    # K in hand, with that key moved, falsifies each norm: the world when it
+    # satisfies K, else the countermodel of the first question, which is
+    # asked with no model in hand.
+    told = "Sky(today)=Cloudy" if world_satisfies_k else "Sky(today)=Clear"
+    norms = ["Hurricane(today)=Yes", "Temperature(today) > 20", "Temperature(today) <= 22"]
+    scenario = forecast_scenario(told, norms)
+    candidates = list(scenario.expectation_norms) + [parse_formula("Sky(today)=Cloudy", FORECAST)]
+    fn, calls = _counting(partial(entails, FORECAST))
+    findings = scan_misleading(scenario, candidates, entails_fn=fn)
+    assert findings == _brute_force_scan(scenario, candidates)
+    assert [f.render() for f in findings] == [f"withholding: {n}" for n in sorted(norms)]
+    k = scenario.communicated
+    first = candidates[-1] if world_satisfies_k else candidates[0]
+    assert calls == [(scenario.hearer_beliefs, FALSE), (k, first)]
+
+
+def test_one_value_domains_and_compound_norms_are_still_asked():
+    # Planet(today) has one value, so K entails Planet(today)=Earth though K
+    # never mentions the key; a compound norm is never moved.
+    scenario = forecast_scenario(
+        "Sky(today)=Cloudy", ["Planet(today)=Earth", "Hurricane(today)=Yes | Sky(today)=Clear"]
+    )
+    planet, compound = scenario.expectation_norms
+    fn, calls = _counting(partial(entails, FORECAST))
+    findings = scan_misleading(scenario, list(scenario.expectation_norms), entails_fn=fn)
+    assert findings == _brute_force_scan(scenario, list(scenario.expectation_norms))
+    assert findings == [MisleadingFinding(FindingKind.WITHHOLDING, compound)]
+    k = scenario.communicated
+    assert calls == [(scenario.hearer_beliefs, FALSE), (k, planet), (k, compound)]
+
+
+def test_a_skipped_question_raises_the_error_the_asked_one_raises():
+    # Asked, K |= Hurricane(today)=Yes fails to compile, since K holds a
+    # value outside Sky's domain.  K never mentions Hurricane(today), so the
+    # scan skips the question, but it checks K first and raises that error.
+    bogus = CatAtom("Sky", "today", "Bogus")
+    scenario = forecast_scenario("Sky(today)=Cloudy", ["Hurricane(today)=Yes"])
+    scenario = dataclasses.replace(scenario, communicated=Or(scenario.communicated, bogus))
+    candidates = [scenario.expectation_norms[0]]
+    # A candidate outside its domain, asked about with no model in hand: K
+    # is false in the world and entails the one true candidate.
+    lying = forecast_scenario("Hurricane(today)=Yes & Sky(today)=Clear", [])
+    lying_candidates = [parse_formula("Hurricane(today)=Yes", FORECAST), bogus]
+    for s, cs, question in [
+        (scenario, candidates, (scenario.communicated, candidates[0])),
+        (lying, lying_candidates, (lying.communicated, bogus)),
+    ]:
+        with pytest.raises(MrError) as expected:
+            entails(FORECAST, *question)
+        for fn in (None, partial(entails, FORECAST), partial(oracle_entails, FORECAST)):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                scan_misleading(s, cs, entails_fn=fn)
+
+
+def test_questions_asked_are_a_subsequence_of_the_old_rules(monkeypatch):
+    # With ``_refutes`` off, a scan skips a question only when a model in
+    # hand falsifies its right side.  Moving a key skips more questions and
+    # changes no model in hand, so it asks no question that rule would not.
+    asked = {}
+    for rule in ("new", "old"):
+        if rule == "old":
+            monkeypatch.setattr(verity.bdi, "_refutes", lambda *args: False)
+        for name, scenario, candidates in _scan_cases():
+            fn, calls = _counting(partial(entails, scenario.schema))
+            scan_misleading(scenario, candidates, entails_fn=fn)
+            asked[rule, name] = calls
+    fewer = 0
+    for name, _, _ in _scan_cases():
+        old = iter(asked["old", name])
+        assert all(q in old for q in asked["new", name]), name
+        fewer += len(asked["new", name]) < len(asked["old", name])
+    assert fewer > 20
 
 
 @pytest.mark.parametrize("name", ["hurricane.scenario.json", "employment.scenario.json"])
@@ -758,11 +856,14 @@ def test_default_candidates_are_the_schemas_own_atoms():
 
 def test_default_candidates_end_with_the_norms_they_lack():
     """A compound norm joins the default pool after the atoms, once, so it
-    is checked for withholding; an atomic norm is already in the pool."""
+    is checked for withholding; an atomic norm is already in the pool, as
+    the schema's own node or as an equal one built through the API."""
     norm = _weather("Hurricane(today)=Yes | Sky(today)=Clear")
     scenario = dataclasses.replace(
         hurricane_scenario(),
-        expectation_norms=(_weather("Hurricane(today)=Yes"), norm, norm),
+        expectation_norms=(
+            _weather("Hurricane(today)=Yes"), norm, CatAtom("Sky", "today", "Rainy"), norm
+        ),
     )
     pool = default_candidates(scenario)
     assert pool == default_candidates(hurricane_scenario()) + [norm]
