@@ -17,6 +17,15 @@ walk, and ``validate_atom`` with the engine, which decides through
 cost follows the size of the product, not how hard the formula is, so it
 is meant for tests and the CLI's ``--oracle`` mode.
 
+There is one question, ``oracle_cells(schema, a, b)``: which of the cells
+a & b, a & !b, !a & b and !a & !b have a model, in one pass over the
+blocks of the product, stopped after the first block in which every cell
+the caller needs has a model.  Every other answer reads it:
+``oracle_decide`` needs all four cells, ``oracle_entails(a, b)`` the cell
+a & !b and ``oracle_satisfiable(f)`` the cell f & !false, so each of the
+latter two stops at the first block that holds its cell and visits every
+block only when the cell is empty.
+
 Each ``checked_*`` twin makes its engine call once, asks the oracle the
 same question, and raises ``OracleDivergence`` if they disagree on any
 fact or witness it returns: ``checked_decide`` compares all four facts,
@@ -35,6 +44,7 @@ from typing import Collection, Iterator, Sequence
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, EntailmentResult, entails
 from .mr import (
+    FALSE,
     And,
     CatAtom,
     FalseConst,
@@ -76,6 +86,7 @@ _BLOCK_MODELS = 1 << 16
 # are these operators.
 _TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES = range(-1, -7, -1)
 _OPCODES = {Not: _NOT, And: _AND, Or: _OR, Implies: _IMPLIES}
+_CONSTANTS = {TrueConst: _TRUE, FalseConst: _FALSE}
 
 
 class OracleDivergence(MrError):
@@ -121,10 +132,8 @@ def _code(
                 slot = slots[id(f)] = len(atoms)
                 atoms.append(f)
             code.append(slot)
-        elif kind is TrueConst:
-            code.append(_TRUE)
-        elif kind is FalseConst:
-            code.append(_FALSE)
+        elif kind in _CONSTANTS:
+            code.append(_CONSTANTS[kind])
         elif kind is type and f in _OPCODES:
             code.append(_OPCODES[f])
         else:
@@ -221,39 +230,34 @@ def _truth_tables(
         yield full, [_run(code, tables, full) for code in codes]
 
 
+def oracle_cells(
+    schema: Schema, a: Formula, b: Formula, stop: int = 0b1111
+) -> tuple[bool, bool, bool, bool]:
+    """Which of ``a & b``, ``a & !b``, ``!a & b`` and ``!a & !b`` have a
+    model, in ``entail.pair_cells``' order: one ``_truth_tables`` pass,
+    stopped after the first block in which every cell of the mask ``stop``
+    (bit i for cell i, as ``_search`` names them) has a model."""
+    seen = 0
+    for full, (ta, tb) in _truth_tables(schema, (a, b)):
+        na, nb = full & ~ta, full & ~tb
+        seen |= bool(ta & tb) | bool(ta & nb) << 1 | bool(na & tb) << 2 | bool(na & nb) << 3
+        if seen & stop == stop:
+            break
+    return ((seen & 1) != 0, (seen & 2) != 0, (seen & 4) != 0, (seen & 8) != 0)
+
+
 def oracle_satisfiable(schema: Schema, f: Formula) -> bool:
-    return any(t for _, (t,) in _truth_tables(schema, (f,)))
+    return oracle_cells(schema, f, FALSE, 0b0010)[1]  # f & !false
 
 
 def oracle_entails(schema: Schema, a: Formula, b: Formula) -> bool:
-    return not any(ta & ~tb for _, (ta, tb) in _truth_tables(schema, (a, b)))
-
-
-def oracle_is_tautology(schema: Schema, f: Formula) -> bool:
-    return all(t == full for full, (t,) in _truth_tables(schema, (f,)))
-
-
-def oracle_is_contradiction(schema: Schema, f: Formula) -> bool:
-    return not oracle_satisfiable(schema, f)
+    return not oracle_cells(schema, a, b, 0b0010)[1]  # a & !b
 
 
 def oracle_decide(schema: Schema, input_mr: Formula, output_mr: Formula) -> PairFacts:
-    # One pass over the joint keys finds which of the cells I & O, I & !O,
-    # !I & O and !I & !O have a model; it stops once all four do.  The joint
-    # grid refines each formula's own grid, so the facts below are each
-    # formula's own.
-    cells = [False] * 4
-    for full, (i, o) in _truth_tables(schema, (input_mr, output_mr)):
-        not_i, not_o = full & ~i, full & ~o
-        cells = [
-            cells[0] or bool(i & o),
-            cells[1] or bool(i & not_o),
-            cells[2] or bool(not_i & o),
-            cells[3] or bool(not_i & not_o),
-        ]
-        if all(cells):
-            break
-    i_and_o, i_and_not_o, not_i_and_o, neither = cells
+    # The joint grid refines each formula's own grid, so the facts below
+    # are each formula's own.
+    i_and_o, i_and_not_o, not_i_and_o, neither = oracle_cells(schema, input_mr, output_mr)
     input_satisfiable = i_and_o or i_and_not_o
     forward = not i_and_not_o  # I |= O
     backward = not not_i_and_o  # O |= I

@@ -33,9 +33,8 @@ from verity import (
     is_tautology,
     iter_atoms,
     oracle_classify,
+    oracle_cells,
     oracle_entails,
-    oracle_is_contradiction,
-    oracle_is_tautology,
     oracle_satisfiable,
     parse_formula,
     parse_schema,
@@ -210,8 +209,18 @@ class TestOracleAgreement:
     def test_tautology_and_contradiction(self, case):
         """Engine and grid oracle agree on both constant checks."""
         schema, (f,) = case
-        assert is_tautology(schema, f) == oracle_is_tautology(schema, f)
-        assert is_contradiction(schema, f) == oracle_is_contradiction(schema, f)
+        assert is_tautology(schema, f) == (not oracle_cells(schema, TRUE, f)[1])  # true & !f
+        assert is_contradiction(schema, f) == (not oracle_cells(schema, f, FALSE)[1])  # f & !false
+
+    @given(schema_and_formulas(count=2))
+    def test_pair_cells(self, case):
+        """The engine's cells are the oracle's: the first three always, the
+        fourth whenever one of the first three is empty."""
+        schema, (a, b) = case
+        got, want = pair_cells(schema, a, b), oracle_cells(schema, a, b)
+        assert got[:3] == want[:3]
+        if not all(got[:3]):
+            assert got[3] == want[3]
 
 
 class TestEntailmentLaws:

@@ -14,6 +14,7 @@ from test_taxonomy import E2E
 from verity import (
     And,
     CatAtom,
+    FALSE,
     Implies,
     Model,
     Not,
@@ -21,6 +22,7 @@ from verity import (
     NumericComparisonOnCategorical,
     Or,
     Schema,
+    TRUE,
     UnknownAttribute,
     ValueNotInDomain,
     Verdict,
@@ -98,6 +100,13 @@ def _tautology(schema, f):
     return all(evaluate(m, f) for m in _product(schema, [f]))
 
 
+def _cells(schema, a, b):
+    cells = [False] * 4
+    for m in _product(schema, [a, b]):
+        cells[2 * (not evaluate(m, a)) + (not evaluate(m, b))] = True
+    return tuple(cells)
+
+
 def _classify(schema, i, o):
     if not _satisfiable(schema, i):
         return Verdict.INCONSISTENT_INPUT
@@ -124,8 +133,11 @@ def test_every_oracle_function_equals_the_enumeration(case):
     schema, a, b = case
     assert oracle.oracle_satisfiable(schema, a) == _satisfiable(schema, a)
     assert oracle.oracle_entails(schema, a, b) == _entails(schema, a, b)
-    assert oracle.oracle_is_tautology(schema, b) == _tautology(schema, b)
-    assert oracle.oracle_is_contradiction(schema, b) == (not _satisfiable(schema, b))
+    # b is a tautology iff the cell true & !b is empty, and a contradiction
+    # iff the cell b & !false is.
+    assert (not oracle.oracle_cells(schema, TRUE, b)[1]) == _tautology(schema, b)
+    assert (not oracle.oracle_cells(schema, b, FALSE)[1]) == (not _satisfiable(schema, b))
+    assert oracle.oracle_cells(schema, a, b) == _cells(schema, a, b)
     assert oracle.oracle_classify(schema, a, b) is _classify(schema, a, b)
 
 
@@ -158,8 +170,9 @@ def test_each_oracle_question_is_one_truth_table_pass(monkeypatch):
             lambda: oracle.oracle_classify(schema, a, b),
             lambda: oracle.oracle_satisfiable(schema, a),
             lambda: oracle.oracle_entails(schema, a, b),
-            lambda: oracle.oracle_is_tautology(schema, a),
-            lambda: oracle.oracle_is_contradiction(schema, a),
+            lambda: oracle.oracle_cells(schema, a, b),
+            lambda: oracle.oracle_cells(schema, TRUE, a),
+            lambda: oracle.oracle_cells(schema, a, FALSE),
         ):
             passes.clear()
             question()
@@ -215,6 +228,28 @@ def test_classify_stops_once_every_cell_has_a_model(monkeypatch):
     assert oracle.oracle_classify(schema, *independent) is Verdict.INDEPENDENT
     assert passes == [1]
     assert len(list(oracle._truth_tables(schema, independent))) == 4
+
+
+def test_entails_and_satisfiable_stop_at_the_first_block_holding_their_cell(monkeypatch):
+    """Over 19 flags, B00-B02 are enumerated in 8 blocks, (Yes, Yes, Yes)
+    first and (No, No, No) last.  A question whose cell first has a model
+    in block k visits k blocks; one whose cell is empty visits all 8."""
+    passes = _count_passes(monkeypatch)
+    schema, atoms = _flags(19)
+    first = _conjunction(atoms)  # a model in block 1 only
+    third = And(Not(atoms[1]), _conjunction(atoms[:1] + atoms[2:]))  # B01=No: block 3 only
+    cases = [
+        (lambda: oracle.oracle_satisfiable(schema, first), True, 1),
+        (lambda: oracle.oracle_satisfiable(schema, third), True, 3),
+        (lambda: oracle.oracle_satisfiable(schema, And(first, Not(atoms[0]))), False, 8),
+        (lambda: oracle.oracle_entails(schema, first, Not(first)), False, 1),
+        (lambda: oracle.oracle_entails(schema, third, atoms[1]), False, 3),
+        (lambda: oracle.oracle_entails(schema, first, atoms[18]), True, 8),
+    ]
+    for question, answer, blocks in cases:
+        passes.clear()
+        assert question() is answer
+        assert passes == [blocks]
 
 
 def test_classify_oracle_on_the_eight_slot_pair(capsys, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from randgen import random_formula, random_schema
 from verity import (
     DEFAULT_ASSIGNMENT_LIMIT,
+    FALSE,
     TRUE,
     CatAtom,
     InvalidEntity,
@@ -29,9 +30,8 @@ from verity import (
     classify,
     entails,
     legacy_labels,
+    oracle_cells,
     oracle_entails,
-    oracle_is_contradiction,
-    oracle_is_tautology,
     oracle_satisfiable,
     parse_formula,
     parse_schema,
@@ -290,8 +290,8 @@ def _oracle_facts(schema, i, o):
         "sat_i": oracle_satisfiable(schema, i),
         "fwd": oracle_entails(schema, i, o),
         "bwd": oracle_entails(schema, o, i),
-        "taut_o": oracle_is_tautology(schema, o),
-        "contra_o": oracle_is_contradiction(schema, o),
+        "taut_o": not oracle_cells(schema, TRUE, o)[1],  # true & !o is empty
+        "contra_o": not oracle_cells(schema, o, FALSE)[1],  # o & !false is empty
         "conflict": oracle_entails(schema, i, Not(o)),
     }
 
