@@ -56,7 +56,6 @@ from .mr import (
     Or,
     Schema,
     TrueConst,
-    iter_atoms,
     validate_atom,
 )
 
@@ -117,48 +116,27 @@ _SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
 # node is [decisive, default, (key slot, truth table) pairs, child offsets];
 # a constant that decides a node outright (false under &, true under |)
 # puts (decisive, decisive, (), ()) in its place, and nothing under that
-# node stays in the program.
+# node stays in the program.  Its operands still unread are walked under
+# no node (None): their atoms are checked and keyed as anywhere else, so a
+# witness names every key the formulas mention, but they make no table.
 
 
 def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
     """The bit of ``value`` in ``attr``'s domain and the truth tables,
     plain and negated, of every atom ``attr(e)=value``, made once per
-    schema and kept in it.  Every entity shares them, so they are tuples,
-    never changed."""
+    schema and kept in it, where the ``id`` of each table also maps to the
+    bit: the tables live as long as the schema, so no id is reused.  Every
+    entity shares them, so they are tuples, never changed."""
     pos = schema._positions[attr][value]
     n = len(schema.categorical[attr])
     plain = [False] * n + [None]  # the last entry: the key is unassigned
     negated = [True] * n + [None]
     plain[pos], negated[pos] = True, False
-    entry = schema._tables[attr, value] = (1 << pos, (tuple(plain), tuple(negated)))
+    bit, pair = 1 << pos, (tuple(plain), tuple(negated))
+    tables = schema._tables
+    tables[id(pair[0])] = tables[id(pair[1])] = bit
+    entry = tables[attr, value] = (bit, pair)
     return entry
-
-
-def _key_only(
-    schema: Schema, operands: list, cat_slots: dict, num_slots: dict, sizes: list, masks: list
-) -> None:
-    """Validate and key the atoms of ``operands``, left to right, which are
-    the operands still unread of a node that a constant decided.  They get
-    no table, program node or value to try, but their keys keep slots and
-    their numeric constants sample points, so the search visits no more
-    nodes and a witness names the keys and values it would name if they
-    were compiled."""
-    for operand in operands:
-        for f in iter_atoms(operand):
-            validate_atom(schema, f)
-            key = (f.attr, f.entity)
-            if type(f) is NumAtom:
-                got = num_slots.get(key)
-                if got is None:
-                    got = num_slots[key] = (len(sizes), {})
-                    sizes.append(0)
-                    masks.append(-1)
-                c = f.constant
-                got[1][c.numerator, c.denominator] = c
-            elif key not in cat_slots:
-                cat_slots[key] = len(sizes)
-                sizes.append(len(schema.categorical[f.attr]))
-                masks.append(0)
 
 
 def _compile(schema: Schema, formulas: Sequence[Formula]):
@@ -170,8 +148,9 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     ``_cat_tables``) and shared by every entity; a numeric atom's table
     depends on the question's constants, so it is validated and tabled on
     every call.  A node that a constant decides holds no atom or child:
-    what the walk made under it leaves the program, and the atoms of its
-    operands still unread are only validated and keyed (``_key_only``).
+    what the walk made under it leaves the program, and its operands still
+    unread are read under no node, where an atom is checked and keyed as
+    anywhere else but makes no table and names no value to try.
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -231,9 +210,10 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     slot = cat_slots[key] = len(sizes)
                     sizes.append(len(schema.categorical[f.attr]))
                     masks.append(0)
-                bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
-                masks[slot] |= bit
-                node[2].append((slot, pair[neg]))
+                if node is not None:
+                    bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
+                    masks[slot] |= bit
+                    node[2].append((slot, pair[neg]))
             elif kind is NumAtom:
                 validate_atom(schema, f)
                 key = (f.attr, f.entity)
@@ -245,11 +225,12 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 c = f.constant
                 nd = (c.numerator, c.denominator)
                 got[1][nd] = c
-                numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))
-                node[2].append(None)
+                if node is not None:
+                    numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))
+                    node[2].append(None)
             elif kind is And or kind is Or or kind is Implies:
                 is_and = (kind is And) != neg
-                if is_and is not node[1]:
+                if node is not None and is_and is not node[1]:
                     node[3].append(pos - len(program))
                     pos = len(program)
                     node = [not is_and, is_and, [], []]
@@ -265,17 +246,17 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 continue
             elif kind is TrueConst or kind is FalseConst:
                 # the constant's value is (kind is TrueConst) != neg
-                if ((kind is TrueConst) != neg) is node[0]:
+                if node is not None and ((kind is TrueConst) != neg) is node[0]:
                     # The nodes made under this one since it was made leave
                     # the program, and its operands still on the stack,
-                    # which are on top, are only validated and keyed.
+                    # which are on top, are read under no node.
                     stale = stale or bool(node[2]) or len(program) > pos + 1
                     del program[pos + 1:]
                     program[pos] = (node[0], node[0], (), ())
-                    rest = []
-                    while stack and stack[-1][2] is node:
-                        rest.append(stack.pop()[0])
-                    _key_only(schema, rest, cat_slots, num_slots, sizes, masks)
+                    i = len(stack)
+                    while i and stack[i - 1][2] is node:
+                        i -= 1
+                    stack[i:] = [(g, n, None, pos) for g, n, _, _ in stack[i:]]
             else:
                 raise TypeError(f"not a formula: {f!r}")
             if not stack:
@@ -313,11 +294,10 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     if stale:
         # Atoms that a constant took out of the program were tabled first:
         # only those left in it name the values to try.
-        bits = {id(table): bit for bit, pair in cat_tables.values() for table in pair}
         masks = [min(m, 0) for m in masks]
         for _, _, tables, _ in program:
             for slot, table in tables:
-                masks[slot] |= bits.get(id(table), -1)
+                masks[slot] |= cat_tables.get(id(table), -1)
     # Every atom over a key is false on each value it does not mention, so
     # those values give identical subtrees and the first stands for all.
     masks = [(m | m + 1) & (1 << n) - 1 for m, n in zip(masks, sizes)]

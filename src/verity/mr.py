@@ -142,8 +142,9 @@ class Schema:
     )
     # For each (attribute, value) of a categorical atom decided under this
     # schema, the value's bit and the atom's truth tables, plain and
-    # negated, that ``entail._compile`` made; every entity shares them.
-    _tables: dict[tuple[str, str], tuple[int, tuple[tuple, tuple]]] = field(
+    # negated, that ``entail._compile`` made; every entity shares them.  The
+    # ``id`` of each of those tables also maps to the value's bit.
+    _tables: dict[tuple[str, str] | int, tuple[int, tuple[tuple, tuple]] | int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -472,6 +473,32 @@ def test_categorical_tables_are_shared_by_every_entity():
         assert tables[:2] == [(True, False, False, None), (True, True, False, None)]
 
 
+def test_a_constant_costs_the_same_after_many_questions():
+    """A question where a constant decides a node after an atom under it
+    was compiled costs no more under a schema that has cached 20,000
+    categorical atoms than under a fresh one: the values left to try are
+    found without a pass over the schema's cache.  (2,000 attributes of 10
+    values, since one attribute of 20,000 values would cache 40,000 tables
+    of 20,001 entries.)"""
+    domains = {f"A{i}": tuple(f"V{j}" for j in range(10)) for i in range(2000)}
+
+    def best(schema):
+        a = parse_formula("A0(x)=V0 & false", schema)
+        b = parse_formula("A0(x)=V1", schema)
+        times = []
+        for _ in range(50):
+            start = time.perf_counter()
+            classify(schema, a, b)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    warm = Schema(domains, frozenset())
+    for attr, values in domains.items():
+        for value in values:
+            assert satisfiable(warm, CatAtom(attr, "x", value))
+    assert best(warm) < 20 * best(Schema(domains, frozenset()))
+
+
 def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
     """A categorical atom equal to one the schema parsed, but not its
     node, is validated on each question, and the parsed node never again;
@@ -493,6 +520,13 @@ def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
             assert satisfiable(schema, f)
         expected = [id(f.right)] if f is parsed else [id(f.left), id(f.right)]
         assert validated == expected * 2
+    # The same holds for atoms read after a constant decided their node.
+    decided = parse_formula("false & Food(x)=Italian & Temperature(d) > 1/2", schema)
+    assert decided.left.right is parsed.left
+    validated.clear()
+    for _ in range(2):
+        assert not satisfiable(schema, decided)
+    assert validated == [id(decided.right)] * 2
 
 
 @pytest.mark.parametrize(
@@ -537,6 +571,31 @@ def test_a_node_decided_by_a_constant_names_no_values(constant_first):
     # the root, the '|' node, and the decided '&' node, which holds nothing
     assert len(program) == 3 and (False, False, (), ()) in program
     assert satisfiable(schema, f).witness == Model({("Food", "x"): "Japanese"}, {("Temp", "d"): Fraction(4)})
+
+
+def test_a_constant_after_a_subtree_takes_its_values_out():
+    """A constant that decides a node after one node under it was compiled
+    takes that node's values out of the masks: Food(x) tries Italian, which
+    the right side mentions, and Norwegian, the first value nothing left
+    in the program mentions, but not Japanese."""
+    schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
+    a = parse_formula("(Food(x)=Japanese | Food(x)=Norwegian) & false", schema)
+    b = parse_formula("Food(x)=Italian", schema)
+    _, _, _, masks, program, _ = _compile(schema, (a, b))
+    assert masks == [0b011]
+    assert len(program) == 2  # the decided root of a, and b
+
+
+def test_a_decided_operand_is_validated_as_a_live_one():
+    """An operand that a constant leaves unread is walked like any other,
+    so its invalid atom raises the error it raises undecided, even where a
+    node that is no formula sits to its right.  (The oracle reads a
+    formula's whole preorder before its atoms, so it raises TypeError for
+    both.)"""
+    g = And(CatAtom("Food", "x", "Sushi"), Not)
+    for f in (g, And(FALSE, g)):
+        with pytest.raises(ValueNotInDomain):
+            satisfiable(RESTAURANT, f)
 
 
 # ---------------------------------------------------------------------------
