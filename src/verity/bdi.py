@@ -22,13 +22,15 @@ A scan asks one entailment function (the engine, or an injected
 at most once per candidate c; and H |= p -> r, at most once per ordered
 pair and only for a pair whose other four half-truth conditions hold.  A
 question whose answer is "no" by a model already in hand is not asked.
-The model is one of K for K |= c, and one of H & p for H |= p -> r: the
-world when it satisfies K, or H; otherwise the countermodel of the first
-such question answered "no", once ``evaluate`` confirms it.  It answers
-"no" when it falsifies the right side, or when the right side is an atom
-over a key the left side never mentions: a satisfiable formula does not
-depend on such a key (Lang, Liberatore & Marquis 2003), so moving the key
-to a value that falsifies the atom keeps a model of the left side.
+For K |= c the model is one of K: the world when it satisfies K, otherwise
+the countermodel of the first K |= c answered "no", once ``evaluate``
+confirms it.  It answers "no" when it falsifies c, or when c is an atom
+over a key K never mentions: a satisfiable formula does not depend on such
+a key (Lang, Liberatore & Marquis 2003), so moving the key to a value that
+falsifies the atom keeps a model of K.  For H |= p -> r the model is one
+of H & p: the world when it satisfies H, which answers every pair "no",
+otherwise the countermodel of the first H |= p -> r answered "no" for that
+p; it answers "no" when it falsifies r.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .mr import (
     parse_schema,
     print_formula,
     read_source,
-    validate_atom,
     validate_formula,
     validate_model,
 )
@@ -218,6 +219,11 @@ def scan_misleading(
     so unsatisfiable beliefs raise ``ScenarioError``.  Next, a pool of more
     than ``DEFAULT_PAIR_LIMIT`` ordered pairs raises ``ResourceLimit``.
 
+    Then K, every expectation norm and each candidate the caller passed
+    are checked against the schema once, so a formula outside it raises
+    whether or not its question is asked.  (The default candidates are
+    atoms of the schema's domains over the world's keys.)
+
     Each candidate is evaluated in the world once.  K |= c is asked at most
     once per candidate, and only when a finding can need the answer: for an
     expected q that is true, for a p that is true, and, once some true p is
@@ -225,22 +231,13 @@ def scan_misleading(
     p that is true and communicated and an r that is false and not.
 
     Of those, a question is skipped, as answered "no", when a model in hand
-    answers it.  For K |= c that is one model of K: the world if it
-    satisfies K, else the countermodel of the first K |= c answered "no".
-    For H |= p -> r it is one model of H & p per p: the world if it
-    satisfies H, else the countermodel of the first H |= p -> r answered
-    "no" for that p.  The model answers when it falsifies the right side,
-    or when the right side is an atom over a key that the left side (K, or
-    H & p) never mentions and the key's domain has another value: the model
-    with that key moved to a value that falsifies the atom (see
-    ``_refutes``) is then a countermodel, once ``evaluate`` confirms it.  A
-    countermodel is the result's ``witness`` completed with the world's
-    values for the keys it leaves out, and is used only if it is a
-    ``Model`` within the schema that ``evaluate`` finds satisfies K, or
-    H & p.  Every "yes" still comes from ``entails_fn``, and a skip makes
-    the schema checks that the question would have made of K and of the
-    atom, so it raises the same errors; only a ``ResourceLimit`` that the
-    question's search would have hit is not raised.
+    answers it, as the module docstring describes; for an atom c over a key
+    K never mentions, see ``_refutes``.  A countermodel is the result's
+    ``witness`` completed with the world's values for the keys it leaves
+    out, and is used only if it is a ``Model`` within the schema that
+    ``evaluate`` finds satisfies K, or H & p.  Every "yes" still comes from
+    ``entails_fn``; only a ``ResourceLimit`` that a skipped question's
+    search would have hit is not raised.
     """
     schema = scenario.schema
     fn = entails_fn or partial(entails, schema)
@@ -253,29 +250,25 @@ def scan_misleading(
         pool = list(dict.fromkeys(candidates))
     if len(pool) ** 2 > DEFAULT_PAIR_LIMIT:
         raise ResourceLimit(len(pool) ** 2, DEFAULT_PAIR_LIMIT, "candidate pairs")
+    for f in (k, *scenario.expectation_norms, *(pool if candidates else ())):
+        validate_formula(schema, f)
     true = [evaluate(world, c) for c in pool]
     k_model = world if evaluate(world, k) else None
     # A world that satisfies K falsifies every false candidate.
     told: list[Optional[bool]] = (
         [None] * len(pool) if k_model is None else [None if t else False for t in true]
     )
-    k_keys: Optional[set[Key]] = None
+    k_keys = _keys(k)
 
     def communicated(i: int) -> bool:
-        nonlocal k_model, k_keys
+        nonlocal k_model
         if told[i] is None:
             c = pool[i]
-            if k_model is not None:
-                if not evaluate(k_model, c):
-                    told[i] = False
-                    return False
-                if k_keys is None:
-                    # The question's compile would check K first.
-                    validate_formula(schema, k)
-                    k_keys = _keys(k)
-                if _refutes(schema, k_model, k_keys, c, k):
-                    told[i] = False
-                    return False
+            if k_model is not None and (
+                not evaluate(k_model, c) or _refutes(schema, k_model, k_keys, c, k)
+            ):
+                told[i] = False
+                return False
             result = fn(k, c)
             told[i] = bool(result)
             if not told[i] and k_model is None:
@@ -294,24 +287,15 @@ def scan_misleading(
         if premises
         else []
     )
-    # Every premise is true in the world, so a world that satisfies H is a
-    # model of H & p for each of them, and falsifies every conclusion.
-    h_world = world if evaluate(world, h) else None
-    h_keys: Optional[set[Key]] = None
+    if evaluate(world, h):
+        # Every premise is true in the world, so the world is a model of
+        # H & p for each of them, and falsifies every conclusion.
+        conclusions = []
     for p in premises:
-        model = h_world
-        keys = None  # those of H & p
+        model = None
         for r in conclusions:
-            if model is not None:
-                if not evaluate(model, r):
-                    continue
-                if keys is None:
-                    # H was checked by H |= false, and p by K |= p.
-                    if h_keys is None:
-                        h_keys = _keys(h)
-                    keys = h_keys | _keys(p)
-                if _refutes(schema, model, keys, r, h, p):
-                    continue
+            if model is not None and not evaluate(model, r):
+                continue
             result = fn(h, Implies(p, r))
             if result:
                 findings.append(MisleadingFinding(FindingKind.HALF_TRUTH, p, r))
@@ -325,24 +309,20 @@ def _keys(f: Formula) -> set[Key]:
     return {(a.attr, a.entity) for a in iter_atoms(f)}
 
 
-def _refutes(
-    schema: Schema, model: Model, keys: set[Key], c: Formula, *left: Formula
-) -> bool:
+def _refutes(schema: Schema, model: Model, keys: set[Key], c: Formula, left: Formula) -> bool:
     """Whether ``c`` is an atom over a key not in ``keys`` such that
-    ``model``, a model of every formula in ``left``, with that key moved to
-    a value that falsifies ``c`` is still a model of ``left`` and falsifies
-    ``c``, as ``evaluate`` confirms: then ``left`` does not entail ``c``.
-    A categorical key moves to the first other value of its domain, if it
-    has one; a numeric key to the constant + 1 for <, <= and =, and the
-    constant - 1 for > and >=.  An atom that gets this far is checked
-    against the schema, as the question's compile would check it."""
+    ``model``, a model of ``left``, with that key moved to a value that
+    falsifies ``c`` is still a model of ``left`` and falsifies ``c``, as
+    ``evaluate`` confirms: then ``left`` does not entail ``c``.  A
+    categorical key moves to the first other value of its domain, if it has
+    one; a numeric key to the constant + 1 for <, <= and =, and the
+    constant - 1 for > and >=.  ``c`` must lie within the schema."""
     kind = type(c)
     if kind is not CatAtom and kind is not NumAtom:
         return False
     key = (c.attr, c.entity)
     if key in keys:
         return False
-    validate_atom(schema, c)
     if kind is CatAtom:
         domain = schema.categorical[c.attr]
         if len(domain) == 1:
@@ -352,7 +332,7 @@ def _refutes(
     else:
         value = c.constant - 1 if c.cmp[0] == ">" else c.constant + 1
         moved = Model(model.categorical, {**model.numeric, key: value})
-    return all(evaluate(moved, f) for f in left) and not evaluate(moved, c)
+    return evaluate(moved, left) and not evaluate(moved, c)
 
 
 def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optional[Model]:

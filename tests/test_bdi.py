@@ -38,6 +38,7 @@ from verity import (
     Scenario,
     ScenarioError,
     Schema,
+    ValueNotInDomain,
     default_candidates,
     entails,
     evaluate,
@@ -48,6 +49,7 @@ from verity import (
     print_formula,
     satisfiable,
     scan_misleading,
+    validate_formula,
 )
 from verity.fixtures import fixture_path
 
@@ -402,10 +404,31 @@ def storm_scenario():
     return scenario, candidates
 
 
+def restaurant_scenario():
+    """The world satisfies K but not H.  The countermodel of the first
+    H |= p -> r sets Food(x)=Norwegian, a key H & p never mentions, and
+    the next r is Food(x)=Norwegian: only a question answers it."""
+    schema = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
+    scenario = Scenario(
+        schema=schema,
+        communicated=parse_formula("Type(x)=Restaurant", schema),
+        hearer_beliefs=parse_formula("Price(x)=High", schema),
+        world=Model(
+            {("Type", "x"): "Restaurant", ("Food", "x"): "Japanese", ("Price", "x"): "Low"}, {}
+        ),
+    )
+    candidates = [
+        parse_formula(text, schema)
+        for text in ("Type(x)=Restaurant", "Food(x)=Italian", "Food(x)=Norwegian")
+    ]
+    return scenario, candidates
+
+
 def _scan_cases():
     yield "hurricane", hurricane_scenario(), None
     yield "employment", employment_scenario(), None
     yield "storm", *storm_scenario()
+    yield "restaurant", *restaurant_scenario()
     for name in ("hurricane.scenario.json", "employment.scenario.json", "lying.scenario.json"):
         yield (name, *load_scenario(fixture_path(name)))
     rng = random.Random(2024)
@@ -623,8 +646,24 @@ def _counting(fn):
                 " |= Position(s)=Permanent -> Solvency(c)=Healthy",
             ],
         ),
+        (
+            *restaurant_scenario(),
+            [
+                "Price(x)=High |= false",
+                "Type(x)=Restaurant |= Type(x)=Restaurant",
+                "Price(x)=High |= Type(x)=Restaurant -> Food(x)=Italian",
+                "Price(x)=High |= Type(x)=Restaurant -> Food(x)=Norwegian",
+            ],
+        ),
     ],
-    ids=["hurricane", "hurricane-silent", "employment", "employment-norm", "employment-fixture"],
+    ids=[
+        "hurricane",
+        "hurricane-silent",
+        "employment",
+        "employment-norm",
+        "employment-fixture",
+        "restaurant",
+    ],
 )
 def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candidates, asked):
     schema = scenario.schema
@@ -658,7 +697,10 @@ def test_scan_asks_each_question_once_and_only_the_needed_ones(scenario, candida
     # K |= c for an atom c over a key K never mentions (the world with that
     # key moved falsifies c).  The employment world falsifies H, so the
     # first H |= p -> r is asked; its countermodel makes Solvency(c)=Healthy
-    # true, and H mentions that key, so that r is asked too.
+    # true, and H mentions that key, so that r is asked too.  No key is
+    # moved against H & p: the restaurant countermodel makes
+    # Food(x)=Norwegian true, and that r is asked although H & p never
+    # mentions Food(x).
     assert [f"{print_formula(a)} |= {print_formula(b)}" for a, b in calls] == asked
 
 
@@ -726,14 +768,30 @@ def test_a_skipped_question_raises_the_error_the_asked_one_raises():
     # is false in the world and entails the one true candidate.
     lying = forecast_scenario("Hurricane(today)=Yes & Sky(today)=Clear", [])
     lying_candidates = [parse_formula("Hurricane(today)=Yes", FORECAST), bogus]
+    cases = []
     for s, cs, question in [
         (scenario, candidates, (scenario.communicated, candidates[0])),
         (lying, lying_candidates, (lying.communicated, bogus)),
     ]:
         with pytest.raises(MrError) as expected:
             entails(FORECAST, *question)
+        cases.append((s, cs, expected.value))
+    # The world satisfies K and H, so no question but H |= false is asked,
+    # yet the scan checks K, the norms and the candidates passed: each case
+    # holds the bogus atom in one of them only.
+    with pytest.raises(ValueNotInDomain) as expected:
+        validate_formula(FORECAST, bogus)
+    told = forecast_scenario("Sky(today)=Cloudy", [])
+    hurricane = parse_formula("Hurricane(today)=Yes", FORECAST)
+    clear = parse_formula("Sky(today)=Clear", FORECAST)
+    cases += [
+        (told, [hurricane, bogus], expected.value),
+        (dataclasses.replace(told, expectation_norms=(bogus,)), [hurricane], expected.value),
+        (dataclasses.replace(told, communicated=Or(told.communicated, bogus)), [clear], expected.value),
+    ]
+    for s, cs, error in cases:
         for fn in (None, partial(entails, FORECAST), partial(oracle_entails, FORECAST)):
-            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            with pytest.raises(type(error), match=re.escape(str(error))):
                 scan_misleading(s, cs, entails_fn=fn)
 
 

@@ -1006,12 +1006,25 @@ def test_a_wrong_fact_beside_a_right_verdict_exits_5(capsys, monkeypatch):
             "'true', 'Food(x)=Italian | Price(x)=Low'",
             {("Food", "x"): "Italian", ("Price", "x"): "High"},
         ),
+        (
+            # Evaluated, it makes the first true and the second false, but
+            # Sushi is outside Food's domain.
+            ("taut", "Food(x)=Italian | Price(x)=Low"),
+            "'true', 'Food(x)=Italian | Price(x)=Low'",
+            {("Food", "x"): "Sushi", ("Price", "x"): "High"},
+        ),
+        (
+            ("entails", "Food(x)=Italian", "Price(x)=Low"),
+            "'Food(x)=Italian', 'Price(x)=Low'",
+            {},
+        ),
     ],
-    ids=["sat", "entails", "taut"],
+    ids=["sat", "entails", "taut", "outside-domain", "empty"],
 )
 def test_a_wrong_witness_exits_5_with_empty_stdout(capsys, monkeypatch, argv, question, wrong):
-    """The engine's witness is patched to other domain values; its answer
-    stays right, so only the witness check can catch it."""
+    """The engine's witness is patched to other values, outside the domain,
+    or none at all; its answer stays right, so only the witness check can
+    catch it."""
     model = Model(wrong, {})
     monkeypatch.setattr(
         "verity.oracle.entails",
