@@ -280,17 +280,15 @@ def scan_misleading(
         if true[i] and q in scenario.expectation_norms and not communicated(i):
             findings.append(MisleadingFinding(FindingKind.WITHHOLDING, q))
     # A half truth leads from a communicated truth p to an uncommunicated
-    # falsehood r; without such a p no r needs asking about.
+    # falsehood r; without such a p no r needs asking about.  Nor does one
+    # when the world satisfies H: it is then a model of H & p for every
+    # premise p, and falsifies every false r.
     premises = [p for i, p in enumerate(pool) if true[i] and communicated(i)]
     conclusions = (
         [r for i, r in enumerate(pool) if not true[i] and not communicated(i)]
-        if premises
+        if premises and not evaluate(world, h)
         else []
     )
-    if evaluate(world, h):
-        # Every premise is true in the world, so the world is a model of
-        # H & p for each of them, and falsifies every conclusion.
-        conclusions = []
     for p in premises:
         model = None
         for r in conclusions:

@@ -13,19 +13,24 @@ the points themselves are made only for a witness.
 
 Every question is a search (Davis, Logemann & Loveland 1962, over keys
 instead of boolean variables) for cells of one pair a, b: a & b, a & !b,
-!a & b, !a & !b.  It assigns the joint keys one at a time, categorical
-then numeric, each sorted, trying values in domain or sample order.  A
-categorical key tries the values its atoms mention and the first value
-they do not: every atom over the key is false on each unmentioned value,
-so that value stands for all of them.  The formulas' three-valued
-(Kleene) values under the partial assignment bound the cells a node can
-reach: a node where both are decided marks its cell, one that can reach
-no cell still sought is pruned, any other branches.  The node where the
-search stops is completed with every remaining key's first value, so a
-one-cell witness is that cell's first model in product order, while the
-cost follows how soon the formulas are decided rather than the size of
-the product or of a key's domain.  A budget of search nodes bounds the
-cost.
+!a & b, !a & !b.  It assigns the joint keys one at a time, trying values
+in domain or sample order.  A question that returns a witness takes the
+keys in product order, categorical then numeric, each sorted.  A cell
+question, which returns none, takes first the keys that the most atoms
+read, then those with fewer values to try, and keeps product order among
+the rest: branching first on the variables that occur most often, the
+standard DPLL rule (Jeroslow & Wang 1990; Marques-Silva 1999), usually
+decides the formulas in fewer nodes.  A categorical key tries the values
+its atoms mention and the first value they do not: every atom over the
+key is false on each unmentioned value, so that value stands for all of
+them.  The formulas' three-valued (Kleene) values under the
+partial assignment bound the cells a node can reach: a node where both
+are decided marks its cell, one that can reach no cell still sought is
+pruned, any other branches.  The node where the search stops is
+completed with every remaining key's first value, so a one-cell witness
+is that cell's first model in product order, while the cost follows how
+soon the formulas are decided rather than the size of the product or of
+a key's domain.  A budget of search nodes bounds the cost.
 
 Each question is compiled in one walk.  A categorical atom that is the
 schema's own parsed node is not validated again, since reading it
@@ -165,12 +170,14 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
 
     Returns the categorical and numeric keys, sorted, with each numeric
     key's constants in ascending order (what a witness needs); the slots in
-    the order the search assigns them, which is those keys' order; the
-    slots' sizes; the values to try; the program; and where each formula's
-    value is among the values one run of the program yields, counted from
-    the end.  The values to try are a bit mask per slot: every sample of a
-    numeric key; the values the program's atoms over a categorical key
-    mention, plus the first one they do not, if any.
+    those keys' order, which is product order; the slots' sizes; the values
+    to try; the program; where each formula's value is among the values one
+    run of the program yields, counted from the end; and each slot's uses,
+    the number of the program's atoms over its key, counted as the walk
+    tables them.  The values to try are a bit mask per slot: every sample
+    of a numeric key; the values the program's atoms over a categorical key
+    mention, plus the first one they do not, if any.  Neither the masks nor
+    the uses count an atom that a constant took out of the program.
     """
     parsed = schema._atoms
     cat_tables = schema._tables
@@ -178,6 +185,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
     sizes: list[int] = []
     masks: list[int] = []
+    uses: list[int] = []  # each slot's count of atoms in the program
     numeric = []  # (tables, position, slot, (numerator, denominator), cmp, negated)
     program: list = []  # in preorder until the end
     stale = False  # whether masks hold bits of atoms a constant took out
@@ -210,9 +218,11 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     slot = cat_slots[key] = len(sizes)
                     sizes.append(len(schema.categorical[f.attr]))
                     masks.append(0)
+                    uses.append(0)
                 if node is not None:
                     bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
                     masks[slot] |= bit
+                    uses[slot] += 1
                     node[2].append((slot, pair[neg]))
             elif kind is NumAtom:
                 validate_atom(schema, f)
@@ -222,10 +232,12 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     got = num_slots[key] = (len(sizes), {})
                     sizes.append(0)
                     masks.append(-1)  # every sample is tried
+                    uses.append(0)
                 c = f.constant
                 nd = (c.numerator, c.denominator)
                 got[1][nd] = c
                 if node is not None:
+                    uses[got[0]] += 1
                     numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))
                     node[2].append(None)
             elif kind is And or kind is Or or kind is Implies:
@@ -292,17 +304,20 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         table.append(None)  # the key is unassigned
         tables[i] = (slot, table)
     if stale:
-        # Atoms that a constant took out of the program were tabled first:
-        # only those left in it name the values to try.
+        # Atoms that a constant took out of the program were tabled and
+        # counted first: only those left in it name the values to try and
+        # count as uses.
         masks = [min(m, 0) for m in masks]
+        uses = [0] * len(uses)
         for _, _, tables, _ in program:
             for slot, table in tables:
                 masks[slot] |= cat_tables.get(id(table), -1)
+                uses[slot] += 1
     # Every atom over a key is false on each value it does not mention, so
     # those values give identical subtrees and the first stands for all.
     masks = [(m | m + 1) & (1 << n) - 1 for m, n in zip(masks, sizes)]
     program.reverse()
-    return (cat_keys, num_keys, constants), order, sizes, masks, program, roots
+    return (cat_keys, num_keys, constants), order, sizes, masks, program, roots, uses
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +332,14 @@ _A_NOT_B = 0b0010
 
 
 def _search(
-    schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int
+    schema: Schema, a: Formula, b: Formula, limit: int, explore: int, stop: int, by_use: bool = False
 ) -> tuple[int, Optional[tuple]]:
     """Depth-first search over the joint keys of ``a`` and ``b`` for the
     cells in the mask ``explore``.  The keys are assigned in ``_compile``'s
-    order, categorical then numeric, each sorted, and each runs through the
-    values in its mask, in domain or sample order.
+    product order, categorical then numeric, each sorted; with ``by_use``,
+    the slots are sorted once, by most uses, then fewest values to try,
+    then that order.  Each key runs through the values in its mask, in
+    domain or sample order.
 
     A node where both formulas are decided marks its cell; a node whose
     reachable cells in ``explore`` are all marked is pruned, and so is the
@@ -330,10 +347,16 @@ def _search(
     search stops once every cell of ``stop`` (a subset of ``explore``) is
     marked.  Returns the marked cells and, where it stopped, the keys, each
     numeric key's constants and the value indices of the node's first
-    completion (see ``_witness``), or None when it ran to the end; raises
-    ResourceLimit on the node after the ``limit``-th.
+    completion in product order (see ``_witness``), or None when it ran to
+    the end; raises ResourceLimit on the node after the ``limit``-th.
+    Only without ``by_use`` is that completion the first model of its cell
+    in product order.
     """
-    keys, order, sizes, masks, program, (root_a, root_b) = _compile(schema, (a, b))
+    keys, order, sizes, masks, program, (root_a, root_b), uses = _compile(schema, (a, b))
+    branch = order
+    if by_use:
+        rank = [(-u, m.bit_count()) for u, m in zip(uses, masks)]
+        branch = sorted(order, key=rank.__getitem__)  # stable: ties keep product order
     at = sizes[:]  # each slot's value index; every key unassigned
     path: list[int] = []  # the cells each node being branched can still reach
     seen = 0
@@ -364,7 +387,7 @@ def _search(
         reach = _A_CELLS[ta] & _B_CELLS[tb] & explore & ~seen
         if reach:
             if ta is None or tb is None:
-                at[order[len(path)]] = 0
+                at[branch[len(path)]] = 0
                 path.append(reach)
                 continue
             seen |= reach
@@ -374,7 +397,7 @@ def _search(
         # the parent's subtree holds nothing more; a key backed out of is
         # unassigned again.
         while path:
-            k = order[len(path) - 1]
+            k = branch[len(path) - 1]
             rest = masks[k] >> at[k] + 1  # the values still to try
             if rest and path[-1] & ~seen:
                 at[k] += (rest & -rest).bit_length()
@@ -412,11 +435,12 @@ def pair_cells(
 ) -> tuple[bool, bool, bool, bool]:
     """Which of ``a & b``, ``a & !b``, ``!a & b`` and ``!a & !b`` have a model.
 
-    One search of all four cells, stopped once the first three are
-    marked, so a False fourth cell proves nothing unless one of those is
-    False.
+    One search of all four cells, branching first on the keys the most
+    atoms read, stopped once the first three are marked, so a False fourth
+    cell proves nothing unless one of those is False.  (Which cells such an
+    early stop has marked depends on the branching order.)
     """
-    seen, _ = _search(schema, a, b, limit, 0b1111, 0b0111)
+    seen, _ = _search(schema, a, b, limit, 0b1111, 0b0111, True)
     return ((seen & 1) != 0, (seen & 2) != 0, (seen & 4) != 0, (seen & 8) != 0)
 
 

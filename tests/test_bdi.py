@@ -424,11 +424,29 @@ def restaurant_scenario():
     return scenario, candidates
 
 
+def truthful_scenario():
+    """The world satisfies K and H, and K reads Type alone.  So each true
+    atom over Food or Price is shown not communicated by moving its key,
+    with no question, and the expected Food(x)=Japanese is withheld.  No r
+    needs asking about: the world is a model of H & p for every p."""
+    schema = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
+    return Scenario(
+        schema=schema,
+        communicated=parse_formula("Type(x)=Restaurant", schema),
+        hearer_beliefs=parse_formula("Price(x)=Low", schema),
+        world=Model(
+            {("Type", "x"): "Restaurant", ("Food", "x"): "Japanese", ("Price", "x"): "Low"}, {}
+        ),
+        expectation_norms=(parse_formula("Food(x)=Japanese", schema),),
+    )
+
+
 def _scan_cases():
     yield "hurricane", hurricane_scenario(), None
     yield "employment", employment_scenario(), None
     yield "storm", *storm_scenario()
     yield "restaurant", *restaurant_scenario()
+    yield "truthful", truthful_scenario(), None
     for name in ("hurricane.scenario.json", "employment.scenario.json", "lying.scenario.json"):
         yield (name, *load_scenario(fixture_path(name)))
     rng = random.Random(2024)
@@ -813,6 +831,28 @@ def test_questions_asked_are_a_subsequence_of_the_old_rules(monkeypatch):
         assert all(q in old for q in asked["new", name]), name
         fewer += len(asked["new", name]) < len(asked["old", name])
     assert fewer > 20
+
+
+def test_a_world_that_satisfies_h_asks_about_no_false_conclusion():
+    # The world falsifies K, so only questions tell what K communicates.  It
+    # satisfies H, so no half truth can lead to a false r, and no K |= r is
+    # asked for one.
+    schema = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
+    scenario = Scenario(
+        schema=schema,
+        communicated=parse_formula("Food(x)=Japanese & Type(x)=Pub", schema),
+        hearer_beliefs=parse_formula("Price(x)=Low", schema),
+        world=Model(
+            {("Type", "x"): "Restaurant", ("Food", "x"): "Japanese", ("Price", "x"): "Low"}, {}
+        ),
+    )
+    candidates = [
+        parse_formula(text, schema)
+        for text in ("Food(x)=Japanese", "Type(x)=Pub", "Price(x)=High", "Food(x)=Italian")
+    ]
+    fn, calls = _counting(partial(entails, schema))
+    assert scan_misleading(scenario, candidates, entails_fn=fn) == []
+    assert calls == [(scenario.hearer_beliefs, FALSE), (scenario.communicated, candidates[0])]
 
 
 @pytest.mark.parametrize("name", ["hurricane.scenario.json", "employment.scenario.json"])

@@ -234,12 +234,12 @@ def test_report_oracle_decides_each_record_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "limit, decided, line",
-    [((), 4, "gold matches: 4/4\n"), (("--limit", "10"), 3, "resource limited: 1\n")],
+    [((), 4, "gold matches: 4/4\n"), (("--limit", "8"), 3, "resource limited: 1\n")],
 )
 def test_report_oracle_checks_each_decided_record(capsys, monkeypatch, limit, decided, line):
     """report --oracle decides every record through the CLI's
     checked_classify; the oracle sees each record that got a verdict.  The
-    records need 8, 10, 11 and 9 nodes, so --limit 10 refuses one."""
+    records need 7, 9, 8 and 8 nodes, so --limit 8 refuses one."""
     calls = {"checked": 0, "oracle": 0}
 
     def counting(name, fn):

@@ -35,6 +35,7 @@ from verity import (
     iter_atoms,
     oracle_classify,
     oracle_cells,
+    oracle_decide,
     oracle_entails,
     oracle_satisfiable,
     parse_formula,
@@ -565,7 +566,7 @@ def test_a_node_decided_by_a_constant_names_no_values(constant_first):
     under = And(italian, Or(norwegian, Not(NumAtom("Temp", "d", ">", 5))))
     decided = And(FALSE, under) if constant_first else And(under, FALSE)
     f = Or(decided, japanese)
-    (keys, num_keys, constants), _, sizes, masks, program, _ = _compile(schema, (f,))
+    (keys, num_keys, constants), _, sizes, masks, program, _, _ = _compile(schema, (f,))
     assert (keys, num_keys, constants) == ([("Food", "x")], [("Temp", "d")], [[5]])
     assert (sizes, masks) == ([3, 3], [0b101, 0b111])
     # the root, the '|' node, and the decided '&' node, which holds nothing
@@ -581,8 +582,9 @@ def test_a_constant_after_a_subtree_takes_its_values_out():
     schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
     a = parse_formula("(Food(x)=Japanese | Food(x)=Norwegian) & false", schema)
     b = parse_formula("Food(x)=Italian", schema)
-    _, _, _, masks, program, _ = _compile(schema, (a, b))
+    _, _, _, masks, program, _, uses = _compile(schema, (a, b))
     assert masks == [0b011]
+    assert uses == [1]  # nor do they count as uses of Food(x)
     assert len(program) == 2  # the decided root of a, and b
 
 
@@ -629,7 +631,7 @@ def test_numeric_tables_are_comparisons_on_the_sample_points(constants, literals
     for atom, (_, neg) in zip(atoms, literals):
         literal = Not(atom) if neg else atom
         f = literal if f is None else And(f, literal)
-    (_, num_keys, ordered), order, sizes, masks, program, _ = _compile(TEMPERATURE, (f,))
+    (_, num_keys, ordered), order, sizes, masks, program, _, _ = _compile(TEMPERATURE, (f,))
     points = _samples(sorted(set(constants)))
     assert (num_keys, ordered, order, sizes) == ([("Temperature", "d")], [sorted(set(constants))], [0], [len(points)])
     assert masks == [2 ** len(points) - 1]  # every sample is tried
@@ -755,6 +757,62 @@ class TestSympyDifferential:
         for question in (f, And(f, Not(g))):
             expected = bool(inference.satisfiable(_sympy_encoding(schema, question)))
             assert satisfiable(schema, question).holds == expected
+
+
+# ---------------------------------------------------------------------------
+# Cell questions branch on the most-read keys first; witness questions keep
+# product order
+
+ALPHA_GAMMA = parse_schema("attr Alpha : { A0, A1, A2, A3 }\nattr Gamma : { G0, G1, G2, G3 }")
+
+
+def test_a_cell_search_branches_first_on_the_key_read_most():
+    """Gamma(e) is read twice and Alpha(e) once, so Gamma goes first though
+    it sorts last: the root; Gamma(e)=G0, the first value no atom mentions,
+    where both sides are false; and under Gamma(e)=G2 Alpha(e)=A0 and
+    Alpha(e)=A1, which mark !a & b and a & b.  That is 1 + 2 + 2 nodes, where
+    product order takes 7: Alpha(e)=A0 and A1 each branch on Gamma."""
+    a = _f("Alpha(e)=A1 & Gamma(e)=G2", ALPHA_GAMMA)
+    b = _f("Gamma(e)=G2", ALPHA_GAMMA)
+    facts = decide(ALPHA_GAMMA, a, b, limit=5)
+    assert (facts.input_satisfiable, facts.forward, facts.backward, facts.conflict) == (
+        True, True, False, False,
+    )
+    with pytest.raises(ResourceLimit) as exc_info:
+        decide(ALPHA_GAMMA, a, b, limit=4)
+    assert (exc_info.value.required, exc_info.value.limit) == (5, 4)
+    assert _budget(lambda limit: _search(ALPHA_GAMMA, a, b, limit, 0b1111, 0b0111)) == 7
+
+
+def test_witnesses_keep_product_order_where_the_most_read_key_finds_another():
+    """Branching first on Gamma(e), read three times, would stop at
+    Gamma(e)=G0, Alpha(e)=A1.  The first model in product order has
+    Alpha(e)=A0, and that is the witness and the countermodel."""
+    f = _f("Alpha(e)=A1 & Gamma(e)=G0 | Gamma(e)=G2 | Gamma(e)=G3 & Alpha(e)=A2", ALPHA_GAMMA)
+    first = next(m for m in _product_models(ALPHA_GAMMA, [f]) if evaluate(m, f))
+    assert first == Model({("Alpha", "e"): "A0", ("Gamma", "e"): "G2"}, {})
+    assert satisfiable(ALPHA_GAMMA, f).witness == first
+    assert entails(ALPHA_GAMMA, f, FALSE).witness == first
+    _, stopped = _search(ALPHA_GAMMA, f, FALSE, DEFAULT_ASSIGNMENT_LIMIT, 0b0010, 0b0010, True)
+    assert _witness(ALPHA_GAMMA, stopped) == Model({("Alpha", "e"): "A1", ("Gamma", "e"): "G0"}, {})
+
+
+def test_decide_matches_the_oracle_where_keys_are_read_unequally():
+    """On random pairs whose keys are read by different numbers of atoms,
+    so the search leaves product order, ``decide`` gives the oracle's
+    facts."""
+    rng = random.Random(28)
+    reordered = 0
+    for _ in range(600):
+        schema = random_schema(rng)
+        a, b = random_formula(rng, schema), random_formula(rng, schema)
+        _, order, *_, uses = _compile(schema, (a, b))
+        read = [uses[k] for k in order]
+        if read == sorted(read, reverse=True):
+            continue
+        reordered += 1
+        assert decide(schema, a, b) == oracle_decide(schema, a, b)
+    assert reordered > 150
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,13 @@ E2E = _e2e_schema()
 def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
     """A seven-slot input whose output adds the eighth slot, every value
     the last of its E2E domain: more models than the default limit, but
-    the search decides the pair in 19 nodes and refuses it with 18.  Each
+    the search decides the pair in 17 nodes and refuses it with 16.  Each
     key tries the one value its atoms mention and its first value, which
-    stands for every value no atom mentions: the root, 2 nodes for each
-    of the six keys before Near, 2 for Near and 2 for PriceRange under
-    each Near value, 1 + 12 + 2 + 4.  So widening Name and Near tenfold
-    adds no node."""
+    stands for every value no atom mentions.  Each input key is read by
+    both sides and Near by the output alone, so Near is branched on last:
+    the root, 2 nodes for each of the seven input keys (its first value
+    falsifies both sides), and 2 for Near once the input holds, 1 + 14 +
+    2.  So widening Name and Near tenfold adds no node."""
     input_text = (
         "Name(x)=Venue34 & EatType(x)=Pub & Food(x)=FastFood & PriceRange(x)=MoreThan30"
         " & CustomerRating(x)=FiveOfFive & Area(x)=Riverside & FamilyFriendly(x)=No"
@@ -150,13 +151,13 @@ def test_eight_slot_pair_is_decided_in_a_pinned_number_of_nodes():
         input_mr = parse_formula(input_text, schema)
         output_mr = parse_formula(input_text + " & Near(x)=Landmark19", schema)
         assert classify(schema, input_mr, output_mr) is Verdict.TOO_STRONG
-        facts = decide(schema, input_mr, output_mr, limit=19)
+        facts = decide(schema, input_mr, output_mr, limit=17)
         assert (facts.input_satisfiable, facts.forward, facts.backward, facts.conflict) == (
             True, False, True, False,
         )
         with pytest.raises(ResourceLimit) as exc_info:
-            classify(schema, input_mr, output_mr, limit=18)
-        assert (exc_info.value.required, exc_info.value.limit) == (19, 18)
+            classify(schema, input_mr, output_mr, limit=16)
+        assert (exc_info.value.required, exc_info.value.limit) == (17, 16)
 
 
 @pytest.mark.parametrize(
