@@ -50,6 +50,8 @@ from .mr import (
     _CMP_SYMBOLS,
     _NAME,
     _NUMBER,
+    _Record,
+    _set,
     FALSE,
     CatAtom,
     Formula,
@@ -86,8 +88,7 @@ class FindingKind(Enum):
     HALF_TRUTH = "half-truth"
 
 
-@dataclass(frozen=True)
-class MisleadingFinding:
+class MisleadingFinding(_Record):
     """One detected act of misleading.
 
     For withholding, ``subject`` is the withheld fact q.  For a half truth,
@@ -95,13 +96,17 @@ class MisleadingFinding:
     conclusion r the hearer draws from it.
     """
 
+    __slots__ = __match_args__ = _fields = ("kind", "subject", "inferred")
     kind: FindingKind
     subject: Formula
-    inferred: Optional[Formula] = None
+    inferred: Optional[Formula]
 
-    def __post_init__(self) -> None:
-        if (self.inferred is None) != (self.kind is FindingKind.WITHHOLDING):
+    def __init__(self, kind: FindingKind, subject: Formula, inferred: Optional[Formula] = None):
+        if (inferred is None) != (kind is FindingKind.WITHHOLDING):
             raise ValueError("inferred is required exactly for half truths")
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "inferred", inferred)
 
     def render(self) -> str:
         if self.kind is FindingKind.WITHHOLDING:

@@ -52,7 +52,6 @@ import decimal
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Container, Iterator, Mapping, Union
@@ -116,59 +115,124 @@ class MissingKey(MrError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+# Binds a record's fields past its own ``__setattr__``, which refuses.
+_set = object.__setattr__
+
+
+class _Record:
+    """The base of this package's immutable value classes.
+
+    A subclass names its value fields in ``_fields``, which are also its
+    ``__match_args__``, and sets them in its own ``__init__`` with ``_set``.
+    Records compare, hash and ``repr`` by those fields as a frozen dataclass
+    would, refuse to have a field assigned or deleted, and copy and pickle by
+    calling their class on their fields again.  They are not dataclasses,
+    which cost ``import verity`` about half a millisecond each to build.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+# ---------------------------------------------------------------------------
 # Schema
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(_Record):
     """Declares the attributes formulas may mention.
 
     ``categorical`` maps each categorical attribute to its domain, in
     declaration order; ``numeric`` names the rational-valued attributes.
     Each domain is indexed once, so no check of a value scans its domain.
+    Equality, hashing and ``repr`` read only these two fields.
     """
 
+    __match_args__ = _fields = ("categorical", "numeric")
+    # Besides the fields, three caches:
+    # - ``_positions``: each categorical attribute's values, each mapped to
+    #   its position in the domain.
+    # - ``_atoms``: every atom parsed under this schema, keyed by the text of
+    #   its parts (attribute, entity, operator, value); only valid atoms are
+    #   kept.
+    # - ``_tables``: for each (attribute, value) of a categorical atom decided
+    #   under this schema, the value's bit and the atom's truth tables, plain
+    #   and negated, that ``entail._compile`` made; every entity shares them.
+    #   The ``id`` of each of those tables also maps to the value's bit.
+    __slots__ = (*_fields, "_positions", "_atoms", "_tables")
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
-    # Each categorical attribute's values, each mapped to its position in
-    # the domain.
-    _positions: dict[str, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # Every atom parsed under this schema, keyed by the text of its parts
-    # (attribute, entity, operator, value); only valid atoms are kept.
-    _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # For each (attribute, value) of a categorical atom decided under this
-    # schema, the value's bit and the atom's truth tables, plain and
-    # negated, that ``entail._compile`` made; every entity shares them.  The
-    # ``id`` of each of those tables also maps to the value's bit.
-    _tables: dict[tuple[str, str] | int, tuple[int, tuple[tuple, tuple]] | int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _positions: dict[str, dict[str, int]]
+    _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom]
+    _tables: dict[tuple[str, str] | int, tuple[int, tuple[tuple, tuple]] | int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "categorical", {a: tuple(vs) for a, vs in self.categorical.items()}
-        )
-        object.__setattr__(self, "numeric", frozenset(self.numeric))
-        for attr, values in self.categorical.items():
+    def __init__(self, categorical: Mapping[str, tuple[str, ...]], numeric: frozenset[str]):
+        categorical = {a: tuple(vs) for a, vs in categorical.items()}
+        numeric = frozenset(numeric)
+        for attr, values in categorical.items():
             if not values:
                 raise ValueError(f"attribute {attr!r} has an empty domain")
             for value in values:
                 if not _is_name(value):
                     raise ValueError(f"attribute {attr!r} has value {value!r}, which is not a name")
-            positions = self._positions[attr] = {v: i for i, v in enumerate(values)}
-            if len(positions) != len(values):
+            if len(set(values)) != len(values):
                 raise ValueError(f"attribute {attr!r} repeats a domain value")
-            if attr in self.numeric:
+            if attr in numeric:
                 raise ValueError(f"attribute {attr!r} is both categorical and numeric")
-        for attr in (*self.categorical, *self.numeric):
+        for attr in (*categorical, *numeric):
             if not _is_name(attr):
                 raise ValueError(f"attribute name {attr!r} is not a name")
             if attr in _CONSTANTS:
                 raise ValueError(f"attribute name {attr!r} is reserved")
+        self._fill(categorical, numeric)
+
+    @classmethod
+    def _parsed(cls, categorical: dict[str, tuple[str, ...]], numeric: frozenset[str]) -> Schema:
+        """A schema of declarations ``parse_schema`` has read, which need
+        none of ``__init__``'s checks: every name and value is a name, no
+        name is reserved or declared twice, and no domain is empty or
+        repeats a value."""
+        schema = cls.__new__(cls)
+        schema._fill(categorical, numeric)
+        return schema
+
+    def _fill(self, categorical: dict[str, tuple[str, ...]], numeric: frozenset[str]) -> None:
+        _set(self, "categorical", categorical)
+        _set(self, "numeric", numeric)
+        _set(
+            self,
+            "_positions",
+            {a: {v: i for i, v in enumerate(vs)} for a, vs in categorical.items()},
+        )
+        _set(self, "_atoms", {})
+        _set(self, "_tables", {})
 
     def is_categorical(self, attr: str) -> bool:
         return attr in self.categorical
@@ -207,39 +271,73 @@ _CMP_FUNCS = {
 # formulas held in memory stays small.
 
 
-@dataclass(frozen=True, slots=True)
-class TrueConst:
+class TrueConst(_Record):
     """The formula that holds in every model."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class FalseConst:
+
+class FalseConst(_Record):
     """The formula that holds in no model."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class CatAtom:
+
+# Atoms compare and hash by hand: bdi scans look them up in dicts and lists
+# of norms, and a hand-written test is faster than ``_Record``'s.
+
+
+class CatAtom(_Record):
     """``Attr(entity)=Value``: the attribute takes exactly this value."""
 
+    __slots__ = __match_args__ = _fields = ("attr", "entity", "value")
     attr: str
     entity: str
     value: str
 
+    def __init__(self, attr: str, entity: str, value: str):
+        _set(self, "attr", attr)
+        _set(self, "entity", entity)
+        _set(self, "value", value)
 
-@dataclass(frozen=True, slots=True)
-class NumAtom:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CatAtom:
+            return NotImplemented
+        return self.value == other.value and self.attr == other.attr and self.entity == other.entity
+
+    def __hash__(self) -> int:
+        return hash((self.attr, self.entity, self.value))
+
+
+class NumAtom(_Record):
     """``Attr(entity) cmp constant`` for a rational-valued attribute."""
 
+    __slots__ = __match_args__ = _fields = ("attr", "entity", "cmp", "constant")
     attr: str
     entity: str
     cmp: str
     constant: Fraction
 
-    def __post_init__(self) -> None:
-        if self.cmp not in _CMP_SYMBOLS:
-            raise ValueError(f"bad comparison operator {self.cmp!r}")
-        if not isinstance(self.constant, Fraction):
-            object.__setattr__(self, "constant", Fraction(self.constant))
+    def __init__(self, attr: str, entity: str, cmp: str, constant: Fraction):
+        if cmp not in _CMP_SYMBOLS:
+            raise ValueError(f"bad comparison operator {cmp!r}")
+        _set(self, "attr", attr)
+        _set(self, "entity", entity)
+        _set(self, "cmp", cmp)
+        _set(self, "constant", constant if isinstance(constant, Fraction) else Fraction(constant))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NumAtom:
+            return NotImplemented
+        return (
+            self.cmp == other.cmp
+            and self.attr == other.attr
+            and self.entity == other.entity
+            and self.constant == other.constant
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.attr, self.entity, self.cmp, self.constant))
 
 
 def _preorder(formula: Formula) -> list:
@@ -272,10 +370,10 @@ def _preorder(formula: Formula) -> list:
     return out
 
 
-class _Connective:
+class _Connective(_Record):
     """The connectives' base: they compare, hash and repr through
-    ``_preorder`` rather than the recursive methods dataclasses would
-    generate, so depth is no limit."""
+    ``_preorder`` rather than field by field, which would recurse, so depth
+    is no limit."""
 
     __slots__ = ()
 
@@ -288,34 +386,46 @@ class _Connective:
         return hash(tuple(_preorder(self)))
 
     def __repr__(self) -> str:
-        """The text the dataclass-generated ``__repr__`` would give."""
+        """The text ``_Record.__repr__`` would give, without recursing."""
         return _render(self, _REPR, repr, 0)
 
 
-_connective = dataclass(frozen=True, slots=True, eq=False, repr=False)
-
-
-@_connective
 class Not(_Connective):
+    __slots__ = __match_args__ = _fields = ("operand",)
     operand: Formula
 
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
 
-@_connective
+
 class And(_Connective):
+    __slots__ = __match_args__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@_connective
+
 class Or(_Connective):
+    __slots__ = __match_args__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@_connective
+
 class Implies(_Connective):
+    __slots__ = __match_args__ = _fields = ("antecedent", "consequent")
     antecedent: Formula
     consequent: Formula
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
 
 
 Formula = Union[TrueConst, FalseConst, CatAtom, NumAtom, Not, And, Or, Implies]
@@ -329,12 +439,16 @@ FALSE = FalseConst()
 Key = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Record):
     """A value for every key in some finite set of keys."""
 
+    __slots__ = __match_args__ = _fields = ("categorical", "numeric")
     categorical: Mapping[Key, str]
     numeric: Mapping[Key, Fraction]
+
+    def __init__(self, categorical: Mapping[Key, str], numeric: Mapping[Key, Fraction]):
+        _set(self, "categorical", categorical)
+        _set(self, "numeric", numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +803,7 @@ def parse_schema(text: str) -> Schema:
             name, values = _read_decl(raw, line, declared)
         if name is not None:
             declared[name] = values
-    return Schema(
+    return Schema._parsed(
         {name: values for name, values in declared.items() if values is not None},
         frozenset(name for name, values in declared.items() if values is None),
     )

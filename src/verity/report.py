@@ -23,12 +23,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .entail import ResourceLimit
-from .mr import Formula, MrError, Schema, SourceError, parse_formula
+from .mr import Formula, MrError, Schema, SourceError, _Record, _set, parse_formula
 from .taxonomy import Verdict, classify
 
 REPORT_FORMATS = ("json", "csv", "text")
@@ -45,27 +44,44 @@ class UnknownFormat(MrError):
         )
 
 
-@dataclass(frozen=True)
-class LineError:
+class LineError(_Record):
     """A corpus line that could not be turned into a record."""
 
+    __slots__ = __match_args__ = _fields = ("line_no", "message")
     line_no: int
     message: str
 
+    def __init__(self, line_no: int, message: str):
+        _set(self, "line_no", line_no)
+        _set(self, "message", message)
 
-@dataclass(frozen=True)
-class CorpusRecord:
+
+class CorpusRecord(_Record):
     """One (input, output) pair, with its provenance line number."""
 
+    __slots__ = __match_args__ = _fields = ("id", "input", "output", "source_line", "gold")
     id: str
     input: Formula
     output: Formula
     source_line: int
-    gold: Optional[Verdict] = None
+    gold: Optional[Verdict]
+
+    def __init__(
+        self,
+        id: str,
+        input: Formula,
+        output: Formula,
+        source_line: int,
+        gold: Optional[Verdict] = None,
+    ):
+        _set(self, "id", id)
+        _set(self, "input", input)
+        _set(self, "output", output)
+        _set(self, "source_line", source_line)
+        _set(self, "gold", gold)
 
 
-@dataclass(frozen=True)
-class CategoryCounts:
+class CategoryCounts(_Record):
     """Per-verdict counts plus the bookkeeping buckets around them.
 
     ``total`` covers classified records only; parse failures and records
@@ -73,25 +89,38 @@ class CategoryCounts:
     classified records that carried a gold verdict.
     """
 
+    __slots__ = __match_args__ = _fields = (
+        "counts", "parse_failures", "resource_limited", "gold_matches", "gold_total"
+    )
     counts: Mapping[Verdict, int]
-    parse_failures: int = 0
-    resource_limited: int = 0
-    gold_matches: int = 0
-    gold_total: int = 0
+    parse_failures: int
+    resource_limited: int
+    gold_matches: int
+    gold_total: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        counts: Mapping[Verdict, int],
+        parse_failures: int = 0,
+        resource_limited: int = 0,
+        gold_matches: int = 0,
+        gold_total: int = 0,
+    ):
         full = {v: 0 for v in Verdict}
-        for verdict, n in self.counts.items():
+        for verdict, n in counts.items():
             if not isinstance(verdict, Verdict):
                 raise TypeError(f"not a verdict: {verdict!r}")
             if n < 0:
                 raise ValueError(f"negative count for {verdict.value}")
             full[verdict] = n
-        object.__setattr__(self, "counts", full)
-        for name in ("parse_failures", "resource_limited", "gold_matches", "gold_total"):
-            if getattr(self, name) < 0:
+        _set(self, "counts", full)
+        for name, n in zip(
+            self._fields[1:], (parse_failures, resource_limited, gold_matches, gold_total)
+        ):
+            if n < 0:
                 raise ValueError(f"negative {name}")
-        if self.gold_matches > self.gold_total:
+            _set(self, name, n)
+        if gold_matches > gold_total:
             raise ValueError("gold_matches exceeds gold_total")
 
     @property

@@ -25,12 +25,11 @@ extrinsic (source neither supports nor contradicts output) hallucination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .entail import DEFAULT_ASSIGNMENT_LIMIT, ResourceLimit, pair_cells, satisfiable
-from .mr import Formula, MrError, Schema
+from .mr import Formula, MrError, Schema, _Record, _set
 
 
 class Verdict(Enum):
@@ -55,32 +54,48 @@ class JiLabel(Enum):
     EXTRINSIC = "extrinsic"
 
 
-@dataclass(frozen=True)
-class LegacyLabels:
+class LegacyLabels(_Record):
     """The same verdict in two earlier vocabularies.
 
     ``ji`` is None where the intrinsic/extrinsic split does not apply
     (nothing was hallucinated).
     """
 
+    __slots__ = __match_args__ = _fields = ("dusek_hallucination", "dusek_omission", "ji")
     dusek_hallucination: bool
     dusek_omission: bool
     ji: Optional[JiLabel]
+
+    def __init__(self, dusek_hallucination: bool, dusek_omission: bool, ji: Optional[JiLabel]):
+        _set(self, "dusek_hallucination", dusek_hallucination)
+        _set(self, "dusek_omission", dusek_omission)
+        _set(self, "ji", ji)
 
 
 class UnmappableVerdict(MrError):
     """The verdict has no legacy-label counterpart."""
 
 
-@dataclass(frozen=True)
-class PairFacts:
+class PairFacts(_Record):
     """The entailment facts that define a pair's verdict, and the verdict."""
 
+    __slots__ = __match_args__ = _fields = (
+        "input_satisfiable", "forward", "backward", "conflict", "verdict"
+    )
     input_satisfiable: bool
     forward: bool  # input |= output
     backward: bool  # output |= input
     conflict: bool  # input |= !output
     verdict: Verdict
+
+    def __init__(
+        self, input_satisfiable: bool, forward: bool, backward: bool, conflict: bool, verdict: Verdict
+    ):
+        _set(self, "input_satisfiable", input_satisfiable)
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
+        _set(self, "conflict", conflict)
+        _set(self, "verdict", verdict)
 
 
 def _facts(both: bool, input_only: bool, output_only: bool, neither: bool) -> PairFacts:
