@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -117,8 +116,7 @@ class MisleadingFinding(_Record):
         )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A communication act against a known world.
 
     ``expectation_norms`` lists the formulas the hearer expects to be
@@ -127,17 +125,36 @@ class Scenario:
     that the hearer's beliefs are satisfiable.
     """
 
+    __slots__ = __match_args__ = _fields = (
+        "schema",
+        "communicated",
+        "hearer_beliefs",
+        "world",
+        "expectation_norms",
+    )
     schema: Schema
     communicated: Formula
     hearer_beliefs: Formula
     world: Model
-    expectation_norms: tuple[Formula, ...] = ()
+    expectation_norms: tuple[Formula, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "expectation_norms", tuple(self.expectation_norms))
-        validate_model(self.schema, self.world)
-        for f in (self.communicated, self.hearer_beliefs, *self.expectation_norms):
-            _require_world_keys(self.world, f)
+    def __init__(
+        self,
+        schema: Schema,
+        communicated: Formula,
+        hearer_beliefs: Formula,
+        world: Model,
+        expectation_norms: Sequence[Formula] = (),
+    ):
+        expectation_norms = tuple(expectation_norms)
+        validate_model(schema, world)
+        for f in (communicated, hearer_beliefs, *expectation_norms):
+            _require_world_keys(world, f)
+        _set(self, "schema", schema)
+        _set(self, "communicated", communicated)
+        _set(self, "hearer_beliefs", hearer_beliefs)
+        _set(self, "world", world)
+        _set(self, "expectation_norms", expectation_norms)
 
 
 def _require_world_keys(world: Model, f: Formula) -> None:

@@ -41,11 +41,12 @@ schema and (attribute, value) and shared by every entity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .mr import (
+    _Record,
+    _set,
     FALSE,
     TRUE,
     And,
@@ -82,16 +83,20 @@ class ResourceLimit(MrError):
         super().__init__(f"{required} {unit} exceeds limit {limit}")
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
+class EntailmentResult(_Record):
     """A yes/no decision plus the model that witnesses it, when one exists.
 
     For ``satisfiable`` the witness satisfies the formula; for ``entails``
     it is a countermodel, a model of ``a & !(b)``.
     """
 
+    __slots__ = __match_args__ = _fields = ("holds", "witness")
     holds: bool
     witness: Optional[Model]
+
+    def __init__(self, holds: bool, witness: Optional[Model]):
+        _set(self, "holds", holds)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds

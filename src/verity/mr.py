@@ -129,8 +129,12 @@ class _Record:
     ``__match_args__``, and sets them in its own ``__init__`` with ``_set``.
     Records compare, hash and ``repr`` by those fields as a frozen dataclass
     would, refuse to have a field assigned or deleted, and copy and pickle by
-    calling their class on their fields again.  They are not dataclasses,
-    which cost ``import verity`` about half a millisecond each to build.
+    calling their class on their fields again.  ``__replace__`` (which
+    ``copy.replace`` calls on Python 3.13+) makes a record with some fields
+    changed the same way, so it runs every check of the class's
+    ``__init__``.  No record is a dataclass: the ``dataclasses`` module and
+    what it imports were about a third of ``import verity``, and each
+    dataclass cost about half a millisecond more to build.
     """
 
     __slots__ = ()
@@ -160,6 +164,12 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+    def __replace__(self, **changes: object) -> _Record:
+        for name in changes:
+            if name not in self._fields:
+                raise TypeError(f"{type(self).__qualname__} has no field {name!r}")
+        return type(self)(**{name: changes.get(name, getattr(self, name)) for name in self._fields})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ passing that function: ``partial(checked_classify, schema, limit=N)``.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from functools import partial
@@ -291,6 +290,9 @@ def _render_json(c: CategoryCounts) -> str:
 
 
 def _render_csv(c: CategoryCounts) -> str:
+    # Imported here, as only this format needs it.
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["category", "count", "frequency"])

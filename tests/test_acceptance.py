@@ -7,7 +7,6 @@ behavior, not about the current implementation's internals.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 
@@ -41,6 +40,12 @@ from verity import (
     REPORT_FORMATS,
 )
 from verity.fixtures import fixture_path
+
+
+def _replace(record, **changes):
+    """``record`` with some fields changed, as ``copy.replace`` makes it on Python 3.13+."""
+    return record.__replace__(**changes)
+
 
 RESTAURANT = parse_schema(fixture_path("restaurant.schema").read_text(encoding="utf-8"))
 TEMPERATURE = parse_schema(fixture_path("temperature.schema").read_text(encoding="utf-8"))
@@ -232,11 +237,11 @@ def test_criterion_6_misleading_goldens_and_perturbations():
         "half-truth: Position(s)=Permanent => Solvency(c)=Healthy"
     ]
 
-    told_hurricane = dataclasses.replace(
+    told_hurricane = _replace(
         hurricane, communicated=And(hurricane.communicated, q)
     )
     assert scan_misleading(told_hurricane, h_candidates) == []
-    no_hurricane = dataclasses.replace(
+    no_hurricane = _replace(
         hurricane,
         world=Model(
             {("Hurricane", "today"): "No", ("Sky", "today"): "Cloudy"}, {}
@@ -244,11 +249,11 @@ def test_criterion_6_misleading_goldens_and_perturbations():
     )
     assert scan_misleading(no_hurricane, h_candidates) == []
 
-    told_solvency = dataclasses.replace(
+    told_solvency = _replace(
         employment, communicated=And(employment.communicated, r)
     )
     assert scan_misleading(told_solvency, e_candidates) == []
-    solvent_world = dataclasses.replace(
+    solvent_world = _replace(
         employment,
         world=Model(
             {("Position", "s"): "Permanent", ("Solvency", "c"): "Healthy"}, {}

@@ -6,7 +6,6 @@ definitions directly; the scan is checked against them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import re
@@ -52,6 +51,12 @@ from verity import (
     validate_formula,
 )
 from verity.fixtures import fixture_path
+
+
+def _replace(record, **changes):
+    """``record`` with some fields changed, as ``copy.replace`` makes it on Python 3.13+."""
+    return record.__replace__(**changes)
+
 
 WEATHER = parse_schema(
     """
@@ -140,14 +145,14 @@ def test_withholding_requires_norm_membership():
 
 
 def test_withholding_requires_truth_in_world():
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(), expectation_norms=(_weather("Sky(today)=Rainy"),)
     )
     assert not detect_withholding(scenario, _weather("Sky(today)=Rainy"))
 
 
 def test_withholding_requires_noncommunication():
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(),
         communicated=_weather("Sky(today)=Cloudy & Hurricane(today)=Yes"),
     )
@@ -156,7 +161,7 @@ def test_withholding_requires_noncommunication():
 
 def test_withholding_counts_entailed_facts_as_communicated():
     # Communicating the conjunction is communicating the conjunct.
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(),
         communicated=_weather("!(Hurricane(today)=No) & Sky(today)=Cloudy"),
     )
@@ -191,7 +196,7 @@ def test_half_truth_requires_false_conclusion():
 
 
 def test_half_truth_requires_hearer_belief_in_the_rule():
-    scenario = dataclasses.replace(
+    scenario = _replace(
         employment_scenario(), hearer_beliefs=_employment("true")
     )
     assert not detect_half_truth(
@@ -202,7 +207,7 @@ def test_half_truth_requires_hearer_belief_in_the_rule():
 
 
 def test_half_truth_suppressed_by_communicating_the_conclusion():
-    scenario = dataclasses.replace(
+    scenario = _replace(
         employment_scenario(),
         communicated=_employment("Position(s)=Permanent & Solvency(c)=Healthy"),
     )
@@ -216,7 +221,7 @@ def test_half_truth_suppressed_by_communicating_the_conclusion():
 def test_half_truth_not_suppressed_by_denying_the_conclusion():
     # The condition is that r go uncommunicated; asserting !r communicates
     # only the negation and the detector still fires.
-    scenario = dataclasses.replace(
+    scenario = _replace(
         employment_scenario(),
         communicated=_employment("Position(s)=Permanent & !(Solvency(c)=Healthy)"),
     )
@@ -299,7 +304,7 @@ def test_scan_findings_reverify():
 
 
 def test_scan_orders_findings_and_dedupes_candidates():
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(),
         communicated=_weather("true"),
         expectation_norms=(
@@ -546,7 +551,7 @@ def test_a_float_in_the_world_does_not_stop_countermodel_reuse():
     for name, scenario, candidates in _scan_cases():
         candidates = candidates or default_candidates(scenario)
         world = scenario.world
-        floated = dataclasses.replace(
+        floated = _replace(
             scenario,
             world=Model(world.categorical, {key: float(v) for key, v in world.numeric.items()}),
         )
@@ -624,7 +629,7 @@ def _counting(fn):
             ["true |= false", "Sky(today)=Cloudy |= Sky(today)=Cloudy"],
         ),
         (
-            dataclasses.replace(hurricane_scenario(), communicated=_weather("true")),
+            _replace(hurricane_scenario(), communicated=_weather("true")),
             None,
             ["true |= false"],
         ),
@@ -641,7 +646,7 @@ def _counting(fn):
             ],
         ),
         (
-            dataclasses.replace(
+            _replace(
                 employment_scenario(),
                 expectation_norms=(_employment("Solvency(c)=Bankrupt"),),
             ),
@@ -780,7 +785,7 @@ def test_a_skipped_question_raises_the_error_the_asked_one_raises():
     # scan skips the question, but it checks K first and raises that error.
     bogus = CatAtom("Sky", "today", "Bogus")
     scenario = forecast_scenario("Sky(today)=Cloudy", ["Hurricane(today)=Yes"])
-    scenario = dataclasses.replace(scenario, communicated=Or(scenario.communicated, bogus))
+    scenario = _replace(scenario, communicated=Or(scenario.communicated, bogus))
     candidates = [scenario.expectation_norms[0]]
     # A candidate outside its domain, asked about with no model in hand: K
     # is false in the world and entails the one true candidate.
@@ -804,8 +809,8 @@ def test_a_skipped_question_raises_the_error_the_asked_one_raises():
     clear = parse_formula("Sky(today)=Clear", FORECAST)
     cases += [
         (told, [hurricane, bogus], expected.value),
-        (dataclasses.replace(told, expectation_norms=(bogus,)), [hurricane], expected.value),
-        (dataclasses.replace(told, communicated=Or(told.communicated, bogus)), [clear], expected.value),
+        (_replace(told, expectation_norms=(bogus,)), [hurricane], expected.value),
+        (_replace(told, communicated=Or(told.communicated, bogus)), [clear], expected.value),
     ]
     for s, cs, error in cases:
         for fn in (None, partial(entails, FORECAST), partial(oracle_entails, FORECAST)):
@@ -881,7 +886,7 @@ def test_bdi_oracle_checks_the_beliefs_question(capsys, monkeypatch):
 
     def wrong_on_beliefs(schema, a, b, **kwargs):
         result = engine(schema, a, b, **kwargs)
-        return dataclasses.replace(result, holds=not result.holds) if b == FALSE else result
+        return _replace(result, holds=not result.holds) if b == FALSE else result
 
     monkeypatch.setattr(verity.oracle, "entails", wrong_on_beliefs)
     assert verity.cli.main(["bdi", "--oracle", path]) == 5
@@ -894,14 +899,14 @@ def test_replacing_a_loaded_scenario_runs_no_search(monkeypatch):
     scenario, _ = load_scenario(fixture_path("employment.scenario.json"))
     counted, searches = _counting(verity.entail._search)
     monkeypatch.setattr(verity.entail, "_search", counted)
-    replaced = dataclasses.replace(scenario, communicated=_employment("true"))
+    replaced = _replace(scenario, communicated=_employment("true"))
     assert replaced.communicated == _employment("true")
     assert searches == []
 
 
 def test_full_disclosure_clears_all_findings():
     scenario = hurricane_scenario()
-    told_all = dataclasses.replace(
+    told_all = _replace(
         scenario,
         communicated=And(scenario.communicated, _weather("Hurricane(today)=Yes")),
     )
@@ -957,7 +962,7 @@ def test_default_candidates_end_with_the_norms_they_lack():
     is checked for withholding; an atomic norm is already in the pool, as
     the schema's own node or as an equal one built through the API."""
     norm = _weather("Hurricane(today)=Yes | Sky(today)=Clear")
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(),
         expectation_norms=(
             _weather("Hurricane(today)=Yes"), norm, CatAtom("Sky", "today", "Rainy"), norm
@@ -978,7 +983,7 @@ def test_default_candidates_end_with_the_norms_they_lack():
 def test_scenario_rejects_unsatisfiable_beliefs(monkeypatch):
     # The scan asks H |= false before anything else, the pair limit too.
     monkeypatch.setattr(verity.bdi, "DEFAULT_PAIR_LIMIT", 0)
-    scenario = dataclasses.replace(
+    scenario = _replace(
         hurricane_scenario(),
         hearer_beliefs=_weather("Sky(today)=Clear & Sky(today)=Rainy"),
     )
@@ -991,7 +996,7 @@ def test_scenario_rejects_unsatisfiable_beliefs(monkeypatch):
 
 def test_scenario_requires_world_coverage():
     with pytest.raises(ScenarioError, match=r"no value to Sky\(tomorrow\)"):
-        dataclasses.replace(
+        _replace(
             hurricane_scenario(), communicated=_weather("Sky(tomorrow)=Clear")
         )
 

@@ -1,8 +1,8 @@
 """The value classes: records that behave as frozen dataclasses did.
 
-Every public class but ``Scenario`` and ``EntailmentResult`` is a plain
-class with slots on ``mr._Record``; these tests pin what each one kept of
-its dataclass behaviour, and which classes are still dataclasses.
+Every public value class is a plain class with slots on ``mr._Record``;
+these tests pin what each one kept of its dataclass behaviour, and that
+no class of the package is a dataclass any more.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ import dataclasses
 import inspect
 import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -39,24 +42,26 @@ from verity import (
     Or,
     PairFacts,
     Scenario,
+    ScenarioError,
     Schema,
     TrueConst,
     Verdict,
-    load_scenario,
     parse_formula,
     parse_schema,
 )
 from verity import mr
-from verity.fixtures import fixture_path
 
 FOOD = CatAtom("Food", "x", "Italian")
 HALF = NumAtom("Temp", "d", "<", Fraction(1, 2))
+FOOD_SCHEMA = Schema({"Food": ("Italian", "Pub")}, frozenset({"Temp"}))
+WORLD = Model({("Food", "x"): "Italian"}, {("Temp", "d"): Fraction(1, 3)})
+SCENARIO = Scenario(FOOD_SCHEMA, FOOD, Implies(FOOD, HALF), WORLD, [Not(FOOD)])
 
 # One instance of each record class, its repr as the dataclass gave it, and
 # whether that text evaluates back to an equal record.
 RECORDS = [
     (
-        Schema({"Food": ("Italian", "Pub")}, frozenset({"Temp"})),
+        FOOD_SCHEMA,
         "Schema(categorical={'Food': ('Italian', 'Pub')}, numeric=frozenset({'Temp'}))",
         True,
     ),
@@ -69,7 +74,7 @@ RECORDS = [
     (Or(TRUE, FALSE), "Or(left=TrueConst(), right=FalseConst())", True),
     (Implies(TRUE, FALSE), "Implies(antecedent=TrueConst(), consequent=FalseConst())", True),
     (
-        Model({("Food", "x"): "Italian"}, {("Temp", "d"): Fraction(1, 3)}),
+        WORLD,
         "Model(categorical={('Food', 'x'): 'Italian'}, numeric={('Temp', 'd'): Fraction(1, 3)})",
         True,
     ),
@@ -111,13 +116,28 @@ RECORDS = [
         "inferred=Not(operand=CatAtom(attr='Food', entity='x', value='Italian')))",
         False,
     ),
+    (
+        EntailmentResult(False, Model({}, {})),
+        "EntailmentResult(holds=False, witness=Model(categorical={}, numeric={}))",
+        True,
+    ),
+    (
+        SCENARIO,
+        "Scenario(schema=Schema(categorical={'Food': ('Italian', 'Pub')}, numeric=frozenset({'Temp'})), "
+        "communicated=CatAtom(attr='Food', entity='x', value='Italian'), "
+        "hearer_beliefs=Implies(antecedent=CatAtom(attr='Food', entity='x', value='Italian'), "
+        "consequent=NumAtom(attr='Temp', entity='d', cmp='<', constant=Fraction(1, 2))), "
+        "world=Model(categorical={('Food', 'x'): 'Italian'}, numeric={('Temp', 'd'): Fraction(1, 3)}), "
+        "expectation_norms=(Not(operand=CatAtom(attr='Food', entity='x', value='Italian')),))",
+        True,
+    ),
 ]
-UNHASHABLE = (Schema, Model, CategoryCounts)
+UNHASHABLE = (Schema, Model, CategoryCounts, EntailmentResult, Scenario)
 NAMES = {
     c.__name__: c
     for c in (
-        And, CatAtom, CorpusRecord, FalseConst, Implies, LineError, Model, Not, NumAtom, Or,
-        Schema, TrueConst,
+        And, CatAtom, CorpusRecord, EntailmentResult, FalseConst, Implies, LineError, Model, Not,
+        NumAtom, Or, Scenario, Schema, TrueConst,
     )
 } | {"Fraction": Fraction}
 IDS = [f"{type(r).__name__}-{i}" for i, (r, _, _) in enumerate(RECORDS)]
@@ -168,6 +188,8 @@ def test_records_of_different_classes_or_fields_differ():
     assert LineError(3, "bad") != LineError(4, "bad")
     assert CategoryCounts({}) != CategoryCounts({}, gold_total=1)
     assert Model({}, {}) != Model({("Food", "x"): "Italian"}, {})
+    assert EntailmentResult(True, None) != EntailmentResult(False, None)
+    assert hash(EntailmentResult(True, None)) == hash((True, None))
     assert len({FOOD, CatAtom("Food", "x", "Italian"), HALF, NumAtom("Temp", "d", "<", 0.5)}) == 2
 
 
@@ -334,27 +356,69 @@ def _record_classes() -> list[type]:
     ]
 
 
-def test_only_scenario_and_entailment_result_are_dataclasses():
-    """Each dataclass costs ``import verity`` about half a millisecond to
-    build.  A new one changes this test, and says why it is worth that."""
-    exported = [obj for obj in vars(verity).values() if isinstance(obj, type)]
-    assert {c for c in exported if dataclasses.is_dataclass(c)} == {Scenario, EntailmentResult}
-    assert len(_record_classes()) == 16
-    # Nor does any module of the package define another one.
+def test_no_class_in_the_package_is_a_dataclass():
+    """The ``dataclasses`` module and what it imports cost ``import verity``
+    about a third of its time, and each dataclass about half a millisecond
+    more to build."""
+    assert len(_record_classes()) == 18
     defined = {
         obj
         for info in pkgutil.iter_modules(verity.__path__, "verity.")
         for _, obj in inspect.getmembers(import_module(info.name), inspect.isclass)
         if obj.__module__ == info.name
     }
-    assert {c for c in defined if dataclasses.is_dataclass(c)} == {Scenario, EntailmentResult}
+    assert set(_record_classes()) <= defined
+    assert not [c for c in defined if dataclasses.is_dataclass(c)]
 
 
-def test_replace_still_works_on_the_dataclasses():
-    scenario, _ = load_scenario(fixture_path("hurricane.scenario.json"))
-    told = dataclasses.replace(scenario, communicated=TRUE)
-    assert told.communicated == TRUE and told.world == scenario.world
-    result = EntailmentResult(False, Model({}, {}))
-    assert dataclasses.replace(result, holds=True) == EntailmentResult(True, Model({}, {}))
-    with pytest.raises(TypeError):
-        dataclasses.replace(FOOD, value="Pub")
+def test_import_loads_none_of_the_modules_only_some_calls_need():
+    """``dataclasses`` with the modules it imports, and ``csv``, which only
+    ``report --format csv`` reads; a fresh interpreter, as each ``verity``
+    command starts, loads none of them with the package."""
+    src = Path(verity.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import verity; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'csv'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "\n"
+
+
+@pytest.mark.parametrize("record, text, evaluates", RECORDS, ids=IDS)
+def test_replace_changes_only_the_fields_it_names(record, text, evaluates):
+    names = type(record).__match_args__
+    assert record.__replace__() == record
+    assert record.__replace__() is not record
+    for name in names:
+        assert record.__replace__(**{name: getattr(record, name)}) == record
+    with pytest.raises(TypeError, match=f"{type(record).__name__} has no field 'other'"):
+        record.__replace__(other=None)
+
+
+def test_replace_builds_the_record_again():
+    told = SCENARIO.__replace__(communicated=TRUE, expectation_norms=[FOOD])
+    assert told.communicated == TRUE and told.expectation_norms == (FOOD,)
+    assert told.world == WORLD and told.hearer_beliefs == SCENARIO.hearer_beliefs
+    assert EntailmentResult(False, None).__replace__(holds=True) == EntailmentResult(True, None)
+    assert FOOD.__replace__(value="Pub") == CatAtom("Food", "x", "Pub")
+    assert HALF.__replace__(constant=2).constant == Fraction(2)
+    # Each class's own checks run on the new fields.
+    with pytest.raises(ScenarioError, match=r"world assigns no value to Temp\(d\)"):
+        SCENARIO.__replace__(world=Model({("Food", "x"): "Italian"}, {}))
+    with pytest.raises(ValueError, match="bad comparison operator '=='"):
+        HALF.__replace__(cmp="==")
+    with pytest.raises(ValueError, match="inferred is required exactly for half truths"):
+        MisleadingFinding(FindingKind.WITHHOLDING, TRUE).__replace__(kind=FindingKind.HALF_TRUTH)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_calls_replace():
+    for record, _, _ in RECORDS:
+        assert copy.replace(record) == record
+    assert copy.replace(SCENARIO, communicated=TRUE) == SCENARIO.__replace__(communicated=TRUE)
+    with pytest.raises(ScenarioError, match=r"world assigns no value to Temp\(d\)"):
+        copy.replace(SCENARIO, world=Model({("Food", "x"): "Italian"}, {}))
+    with pytest.raises(TypeError, match="CatAtom has no field 'other'"):
+        copy.replace(FOOD, other=None)
