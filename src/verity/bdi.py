@@ -198,7 +198,7 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
             if atom is None:
                 atom = CatAtom(attr, entity, value)
                 if type(attr) is type(entity) is type(value) is str:
-                    atoms[key] = atom
+                    schema._adopt(key, atom)
             candidates.append(atom)
     constants: dict[Key, set[Fraction]] = {
         key: {value} for key, value in scenario.world.numeric.items()
@@ -383,8 +383,10 @@ def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optiona
 # ---------------------------------------------------------------------------
 # Scenario files
 
-_WORLD_KEY_RE = re.compile(rf"({_NAME})\(({_NAME})\)\Z")
-_NUMERAL_RE = re.compile(_NUMBER + r"\Z")
+# Only ``load_scenario`` reads these, so they are compiled on first use
+# (``re`` keeps the compiled patterns), not at import.
+_WORLD_KEY = rf"({_NAME})\(({_NAME})\)\Z"
+_NUMERAL = _NUMBER + r"\Z"
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
@@ -400,10 +402,11 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
     ``"45/2"``); no JSON number may have an exponent.
     """
     path = Path(path)
+    is_numeral = re.compile(_NUMERAL).match
 
     def numeral(text: str) -> Fraction:
         # Fraction("1e999999999") would not finish; numerals have no exponent.
-        if not _NUMERAL_RE.match(text):
+        if not is_numeral(text):
             raise ScenarioError(f"{path}: JSON number {text} has an exponent")
         return Fraction(text)
 
@@ -439,8 +442,9 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
 
     world_cat: dict[Key, str] = {}
     world_num: dict[Key, Fraction] = {}
+    world_key = re.compile(_WORLD_KEY).match
     for raw_key, value in field("world", dict).items():
-        m = _WORLD_KEY_RE.match(str(raw_key))
+        m = world_key(str(raw_key))
         if m is None:
             raise ScenarioError(f"{path}: bad world key {raw_key!r}, want Attr(entity)")
         attr, entity = m.group(1), m.group(2)
@@ -454,7 +458,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
             if (
                 isinstance(value, bool)
                 or not isinstance(value, (int, str, Fraction))
-                or (isinstance(value, str) and not _NUMERAL_RE.match(value))
+                or (isinstance(value, str) and not is_numeral(value))
             ):
                 raise ScenarioError(
                     f"{path}: world value for {raw_key} must be a number"

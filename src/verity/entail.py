@@ -32,10 +32,12 @@ is that cell's first model in product order, while the cost follows how
 soon the formulas are decided rather than the size of the product or of
 a key's domain.  A budget of search nodes bounds the cost.
 
-Each question is compiled in one walk.  A categorical atom that is the
-schema's own parsed node is not validated again, since reading it
-validated it, and the truth tables of categorical atoms are made once per
-schema and (attribute, value) and shared by every entity.
+Each question is compiled in one walk.  An atom that is the schema's own
+node is not validated again, since making it validated it, and its key
+and constant, or its domain's size and tables, are read from the entry
+the schema keeps for it (``Schema._own``).  The truth tables of
+categorical atoms are made once per schema and (attribute, value) and
+shared by every entity.
 """
 
 from __future__ import annotations
@@ -153,14 +155,17 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     """Compile ``formulas`` in one walk, with an explicit stack, into a
     program that gives their Kleene values under a partial assignment.
     Each atom is checked, keyed and tabled where the walk meets it, left
-    to right.  A categorical atom parsed under ``schema`` was validated
-    when it was read, and its tables are made once per schema (see
-    ``_cat_tables``) and shared by every entity; a numeric atom's table
-    depends on the question's constants, so it is validated and tabled on
-    every call.  A node that a constant decides holds no atom or child:
-    what the walk made under it leaves the program, and its operands still
-    unread are read under no node, where an atom is checked and keyed as
-    anywhere else but makes no table and names no value to try.
+    to right.  An atom that is the schema's own node was validated when it
+    was made, and one lookup of its ``id`` in ``Schema._own`` gives its key
+    and its constant, or its domain's size and, once it has been tabled,
+    its tables; any other atom is validated and keyed here.  Categorical
+    tables are made once per schema (see ``_cat_tables``) and shared by
+    every entity; a numeric atom's table depends on the question's
+    constants, so it is tabled on every call.  A node that a constant
+    decides holds no atom or child: what the walk made under it leaves the
+    program, and its operands still unread are read under no node, where
+    an atom is checked and keyed as anywhere else but makes no table and
+    names no value to try.
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -184,7 +189,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     mention, plus the first one they do not, if any.  Neither the masks nor
     the uses count an atom that a constant took out of the program.
     """
-    parsed = schema._atoms
+    own = schema._own
     cat_tables = schema._tables
     cat_slots: dict[Key, int] = {}
     num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
@@ -209,38 +214,45 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
             kind = type(f)
             if kind is CatAtom:
                 # The schema's own node for the atom's text was validated
-                # when it was parsed; any other atom, even an equal one, is
-                # validated here.
-                try:
-                    known = parsed.get((f.attr, f.entity, "=", f.value)) is f
-                except TypeError:  # an unhashable part, which validate_atom refuses
-                    known = False
-                if not known:
+                # when it was read, and its entry holds what follows from
+                # it; any other atom, even an equal one, is validated here.
+                entry = own.get(id(f))
+                if entry is None:
                     validate_atom(schema, f)
-                key = (f.attr, f.entity)
+                    key, size, tabled = (f.attr, f.entity), len(schema.categorical[f.attr]), None
+                else:
+                    key, size, tabled = entry
                 slot = cat_slots.get(key)
                 if slot is None:
                     slot = cat_slots[key] = len(sizes)
-                    sizes.append(len(schema.categorical[f.attr]))
+                    sizes.append(size)
                     masks.append(0)
                     uses.append(0)
                 if node is not None:
-                    bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
+                    if tabled is None:
+                        tabled = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
+                        if entry is not None:
+                            own[id(f)] = (key, size, tabled)
+                    bit, pair = tabled
                     masks[slot] |= bit
                     uses[slot] += 1
                     node[2].append((slot, pair[neg]))
             elif kind is NumAtom:
-                validate_atom(schema, f)
-                key = (f.attr, f.entity)
+                entry = own.get(id(f))
+                if entry is None:
+                    validate_atom(schema, f)
+                    c = f.constant
+                    key, n, d = (f.attr, f.entity), c.numerator, c.denominator
+                else:
+                    key, n, d = entry
                 got = num_slots.get(key)
                 if got is None:
                     got = num_slots[key] = (len(sizes), {})
                     sizes.append(0)
                     masks.append(-1)  # every sample is tried
                     uses.append(0)
-                c = f.constant
-                nd = (c.numerator, c.denominator)
-                got[1][nd] = c
+                nd = (n, d)
+                got[1][nd] = f.constant
                 if node is not None:
                     uses[got[0]] += 1
                     numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))

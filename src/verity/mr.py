@@ -186,21 +186,33 @@ class Schema(_Record):
     """
 
     __match_args__ = _fields = ("categorical", "numeric")
-    # Besides the fields, three caches:
+    # Besides the fields, four caches:
     # - ``_positions``: each categorical attribute's values, each mapped to
     #   its position in the domain.
-    # - ``_atoms``: every atom parsed under this schema, keyed by the text of
-    #   its parts (attribute, entity, operator, value); only valid atoms are
+    # - ``_atoms``: the schema's own atoms, every atom parsed under it and
+    #   each one ``bdi.default_candidates`` made, keyed by the text of its
+    #   parts (attribute, entity, operator, value); only valid atoms are
     #   kept.
+    # - ``_own``: what ``entail._compile`` reads of each of those atoms,
+    #   under the atom's ``id``: its key, then for a categorical atom the
+    #   size of its domain and, once it is tabled, its ``_tables`` entry, or
+    #   for a numeric atom its constant's numerator and denominator.  Each
+    #   (attribute, entity) also maps to the entry (key, size or None, None)
+    #   whose key every entry over it shares, and which its categorical
+    #   atoms share until they are tabled.  An id stays valid
+    #   because ``_atoms`` holds the atom as long as this holds its entry;
+    #   ``_adopt`` fills both, so a bound on ``_atoms`` must clear this map
+    #   there too.
     # - ``_tables``: for each (attribute, value) of a categorical atom decided
     #   under this schema, the value's bit and the atom's truth tables, plain
     #   and negated, that ``entail._compile`` made; every entity shares them.
     #   The ``id`` of each of those tables also maps to the value's bit.
-    __slots__ = (*_fields, "_positions", "_atoms", "_tables")
+    __slots__ = (*_fields, "_positions", "_atoms", "_own", "_tables")
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
     _positions: dict[str, dict[str, int]]
     _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom]
+    _own: dict[int | Key, tuple]
     _tables: dict[tuple[str, str] | int, tuple[int, tuple[tuple, tuple]] | int]
 
     def __init__(self, categorical: Mapping[str, tuple[str, ...]], numeric: frozenset[str]):
@@ -242,7 +254,25 @@ class Schema(_Record):
             {a: {v: i for i, v in enumerate(vs)} for a, vs in categorical.items()},
         )
         _set(self, "_atoms", {})
+        _set(self, "_own", {})
         _set(self, "_tables", {})
+
+    def _adopt(self, text: tuple[str, str, str, str], atom: CatAtom | NumAtom) -> CatAtom | NumAtom:
+        """Make the valid ``atom`` the schema's own node for ``text``, its
+        parts, and note what ``entail._compile`` reads of it; returns it."""
+        own = self._own
+        key = (atom.attr, atom.entity)
+        shared = own.get(key)
+        if shared is None:
+            size = len(self.categorical[atom.attr]) if type(atom) is CatAtom else None
+            shared = own[key] = (key, size, None)
+        if type(atom) is CatAtom:
+            own[id(atom)] = shared
+        else:
+            c = atom.constant
+            own[id(atom)] = (shared[0], c.numerator, c.denominator)
+        self._atoms[text] = atom
+        return atom
 
     def is_categorical(self, attr: str) -> bool:
         return attr in self.categorical
@@ -710,14 +740,15 @@ _GAP = r"[ \t\r\n]*"
 # One token per match, its kind the name of the group that matched.
 # ``finditer`` skips the whitespace between tokens; any other character that
 # starts no token is a ``bad`` token, and the empty match at the end of the
-# text is the ``end`` token.
+# text is the ``end`` token.  Alone it serves only the readers of text the
+# whole-line and whole-atom expressions reject, which are error paths, so it
+# is compiled on first use (``re`` keeps the compiled pattern), not at import.
 _TOKENS = (
     rf"(?P<number>{_NUMBER})|(?P<ident>{_NAME})"
     r"|(?P<implies>->)|(?P<cmp><=|>=|[=<>])|(?P<and>&)|(?P<or>\|)|(?P<not>!)"
     r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<comma>,)|(?P<colon>:)"
     r"|(?P<bad>[^ \t\r\n])|(?P<end>\Z)"
 )
-_TOKEN_RE = re.compile(_TOKENS)
 
 # Formula text also reads each whole atom, ``Attr(entity) cmp value`` with
 # whitespace allowed between the parts, as one ``atom`` token whose groups
@@ -830,7 +861,7 @@ def _read_decl(
     value, and last a name already in ``declared``.
     """
     code = raw.split("#", 1)[0]
-    tokens = list(_TOKEN_RE.finditer(code))
+    tokens = list(re.compile(_TOKENS).finditer(code))
     rest = iter(tokens)
 
     def expect(kind: str, what: str) -> re.Match:
@@ -913,8 +944,8 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                 # The value is a name, which starts with a letter or '_', or a number.
                 value = key[3]
                 kind = "ident" if value[0] == "_" or value[0].isalpha() else "number"
-                f = atoms[key] = _atom(
-                    schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5))
+                f = schema._adopt(
+                    key, _atom(schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5)))
                 )
         elif kind == "not":
             stack.append(_NEG)
@@ -973,7 +1004,7 @@ def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
     four parts and raises the error that stopped the scanner, after an
     unknown attribute, which wins; ``_atom`` checks the parts it finds.
     """
-    tokens = _TOKEN_RE.finditer(text, pos)
+    tokens = re.compile(_TOKENS).finditer(text, pos)
     attr = next(tokens).group()
     if not schema.is_categorical(attr) and not schema.is_numeric(attr):
         raise _unknown(attr, text, pos)

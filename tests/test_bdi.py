@@ -41,6 +41,7 @@ from verity import (
     default_candidates,
     entails,
     evaluate,
+    ingest_corpus,
     load_scenario,
     oracle_entails,
     parse_formula,
@@ -955,6 +956,43 @@ def test_default_candidates_are_the_schemas_own_atoms():
     for atom in atoms:
         assert parse_formula(print_formula(atom), schema) is atom
     assert all(a is b for a, b in zip(default_candidates(scenario), atoms))
+
+
+def test_the_schema_keeps_an_entry_for_each_of_its_own_atoms():
+    """After a corpus is parsed and a scenario's candidates are made, the
+    schema's entries are keyed by exactly the ids of its own atoms, plus
+    each (attribute, entity), whose entry holds the key tuple every entry
+    over that key shares.  A categorical atom's entry holds its domain's
+    size, and is its key's own until a question tables the atom; a numeric
+    atom's holds its constant's numerator and denominator."""
+    lying, _ = load_scenario(fixture_path("lying.scenario.json"))
+    schema, world = lying.schema, lying.world
+    # A key no formula mentions, whose candidates the schema has not seen.
+    scenario = _replace(lying, world=Model({**world.categorical, ("Hurricane", "tomorrow"): "No"}, world.numeric))
+    lines = fixture_path("temperature-corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    records, errors = ingest_corpus(lines, schema)
+    assert len(records) == 9 and len(errors) == 1
+    pool = default_candidates(scenario)
+    own, atoms = schema._own, list(schema._atoms.values())
+    assert {k for k in own if type(k) is int} == {id(a) for a in atoms}
+    keys = {(a.attr, a.entity) for a in atoms}
+    assert {k for k in own if type(k) is not int} == keys
+    assert len(own) == len(atoms) + len(keys)
+    assert [a for a in pool if id(a) in own] == [a for a in pool if type(a) is CatAtom]
+    assert {(a.attr, a.entity) for a in pool if type(a) is CatAtom} == {("Hurricane", "today"), ("Hurricane", "tomorrow")}
+    for a in atoms:
+        entry, shared = own[id(a)], own[a.attr, a.entity]
+        assert shared[0] == (a.attr, a.entity) and entry[0] is shared[0]
+        if type(a) is CatAtom:
+            assert entry is shared and entry[1:] == (2, None)
+        else:
+            assert shared[1:] == (None, None)
+            assert entry[1:] == (a.constant.numerator, a.constant.denominator)
+    scan_misleading(scenario)
+    tabled = [a for a in atoms if type(a) is CatAtom and own[id(a)][2] is not None]
+    assert {(a.entity, a.value) for a in tabled} >= {("today", "Yes"), ("today", "No")}
+    for a in tabled:
+        assert own[id(a)][2] is schema._tables[a.attr, a.value]
 
 
 def test_default_candidates_end_with_the_norms_they_lack():

@@ -550,6 +550,39 @@ def test_report_json(capsys):
     assert doc["gold_matches"] == 4
 
 
+TEMPERATURE_CORPUS = str(fixture_path("temperature-corpus.jsonl"))
+TEMPERATURE_REPORT = """\
+category               count  frequency
+0-well-matched             1     0.1111
+1a-too-weak                2     0.2222
+1b-tautologous             1     0.1111
+2a-too-strong              1     0.1111
+2b-self-contradictory      1     0.1111
+3a-independent             1     0.1111
+3b-conflicting             1     0.1111
+inconsistent-input         1     0.1111
+total                      9
+parse failures: 1
+gold matches: 9/9
+"""
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["engine", "oracle"])
+def test_report_on_the_numeric_corpus_matches_gold(capsys, oracle):
+    """The numeric demo corpus repeats its atoms across records, with
+    fractional constants written two ways, and holds every verdict: each
+    of its nine records matches gold, and its one malformed line, a value
+    name compared with the numeric attribute, is reported and counted."""
+    error = "line 7: field 'input': 1:20: attribute 'Temperature' is numeric; compared against 'Mild'\n"
+    code, out, err = run(capsys, "report", *oracle, "-s", TEMPERATURE, TEMPERATURE_CORPUS)
+    assert (code, out, err) == (0, TEMPERATURE_REPORT, error)
+    code, out, err = run(capsys, "report", *oracle, "--format", "json", "-s", TEMPERATURE, TEMPERATURE_CORPUS)
+    doc = json.loads(out)
+    assert (code, err) == (0, error)
+    assert (doc["total"], doc["parse_failures"], doc["gold_matches"], doc["gold_total"]) == (9, 1, 9, 9)
+    assert all(c["count"] == 1 for name, c in doc["categories"].items() if name != "1a-too-weak")
+
+
 def test_report_is_deterministic(capsys):
     first = run(capsys, "report", "-s", RESTAURANT, CORPUS)
     second = run(capsys, "report", "-s", RESTAURANT, CORPUS)

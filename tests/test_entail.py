@@ -44,7 +44,13 @@ from verity import (
     satisfiable,
 )
 from verity import entail
-from verity.mr import UnknownAttribute, ValueNotInDomain, validate_atom
+from verity.mr import (
+    CategoricalComparisonOnNumeric,
+    NumericComparisonOnCategorical,
+    UnknownAttribute,
+    ValueNotInDomain,
+    validate_atom,
+)
 from verity.entail import _compile, _samples, _search, _witness, pair_cells
 from verity.taxonomy import decide
 
@@ -501,9 +507,9 @@ def test_a_constant_costs_the_same_after_many_questions():
 
 
 def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
-    """A categorical atom equal to one the schema parsed, but not its
-    node, is validated on each question, and the parsed node never again;
-    a numeric atom is validated on each question, parsed or not."""
+    """An atom equal to one the schema parsed, but not its node, is
+    validated on each question, categorical or numeric, and the parsed
+    nodes never again."""
     schema = parse_schema("attr Food : { Italian, Norwegian }\nnum Temperature")
     parsed = parse_formula("Food(x)=Italian & Temperature(d) > 1/2", schema)
     built = And(CatAtom("Food", "x", "Italian"), NumAtom("Temperature", "d", ">", Fraction(1, 2)))
@@ -519,15 +525,17 @@ def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
         validated.clear()
         for _ in range(2):
             assert satisfiable(schema, f)
-        expected = [id(f.right)] if f is parsed else [id(f.left), id(f.right)]
+        expected = [] if f is parsed else [id(f.left), id(f.right)]
         assert validated == expected * 2
     # The same holds for atoms read after a constant decided their node.
     decided = parse_formula("false & Food(x)=Italian & Temperature(d) > 1/2", schema)
-    assert decided.left.right is parsed.left
-    validated.clear()
-    for _ in range(2):
-        assert not satisfiable(schema, decided)
-    assert validated == [id(decided.right)] * 2
+    assert decided.left.right is parsed.left and decided.right is parsed.right
+    decided_built = And(And(FALSE, built.left), built.right)
+    for f, expected in ((decided, []), (decided_built, [id(built.left), id(built.right)])):
+        validated.clear()
+        for _ in range(2):
+            assert not satisfiable(schema, f)
+        assert validated == expected * 2
 
 
 @pytest.mark.parametrize(
@@ -550,6 +558,39 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
     ):
         with pytest.raises(error):
             ask(RESTAURANT, f)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda s, f: satisfiable(s, f),
+        lambda s, f: pair_cells(s, f, TRUE),
+        lambda s, f: oracle_cells(s, TRUE, f),
+    ],
+    ids=["satisfiable", "pair_cells", "oracle_cells"],
+)
+def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(ask):
+    """A schema's entries are its own atoms': an atom that another schema
+    parsed is validated against the schema asked, even after that schema
+    parsed and asked the same texts that are valid under it."""
+    home = parse_schema("attr Food : { Italian, Sushi }\nattr Sky : { Clear }\nnum Temp\nnum Level")
+    asked = parse_schema("attr Food : { Italian }\nattr Temp : { Hot }\nnum Sky")
+    ok = parse_formula("Food(x)=Italian", home)
+    assert satisfiable(asked, parse_formula("Food(x)=Italian & Sky(t) > 1/2", asked))
+    ask(asked, ok)  # valid under both
+    for text, error in (
+        ("Food(x)=Sushi", ValueNotInDomain),
+        ("Temp(d) > 1/2", NumericComparisonOnCategorical),
+        ("Sky(t)=Clear", CategoricalComparisonOnNumeric),
+        ("Level(d) < 3", UnknownAttribute),
+    ):
+        atom = parse_formula(text, home)
+        assert satisfiable(home, atom)
+        for f in (atom, And(ok, atom)):
+            with pytest.raises(error):
+                ask(asked, f)
+        assert id(atom) not in asked._own
+    assert id(ok) not in asked._own
 
 
 @pytest.mark.parametrize("constant_first", [False, True])

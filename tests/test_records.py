@@ -386,6 +386,37 @@ def test_import_loads_none_of_the_modules_only_some_calls_need():
     assert done.stdout == "\n"
 
 
+def test_valid_input_compiles_no_pattern_only_errors_read():
+    """The token pattern, which only the readers of rejected schema lines
+    and atoms use, and the scenario file's two patterns are compiled on
+    first use: a fresh interpreter that imports ``verity`` and parses a
+    valid schema and formula compiles none of them.  A schema line that
+    the line pattern rejects compiles the token pattern."""
+    src = Path(verity.__file__).resolve().parent.parent
+    code = "\n".join(
+        [
+            "import re, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "seen, real = set(), re._compile",
+            "re._compile = lambda pattern, flags: seen.add(pattern) or real(pattern, flags)",
+            "import verity",
+            "from verity import bdi, mr",
+            "patterns = {'token': mr._TOKENS, 'world key': bdi._WORLD_KEY, 'numeral': bdi._NUMERAL}",
+            "schema = verity.parse_schema('attr Food : { Italian, Pub }\\nnum Temp\\n')",
+            "verity.parse_formula('Food(x)=Italian & !(Temp(d) < 1/2) | Temp(d) >= 2.5', schema)",
+            "print(*sorted(name for name, p in patterns.items() if p in seen))",
+            "try:",
+            "    verity.parse_schema('attr Food { Italian }')",
+            "except verity.ParseError:",
+            "    print(*sorted(name for name, p in patterns.items() if p in seen))",
+        ]
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "\ntoken\n"
+
+
 @pytest.mark.parametrize("record, text, evaluates", RECORDS, ids=IDS)
 def test_replace_changes_only_the_fields_it_names(record, text, evaluates):
     names = type(record).__match_args__
