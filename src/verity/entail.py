@@ -35,9 +35,9 @@ a key's domain.  A budget of search nodes bounds the cost.
 Each question is compiled in one walk.  An atom that is the schema's own
 node is not validated again, since making it validated it, and its key
 and constant, or its domain's size and tables, are read from the entry
-the schema keeps for it (``Schema._own``).  The truth tables of
-categorical atoms are made once per schema and (attribute, value) and
-shared by every entity.
+the first walk that met it stored in the atom (see ``mr.CatAtom``).  The
+truth tables of categorical atoms are made once per schema and
+(attribute, value) and shared by every entity.
 """
 
 from __future__ import annotations
@@ -130,24 +130,20 @@ _SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
 # puts (decisive, decisive, (), ()) in its place, and nothing under that
 # node stays in the program.  Its operands still unread are walked under
 # no node (None): their atoms are checked and keyed as anywhere else, so a
-# witness names every key the formulas mention, but they make no table.
+# witness names every key the formulas mention, but they add no table.
 
 
 def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
     """The bit of ``value`` in ``attr``'s domain and the truth tables,
     plain and negated, of every atom ``attr(e)=value``, made once per
-    schema and kept in it, where the ``id`` of each table also maps to the
-    bit: the tables live as long as the schema, so no id is reused.  Every
-    entity shares them, so they are tuples, never changed."""
+    schema and kept in it.  Every entity shares them, so they are tuples,
+    never changed."""
     pos = schema._positions[attr][value]
     n = len(schema.categorical[attr])
     plain = [False] * n + [None]  # the last entry: the key is unassigned
     negated = [True] * n + [None]
     plain[pos], negated[pos] = True, False
-    bit, pair = 1 << pos, (tuple(plain), tuple(negated))
-    tables = schema._tables
-    tables[id(pair[0])] = tables[id(pair[1])] = bit
-    entry = tables[attr, value] = (bit, pair)
+    entry = schema._tables[attr, value] = (1 << pos, (tuple(plain), tuple(negated)))
     return entry
 
 
@@ -156,16 +152,17 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     program that gives their Kleene values under a partial assignment.
     Each atom is checked, keyed and tabled where the walk meets it, left
     to right.  An atom that is the schema's own node was validated when it
-    was made, and one lookup of its ``id`` in ``Schema._own`` gives its key
-    and its constant, or its domain's size and, once it has been tabled,
-    its tables; any other atom is validated and keyed here.  Categorical
+    was made; the first walk that meets it stores in its ``_entry`` slot
+    the schema's ``_positions``, its key and its domain's size and tables,
+    or its constant's numerator and denominator, and later walks read them
+    from there.  Any other atom is validated and keyed here.  Categorical
     tables are made once per schema (see ``_cat_tables``) and shared by
     every entity; a numeric atom's table depends on the question's
     constants, so it is tabled on every call.  A node that a constant
     decides holds no atom or child: what the walk made under it leaves the
     program, and its operands still unread are read under no node, where
-    an atom is checked and keyed as anywhere else but makes no table and
-    names no value to try.
+    an atom is checked and keyed as anywhere else but adds no table to the
+    program and names no value to try.
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -189,7 +186,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     mention, plus the first one they do not, if any.  Neither the masks nor
     the uses count an atom that a constant took out of the program.
     """
-    own = schema._own
+    positions = schema._positions  # marks the schema's own atoms
     cat_tables = schema._tables
     cat_slots: dict[Key, int] = {}
     num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
@@ -197,6 +194,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     masks: list[int] = []
     uses: list[int] = []  # each slot's count of atoms in the program
     numeric = []  # (tables, position, slot, (numerator, denominator), cmp, negated)
+    cats = []  # (tables, slot, bit) of each categorical atom in a node
     program: list = []  # in preorder until the end
     stale = False  # whether masks hold bits of atoms a constant took out
     roots = []
@@ -216,12 +214,16 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 # The schema's own node for the atom's text was validated
                 # when it was read, and its entry holds what follows from
                 # it; any other atom, even an equal one, is validated here.
-                entry = own.get(id(f))
-                if entry is None:
-                    validate_atom(schema, f)
-                    key, size, tabled = (f.attr, f.entity), len(schema.categorical[f.attr]), None
+                entry = f._entry
+                if type(entry) is tuple and entry[0] is positions:
+                    _, key, size, bit, pair = entry
                 else:
-                    key, size, tabled = entry
+                    if entry is not positions:
+                        validate_atom(schema, f)
+                    key, size = (f.attr, f.entity), len(schema.categorical[f.attr])
+                    bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
+                    if entry is positions:
+                        _set(f, "_entry", (positions, key, size, bit, pair))
                 slot = cat_slots.get(key)
                 if slot is None:
                     slot = cat_slots[key] = len(sizes)
@@ -229,22 +231,22 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     masks.append(0)
                     uses.append(0)
                 if node is not None:
-                    if tabled is None:
-                        tabled = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
-                        if entry is not None:
-                            own[id(f)] = (key, size, tabled)
-                    bit, pair = tabled
                     masks[slot] |= bit
                     uses[slot] += 1
-                    node[2].append((slot, pair[neg]))
+                    atoms = node[2]
+                    cats.append((atoms, slot, bit))
+                    atoms.append((slot, pair[neg]))
             elif kind is NumAtom:
-                entry = own.get(id(f))
-                if entry is None:
-                    validate_atom(schema, f)
+                entry = f._entry
+                if type(entry) is tuple and entry[0] is positions:
+                    _, key, n, d = entry
+                else:
+                    if entry is not positions:
+                        validate_atom(schema, f)
                     c = f.constant
                     key, n, d = (f.attr, f.entity), c.numerator, c.denominator
-                else:
-                    key, n, d = entry
+                    if entry is positions:
+                        _set(f, "_entry", (positions, key, n, d))
                 got = num_slots.get(key)
                 if got is None:
                     got = num_slots[key] = (len(sizes), {})
@@ -306,8 +308,19 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         ranks[slot] = {nd: r for r, nd in enumerate(pairs)}
         sizes[slot] = 2 * len(pairs) + 1
     if stale:
+        # Atoms that a constant took out of the program were tabled and
+        # counted first: only those left in it name the values to try and
+        # count as uses.
         live = {id(tables) for _, _, tables, _ in program}
         numeric = [entry for entry in numeric if id(entry[0]) in live]
+        masks = [min(m, 0) for m in masks]
+        uses = [0] * len(uses)
+        for tables, slot, bit in cats:
+            if id(tables) in live:
+                masks[slot] |= bit
+                uses[slot] += 1
+        for entry in numeric:
+            uses[entry[2]] += 1
     for tables, i, slot, nd, cmp, neg in numeric:
         n = sizes[slot]
         sample = 2 * ranks[slot][nd] + 1
@@ -320,16 +333,6 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
             table = [below != neg] * cut + [below == neg] * (n - cut)
         table.append(None)  # the key is unassigned
         tables[i] = (slot, table)
-    if stale:
-        # Atoms that a constant took out of the program were tabled and
-        # counted first: only those left in it name the values to try and
-        # count as uses.
-        masks = [min(m, 0) for m in masks]
-        uses = [0] * len(uses)
-        for _, _, tables, _ in program:
-            for slot, table in tables:
-                masks[slot] |= cat_tables.get(id(table), -1)
-                uses[slot] += 1
     # Every atom over a key is false on each value it does not mention, so
     # those values give identical subtrees and the first stands for all.
     masks = [(m | m + 1) & (1 << n) - 1 for m, n in zip(masks, sizes)]

@@ -175,6 +175,9 @@ class _Record:
 # ---------------------------------------------------------------------------
 # Schema
 
+# The most atoms a schema's parser cache holds: one more clears it.
+_ATOMS_KEPT = 2**16
+
 
 class Schema(_Record):
     """Declares the attributes formulas may mention.
@@ -186,34 +189,23 @@ class Schema(_Record):
     """
 
     __match_args__ = _fields = ("categorical", "numeric")
-    # Besides the fields, four caches:
+    # Besides the fields, three caches, each keyed by value:
     # - ``_positions``: each categorical attribute's values, each mapped to
-    #   its position in the domain.
+    #   its position in the domain.  It also marks the schema's own atoms
+    #   (see ``_adopt``).
     # - ``_atoms``: the schema's own atoms, every atom parsed under it and
     #   each one ``bdi.default_candidates`` made, keyed by the text of its
     #   parts (attribute, entity, operator, value); only valid atoms are
-    #   kept.
-    # - ``_own``: what ``entail._compile`` reads of each of those atoms,
-    #   under the atom's ``id``: its key, then for a categorical atom the
-    #   size of its domain and, once it is tabled, its ``_tables`` entry, or
-    #   for a numeric atom its constant's numerator and denominator.  Each
-    #   (attribute, entity) also maps to the entry (key, size or None, None)
-    #   whose key every entry over it shares, and which its categorical
-    #   atoms share until they are tabled.  An id stays valid
-    #   because ``_atoms`` holds the atom as long as this holds its entry;
-    #   ``_adopt`` fills both, so a bound on ``_atoms`` must clear this map
-    #   there too.
+    #   kept, and at most ``_ATOMS_KEPT`` of them.
     # - ``_tables``: for each (attribute, value) of a categorical atom decided
     #   under this schema, the value's bit and the atom's truth tables, plain
     #   and negated, that ``entail._compile`` made; every entity shares them.
-    #   The ``id`` of each of those tables also maps to the value's bit.
-    __slots__ = (*_fields, "_positions", "_atoms", "_own", "_tables")
+    __slots__ = (*_fields, "_positions", "_atoms", "_tables")
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
     _positions: dict[str, dict[str, int]]
     _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom]
-    _own: dict[int | Key, tuple]
-    _tables: dict[tuple[str, str] | int, tuple[int, tuple[tuple, tuple]] | int]
+    _tables: dict[tuple[str, str], tuple[int, tuple[tuple, tuple]]]
 
     def __init__(self, categorical: Mapping[str, tuple[str, ...]], numeric: frozenset[str]):
         categorical = {a: tuple(vs) for a, vs in categorical.items()}
@@ -254,24 +246,19 @@ class Schema(_Record):
             {a: {v: i for i, v in enumerate(vs)} for a, vs in categorical.items()},
         )
         _set(self, "_atoms", {})
-        _set(self, "_own", {})
         _set(self, "_tables", {})
 
     def _adopt(self, text: tuple[str, str, str, str], atom: CatAtom | NumAtom) -> CatAtom | NumAtom:
         """Make the valid ``atom`` the schema's own node for ``text``, its
-        parts, and note what ``entail._compile`` reads of it; returns it."""
-        own = self._own
-        key = (atom.attr, atom.entity)
-        shared = own.get(key)
-        if shared is None:
-            size = len(self.categorical[atom.attr]) if type(atom) is CatAtom else None
-            shared = own[key] = (key, size, None)
-        if type(atom) is CatAtom:
-            own[id(atom)] = shared
-        else:
-            c = atom.constant
-            own[id(atom)] = (shared[0], c.numerator, c.denominator)
-        self._atoms[text] = atom
+        parts, and mark it as such; returns it.  The mark is ``_positions``,
+        which holds no atom, so an atom and its schema make no cycle, and an
+        atom stays marked after ``_atoms`` lets it go.  Once ``_atoms``
+        holds ``_ATOMS_KEPT`` atoms it is cleared."""
+        atoms = self._atoms
+        if len(atoms) >= _ATOMS_KEPT:
+            atoms.clear()
+        _set(atom, "_entry", self._positions)
+        atoms[text] = atom
         return atom
 
     def is_categorical(self, attr: str) -> bool:
@@ -324,13 +311,18 @@ class FalseConst(_Record):
 
 
 # Atoms compare and hash by hand: bdi scans look them up in dicts and lists
-# of norms, and a hand-written test is faster than ``_Record``'s.
+# of norms, and a hand-written test is faster than ``_Record``'s.  Besides
+# its fields, an atom has one private slot, ``_entry``, that no comparison,
+# hash, ``repr``, copy or pickle reads: None, the ``_positions`` of the
+# schema whose own node it is (see ``Schema._adopt``), or a tuple that
+# starts with them and holds what ``entail._compile`` read of the atom.
 
 
 class CatAtom(_Record):
     """``Attr(entity)=Value``: the attribute takes exactly this value."""
 
-    __slots__ = __match_args__ = _fields = ("attr", "entity", "value")
+    __match_args__ = _fields = ("attr", "entity", "value")
+    __slots__ = (*_fields, "_entry")
     attr: str
     entity: str
     value: str
@@ -339,6 +331,7 @@ class CatAtom(_Record):
         _set(self, "attr", attr)
         _set(self, "entity", entity)
         _set(self, "value", value)
+        _set(self, "_entry", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CatAtom:
@@ -352,7 +345,8 @@ class CatAtom(_Record):
 class NumAtom(_Record):
     """``Attr(entity) cmp constant`` for a rational-valued attribute."""
 
-    __slots__ = __match_args__ = _fields = ("attr", "entity", "cmp", "constant")
+    __match_args__ = _fields = ("attr", "entity", "cmp", "constant")
+    __slots__ = (*_fields, "_entry")
     attr: str
     entity: str
     cmp: str
@@ -365,6 +359,7 @@ class NumAtom(_Record):
         _set(self, "entity", entity)
         _set(self, "cmp", cmp)
         _set(self, "constant", constant if isinstance(constant, Fraction) else Fraction(constant))
+        _set(self, "_entry", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not NumAtom:
@@ -667,7 +662,7 @@ _PRINTED = {
     # Right associative: the consequent may be another implication bare.
     Implies: (_PREC_IMPLIES, "", ((_PREC_OR, " -> "), (_PREC_IMPLIES, ""))),
 }
-# The dataclass text, which never needs parentheses.
+# The record ``repr``, which never needs parentheses.
 _REPR = {
     Not: (0, "Not(operand=", ((0, ")"),)),
     And: (0, "And(left=", ((0, ", right="), (0, ")"))),

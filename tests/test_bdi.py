@@ -42,6 +42,7 @@ from verity import (
     entails,
     evaluate,
     ingest_corpus,
+    iter_atoms,
     load_scenario,
     oracle_entails,
     parse_formula,
@@ -958,13 +959,15 @@ def test_default_candidates_are_the_schemas_own_atoms():
     assert all(a is b for a, b in zip(default_candidates(scenario), atoms))
 
 
-def test_the_schema_keeps_an_entry_for_each_of_its_own_atoms():
-    """After a corpus is parsed and a scenario's candidates are made, the
-    schema's entries are keyed by exactly the ids of its own atoms, plus
-    each (attribute, entity), whose entry holds the key tuple every entry
-    over that key shares.  A categorical atom's entry holds its domain's
-    size, and is its key's own until a question tables the atom; a numeric
-    atom's holds its constant's numerator and denominator."""
+def test_exactly_the_schemas_own_atoms_carry_its_mark():
+    """After a corpus is parsed and a scenario's candidates are made,
+    exactly the schema's own atoms, those it parsed and the categorical
+    candidates, carry its mark, its ``_positions``, as their whole entry;
+    the numeric candidates, built afresh, carry none, before a question
+    and after.  A question's walk then fills the entry of each own atom it
+    meets: the mark, the key and the domain's size and the schema's tables
+    for the atom's (attribute, value), or the constant's numerator and
+    denominator."""
     lying, _ = load_scenario(fixture_path("lying.scenario.json"))
     schema, world = lying.schema, lying.world
     # A key no formula mentions, whose candidates the schema has not seen.
@@ -973,26 +976,27 @@ def test_the_schema_keeps_an_entry_for_each_of_its_own_atoms():
     records, errors = ingest_corpus(lines, schema)
     assert len(records) == 9 and len(errors) == 1
     pool = default_candidates(scenario)
-    own, atoms = schema._own, list(schema._atoms.values())
-    assert {k for k in own if type(k) is int} == {id(a) for a in atoms}
-    keys = {(a.attr, a.entity) for a in atoms}
-    assert {k for k in own if type(k) is not int} == keys
-    assert len(own) == len(atoms) + len(keys)
-    assert [a for a in pool if id(a) in own] == [a for a in pool if type(a) is CatAtom]
+    mark, atoms = schema._positions, list(schema._atoms.values())
+    assert all(a._entry is mark for a in atoms)
+    parsed = [a for r in records for f in (r.input, r.output) for a in iter_atoms(f)]
+    parsed += [a for f in (scenario.communicated, scenario.hearer_beliefs, *scenario.expectation_norms) for a in iter_atoms(f)]
+    assert {id(a) for a in parsed} | {id(a) for a in pool if type(a) is CatAtom} == {id(a) for a in atoms}
+    assert [a for a in pool if a._entry is mark] == [a for a in pool if type(a) is CatAtom]
     assert {(a.attr, a.entity) for a in pool if type(a) is CatAtom} == {("Hurricane", "today"), ("Hurricane", "tomorrow")}
-    for a in atoms:
-        entry, shared = own[id(a)], own[a.attr, a.entity]
-        assert shared[0] == (a.attr, a.entity) and entry[0] is shared[0]
+    assert any(type(a) is NumAtom for a in pool)
+    scan_misleading(scenario, pool)
+    assert all(a._entry is None for a in pool if type(a) is NumAtom)
+    compiled = [a for a in atoms if a._entry is not mark]
+    assert {(a.entity, a.value) for a in compiled if type(a) is CatAtom} >= {("today", "Yes"), ("today", "No")}
+    assert any(type(a) is NumAtom for a in compiled)
+    for a in compiled:
+        entry = a._entry
+        assert entry[0] is mark and entry[1] == (a.attr, a.entity)
         if type(a) is CatAtom:
-            assert entry is shared and entry[1:] == (2, None)
+            bit, pair = schema._tables[a.attr, a.value]
+            assert entry[2:4] == (2, bit) and entry[4] is pair
         else:
-            assert shared[1:] == (None, None)
-            assert entry[1:] == (a.constant.numerator, a.constant.denominator)
-    scan_misleading(scenario)
-    tabled = [a for a in atoms if type(a) is CatAtom and own[id(a)][2] is not None]
-    assert {(a.entity, a.value) for a in tabled} >= {("today", "Yes"), ("today", "No")}
-    for a in tabled:
-        assert own[id(a)][2] is schema._tables[a.attr, a.value]
+            assert entry[2:] == (a.constant.numerator, a.constant.denominator)
 
 
 def test_default_candidates_end_with_the_norms_they_lack():

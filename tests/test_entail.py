@@ -464,6 +464,25 @@ def test_a_long_lived_schema_answers_as_a_fresh_one(case):
             assert _budget(lambda limit: ask(warm, x, y, limit)) == expected_budget
 
 
+@given(schema_and_formulas(count=2))
+def test_own_and_foreign_atoms_compile_alike(case):
+    """The formulas read back from their text, whose atoms are the schema's
+    own nodes, compile to what the API-built formulas compile to: keys,
+    order, sizes, masks, program, roots and uses.  That holds the first
+    time, when the walk fills the atoms' entries, and after, when it reads
+    them.  The first pair's constants decide nodes, so the walk meets some
+    atoms under no node first, and others in a node that a constant then
+    takes out of the program."""
+    schema, (a, b) = case
+    for x, y in ((Or(TRUE, a), And(b, FALSE)), (a, TRUE), (FALSE, b), (a, b)):
+        expected = _compile(schema, (x, y))
+        parsed = tuple(parse_formula(print_formula(f), schema) for f in (x, y))
+        assert parsed == (x, y)
+        for _ in range(2):
+            assert _compile(schema, parsed) == expected
+        assert _compile(schema, (x, y)) == expected
+
+
 def test_categorical_tables_are_shared_by_every_entity():
     """Each (attribute, value) has one pair of truth tables per schema,
     whatever the number of entities its atoms are about, and the tables
@@ -560,6 +579,14 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
             ask(RESTAURANT, f)
 
 
+def _owner(atom):
+    """The mark of the schema whose own node ``atom`` is, its
+    ``_positions``, or None: the whole entry until a question compiled the
+    atom, then the entry's first item."""
+    entry = atom._entry
+    return entry[0] if type(entry) is tuple else entry
+
+
 @pytest.mark.parametrize(
     "ask",
     [
@@ -570,9 +597,10 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
     ids=["satisfiable", "pair_cells", "oracle_cells"],
 )
 def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(ask):
-    """A schema's entries are its own atoms': an atom that another schema
+    """A schema marks only its own atoms: an atom that another schema
     parsed is validated against the schema asked, even after that schema
-    parsed and asked the same texts that are valid under it."""
+    parsed and asked the same texts that are valid under it, and it keeps
+    the mark of the schema that parsed it."""
     home = parse_schema("attr Food : { Italian, Sushi }\nattr Sky : { Clear }\nnum Temp\nnum Level")
     asked = parse_schema("attr Food : { Italian }\nattr Temp : { Hot }\nnum Sky")
     ok = parse_formula("Food(x)=Italian", home)
@@ -589,8 +617,8 @@ def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(a
         for f in (atom, And(ok, atom)):
             with pytest.raises(error):
                 ask(asked, f)
-        assert id(atom) not in asked._own
-    assert id(ok) not in asked._own
+        assert _owner(atom) is home._positions
+    assert _owner(ok) is home._positions
 
 
 @pytest.mark.parametrize("constant_first", [False, True])

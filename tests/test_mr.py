@@ -45,7 +45,7 @@ from verity import (
     validate_formula,
     validate_model,
 )
-from verity import mr
+from verity import entail, mr
 from verity.mr import validate_atom
 from randgen import random_ast
 
@@ -582,6 +582,41 @@ def test_atom_cache_keeps_no_error():
             parse_formula("Food(x)=Sushi", schema)
     assert narrow._atoms == {}
     assert list(schema._atoms) == [("Food", "x", "=", "Italian")]
+
+
+def test_atom_cache_is_bounded(monkeypatch):
+    """Parsing 10**5 distinct numeric atoms under one schema keeps at most
+    2**16 of them in its cache, which is cleared when full.  An atom parsed
+    before the clear is still the schema's own node, which a question does
+    not validate again, and sampled questions over atoms from before and
+    after the clear get the verdicts they get under a fresh schema."""
+    schema = Schema(SCHEMA.categorical, SCHEMA.numeric)
+    first = parse_formula("Temp(d) < 0 & Food(x)=Italian", schema)
+    most = 0
+    for i in range(1, 10**5):
+        parse_formula(f"Temp(d) < {i}", schema)
+        most = max(most, len(schema._atoms))
+    assert most == 2**16
+    # 10**5 + 1 atoms were made; the 2**16 + 1st found the cache full.
+    assert len(schema._atoms) == 10**5 + 1 - 2**16
+    assert ("Temp", "d", "<", "0") not in schema._atoms
+    validated = []
+
+    def spy(schema, atom):
+        validated.append(atom)
+        validate_atom(schema, atom)
+
+    monkeypatch.setattr(entail, "validate_atom", spy)
+    assert satisfiable(schema, first)
+    assert validated == []
+    rng = random.Random(5)
+    for _ in range(200):
+        texts = [f"Temp(d) {rng.choice(['<', '>=', '='])} {rng.randrange(10**5)}" for _ in range(2)]
+        a, b = (parse_formula(t, schema) for t in texts)
+        fresh = Schema(SCHEMA.categorical, SCHEMA.numeric)
+        fa, fb, f_first = (parse_formula(t, fresh) for t in (*texts, print_formula(first)))
+        assert classify(schema, a, b) == classify(fresh, fa, fb)
+        assert classify(schema, Or(first, a), b) == classify(fresh, Or(f_first, fa), fb)
 
 
 @st.composite

@@ -48,14 +48,27 @@ from verity import (
     Verdict,
     parse_formula,
     parse_schema,
+    satisfiable,
 )
-from verity import mr
+from verity import entail, mr
 
 FOOD = CatAtom("Food", "x", "Italian")
 HALF = NumAtom("Temp", "d", "<", Fraction(1, 2))
 FOOD_SCHEMA = Schema({"Food": ("Italian", "Pub")}, frozenset({"Temp"}))
 WORLD = Model({("Food", "x"): "Italian"}, {("Temp", "d"): Fraction(1, 3)})
 SCENARIO = Scenario(FOOD_SCHEMA, FOOD, Implies(FOOD, HALF), WORLD, [Not(FOOD)])
+
+
+def _own_atoms() -> tuple[CatAtom, NumAtom]:
+    """FOOD and HALF as a schema's own nodes, after a question has filled
+    their entries."""
+    schema = Schema(FOOD_SCHEMA.categorical, FOOD_SCHEMA.numeric)
+    f = parse_formula("Food(x)=Italian & Temp(d) < 1/2", schema)
+    assert satisfiable(schema, f) and type(f.left._entry) is type(f.right._entry) is tuple
+    return f.left, f.right
+
+
+OWN_FOOD, OWN_HALF = _own_atoms()
 
 # One instance of each record class, its repr as the dataclass gave it, and
 # whether that text evaluates back to an equal record.
@@ -131,6 +144,9 @@ RECORDS = [
         "expectation_norms=(Not(operand=CatAtom(attr='Food', entity='x', value='Italian')),))",
         True,
     ),
+    # An atom's entry is no field: an own atom is a record like any other.
+    (OWN_FOOD, "CatAtom(attr='Food', entity='x', value='Italian')", True),
+    (OWN_HALF, "NumAtom(attr='Temp', entity='d', cmp='<', constant=Fraction(1, 2))", True),
 ]
 UNHASHABLE = (Schema, Model, CategoryCounts, EntailmentResult, Scenario)
 NAMES = {
@@ -309,6 +325,46 @@ def test_copies_and_pickles_are_equal(record, text, evaluates):
         assert type(other) is type(record)
         assert other == record
         assert repr(other) == text
+
+
+def test_a_copy_of_an_own_atom_or_its_schema_is_another(monkeypatch):
+    """A copy, deep copy, unpickled atom or one made by ``__replace__`` (or
+    ``copy.replace``) of a schema's own node is equal to it, hashes and
+    prints alike, and has no entry, so the next question validates it, as
+    it does not validate the node.  The node asked under a copy of its
+    schema, equal but not the same, is validated too, whether or not a
+    question has filled its entry."""
+    validated = []
+
+    def spy(schema, atom):
+        validated.append(atom)
+        mr.validate_atom(schema, atom)
+
+    monkeypatch.setattr(entail, "validate_atom", spy)
+    schema = Schema(FOOD_SCHEMA.categorical, FOOD_SCHEMA.numeric)
+    for atom in parse_formula("Food(x)=Italian", schema), parse_formula("Temp(d) < 1/2", schema):
+        twin = copy.copy(schema)
+        assert twin == schema and twin._positions == schema._positions
+        assert twin._positions is not schema._positions
+        for asked in (twin, schema, twin):  # entry not filled, filled by a question, filled
+            validated.clear()
+            assert satisfiable(asked, atom)
+            assert validated == ([atom] if asked is twin else [])
+        copies = [
+            copy.copy(atom),
+            copy.deepcopy(atom),
+            *(pickle.loads(pickle.dumps(atom, protocol)) for protocol in (2, pickle.HIGHEST_PROTOCOL)),
+            atom.__replace__(),
+        ]
+        if sys.version_info >= (3, 13):
+            copies.append(copy.replace(atom))
+        for other in copies:
+            assert other == atom and other is not atom and hash(other) == hash(atom)
+            assert repr(other) == repr(atom) and other._entry is None
+            validated.clear()
+            for _ in range(2):
+                assert satisfiable(schema, other)
+            assert validated == [other] * 2 and all(a is other for a in validated)
 
 
 def test_a_copied_schema_parses_with_caches_of_its_own():
