@@ -189,17 +189,8 @@ def default_candidates(scenario: Scenario) -> list[Formula]:
     candidates: list[Formula] = []
     for attr, entity in sorted(scenario.world.categorical):
         for value in schema.domain(attr):
-            # The schema's own node for the atom's text, which questions
-            # compile without validating it again.  A missing one becomes
-            # that node, as if parsed, unless a part is not a plain str, as
-            # parsed text's parts are.
-            key = (attr, entity, "=", value)
-            atom = atoms.get(key)
-            if atom is None:
-                atom = CatAtom(attr, entity, value)
-                if type(attr) is type(entity) is type(value) is str:
-                    schema._adopt(key, atom)
-            candidates.append(atom)
+            # The schema's parsed node for this text, if any, else a new atom.
+            candidates.append(atoms.get((attr, entity, "=", value)) or CatAtom(attr, entity, value))
     constants: dict[Key, set[Fraction]] = {
         key: {value} for key, value in scenario.world.numeric.items()
     }

@@ -191,12 +191,11 @@ class Schema(_Record):
     __match_args__ = _fields = ("categorical", "numeric")
     # Besides the fields, three caches, each keyed by value:
     # - ``_positions``: each categorical attribute's values, each mapped to
-    #   its position in the domain.  It also marks the schema's own atoms
-    #   (see ``_adopt``).
-    # - ``_atoms``: the schema's own atoms, every atom parsed under it and
-    #   each one ``bdi.default_candidates`` made, keyed by the text of its
-    #   parts (attribute, entity, operator, value); only valid atoms are
-    #   kept, and at most ``_ATOMS_KEPT`` of them.
+    #   its position in the domain.  It also marks the schema's own atoms,
+    #   those its parser made.
+    # - ``_atoms``: the schema's own atoms, every atom parsed under it, keyed
+    #   by the text of its parts (attribute, entity, operator, value); only
+    #   valid atoms are kept, and at most ``_ATOMS_KEPT`` of them.
     # - ``_tables``: for each (attribute, value) of a categorical atom decided
     #   under this schema, the value's bit and the atom's truth tables, plain
     #   and negated, that ``entail._compile`` made; every entity shares them.
@@ -247,19 +246,6 @@ class Schema(_Record):
         )
         _set(self, "_atoms", {})
         _set(self, "_tables", {})
-
-    def _adopt(self, text: tuple[str, str, str, str], atom: CatAtom | NumAtom) -> CatAtom | NumAtom:
-        """Make the valid ``atom`` the schema's own node for ``text``, its
-        parts, and mark it as such; returns it.  The mark is ``_positions``,
-        which holds no atom, so an atom and its schema make no cycle, and an
-        atom stays marked after ``_atoms`` lets it go.  Once ``_atoms``
-        holds ``_ATOMS_KEPT`` atoms it is cleared."""
-        atoms = self._atoms
-        if len(atoms) >= _ATOMS_KEPT:
-            atoms.clear()
-        _set(atom, "_entry", self._positions)
-        atoms[text] = atom
-        return atom
 
     def is_categorical(self, attr: str) -> bool:
         return attr in self.categorical
@@ -314,8 +300,8 @@ class FalseConst(_Record):
 # of norms, and a hand-written test is faster than ``_Record``'s.  Besides
 # its fields, an atom has one private slot, ``_entry``, that no comparison,
 # hash, ``repr``, copy or pickle reads: None, the ``_positions`` of the
-# schema whose own node it is (see ``Schema._adopt``), or a tuple that
-# starts with them and holds what ``entail._compile`` read of the atom.
+# schema whose parser made it, or a tuple that starts with them and holds
+# what ``entail._compile`` read of the atom.
 
 
 class CatAtom(_Record):
@@ -939,9 +925,15 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                 # The value is a name, which starts with a letter or '_', or a number.
                 value = key[3]
                 kind = "ident" if value[0] == "_" or value[0].isalpha() else "number"
-                f = schema._adopt(
-                    key, _atom(schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5)))
+                # The schema's own node for this text from now on.  Its mark
+                # holds no atom, so the two make no cycle, and it stays on
+                # after a full cache is cleared.
+                if len(atoms) >= _ATOMS_KEPT:
+                    atoms.clear()
+                f = atoms[key] = _atom(
+                    schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5))
                 )
+                _set(f, "_entry", schema._positions)
         elif kind == "not":
             stack.append(_NEG)
             continue

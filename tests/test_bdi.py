@@ -6,6 +6,7 @@ definitions directly; the scan is checked against them.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -53,6 +54,7 @@ from verity import (
     validate_formula,
 )
 from verity.fixtures import fixture_path
+from verity.mr import validate_atom
 
 
 def _replace(record, **changes):
@@ -931,11 +933,11 @@ def test_default_candidates_cover_domains_and_constants():
     assert NumAtom("Temperature", "d", "<=", Fraction(20)) in pool
 
 
-def test_default_candidates_are_the_schemas_own_atoms():
-    """Each categorical candidate is the schema's node for its text: the
-    parsed one where the scenario's formulas wrote it, else one the schema
-    keeps from then on, which parsing the text hands out too.  The pool
-    stays the same, in the same order."""
+def test_default_candidates_are_parsed_nodes_only_where_the_schema_parsed_them():
+    """A categorical candidate is the schema's parsed node for its text
+    where the scenario's formulas wrote it; any other candidate is a new
+    atom, equal to the node its text parses to, that carries no mark.  The
+    pool stays the same, in the same order."""
     schema = parse_schema("attr Hurricane : { Yes, No }\nattr Sky : { Clear, Cloudy }\nnum Temperature")
     scenario = Scenario(
         schema=schema,
@@ -954,17 +956,23 @@ def test_default_candidates_are_the_schemas_own_atoms():
         CatAtom("Sky", "today", "Cloudy"),
     ]
     assert atoms[1] is scenario.communicated.left and atoms[2] is scenario.hearer_beliefs
+    assert [a for a in pool if a._entry is not None] == [atoms[1], atoms[2]]
+    again = default_candidates(scenario)
+    assert again == pool
+    assert [i for i, (a, b) in enumerate(zip(again, pool)) if a is b] == [1, 2]
+    assert all(a._entry is None for a in again if a is not atoms[1] and a is not atoms[2])
     for atom in atoms:
-        assert parse_formula(print_formula(atom), schema) is atom
-    assert all(a is b for a, b in zip(default_candidates(scenario), atoms))
+        parsed = parse_formula(print_formula(atom), schema)
+        assert parsed == atom and (parsed is atom) == (atom._entry is not None)
+    assert atoms[0]._entry is atoms[3]._entry is None
 
 
 def test_exactly_the_schemas_own_atoms_carry_its_mark():
     """After a corpus is parsed and a scenario's candidates are made,
-    exactly the schema's own atoms, those it parsed and the categorical
-    candidates, carry its mark, its ``_positions``, as their whole entry;
-    the numeric candidates, built afresh, carry none, before a question
-    and after.  A question's walk then fills the entry of each own atom it
+    exactly the atoms the schema parsed are its own: they fill its parser
+    cache and carry its mark, its ``_positions``, as their whole entry.
+    A candidate is marked only if it is one of them, before a scan and
+    after.  A question's walk then fills the entry of each own atom it
     meets: the mark, the key and the domain's size and the schema's tables
     for the atom's (attribute, value), or the constant's numerator and
     denominator."""
@@ -980,12 +988,16 @@ def test_exactly_the_schemas_own_atoms_carry_its_mark():
     assert all(a._entry is mark for a in atoms)
     parsed = [a for r in records for f in (r.input, r.output) for a in iter_atoms(f)]
     parsed += [a for f in (scenario.communicated, scenario.hearer_beliefs, *scenario.expectation_norms) for a in iter_atoms(f)]
-    assert {id(a) for a in parsed} | {id(a) for a in pool if type(a) is CatAtom} == {id(a) for a in atoms}
-    assert [a for a in pool if a._entry is mark] == [a for a in pool if type(a) is CatAtom]
+    ids = [id(a) for a in atoms]
+    assert {id(a) for a in parsed} == set(ids)
+    own = [id(a) for a in pool if id(a) in ids]
+    assert [id(a) for a in pool if a._entry is mark] == own
+    assert [print_formula(a) for a in pool if id(a) in own] == ["Hurricane(today)=Yes", "Hurricane(today)=No"]
     assert {(a.attr, a.entity) for a in pool if type(a) is CatAtom} == {("Hurricane", "today"), ("Hurricane", "tomorrow")}
     assert any(type(a) is NumAtom for a in pool)
     scan_misleading(scenario, pool)
-    assert all(a._entry is None for a in pool if type(a) is NumAtom)
+    assert [id(a) for a in schema._atoms.values()] == ids
+    assert [id(a) for a in pool if a._entry is not None] == own
     compiled = [a for a in atoms if a._entry is not mark]
     assert {(a.entity, a.value) for a in compiled if type(a) is CatAtom} >= {("today", "Yes"), ("today", "No")}
     assert any(type(a) is NumAtom for a in compiled)
@@ -997,6 +1009,51 @@ def test_exactly_the_schemas_own_atoms_carry_its_mark():
             assert entry[2:4] == (2, bit) and entry[4] is pair
         else:
             assert entry[2:] == (a.constant.numerator, a.constant.denominator)
+
+
+def test_whose_atoms_the_candidates_are_changes_no_scan():
+    """A scan of the default pool, of that pool listed as candidates, and of
+    a deep copy of it, whose atoms no schema parsed, asks the same
+    questions in the same order and finds the same."""
+    for name, scenario, _ in _scan_cases():
+        pool = default_candidates(scenario)
+        runs = []
+        for candidates in (None, pool, copy.deepcopy(pool)):
+            counted, calls = _counting(partial(entails, scenario.schema))
+            runs.append((scan_misleading(scenario, candidates, entails_fn=counted), calls))
+        assert runs[1] == runs[0] and runs[2] == runs[0], name
+
+
+def test_a_default_candidate_no_formula_wrote_is_validated_on_every_question(monkeypatch):
+    """A default candidate whose text the schema never parsed is validated
+    each time a question reads it, like any atom built through the API;
+    an atom the schema parsed never is."""
+    validated, pools = [], []
+
+    def spy(schema, atom):
+        validated.append(id(atom))
+        validate_atom(schema, atom)
+
+    def kept(scenario):
+        pools.append(default_candidates(scenario))
+        return pools[-1]
+
+    monkeypatch.setattr(verity.entail, "validate_atom", spy)
+    monkeypatch.setattr(verity.bdi, "default_candidates", kept)
+    most = Counter()
+    for name, scenario, _ in _scan_cases():
+        own = {id(a) for a in scenario.schema._atoms.values()}
+        validated.clear()
+        counted, calls = _counting(partial(entails, scenario.schema))
+        scan_misleading(scenario, None, entails_fn=counted)
+        reads = Counter(id(a) for question in calls for f in question for a in iter_atoms(f))
+        assert Counter(validated) == {i: n for i, n in reads.items() if i not in own}, name
+        for c in pools[-1]:
+            if id(c) not in own:
+                most[type(c)] = max(most[type(c)], reads[id(c)])
+    assert len(pools) == 68
+    # Not vacuous: some candidates of each kind are read by several questions.
+    assert most[CatAtom] > 2 and most[NumAtom] > 2
 
 
 def test_default_candidates_end_with_the_norms_they_lack():
