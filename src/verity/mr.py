@@ -17,15 +17,17 @@ Text syntax, lowest precedence first::
               |  Attr '(' entity ')' '=' Value          categorical atom
               |  Attr '(' entity ')' cmp number         numeric atom, cmp in < <= = >= >
 
-Parsing scans the whole text into tokens with one regular expression,
-which reads each whole atom as a single token and each token together
-with the blanks before it, so a token's text and place are those of its
-named group rather than of the whole match, and then builds the formula
+Parsing scans the whole text into tokens with one ``findall`` call of one
+regular expression, which reads each whole atom as a single token and each
+token together with the blanks before it, and gives each token as a plain
+tuple of its groups' texts, without its place.  It then builds the formula
 in one precedence-climbing loop with explicit stacks, so neither the
 length of a formula nor the depth of its parentheses is bounded.  An atom
 token's parts build and check the atom, once per schema; text that starts
 like an atom but that the scanner could not read whole is read again token
-by token, which finds its error.
+by token, which finds its error.  Only an error needs a place: it scans the
+text again with ``finditer`` of the same expression to find where its token
+starts, so a formula that parses pays for no offsets.
 
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
 hashing, ``repr``, ``print_formula``, ``iter_atoms`` and the oracle's
@@ -54,7 +56,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Container, Iterator, Mapping, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Union
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -120,6 +122,12 @@ class MissingKey(MrError):
 
 # Binds a record's fields past its own ``__setattr__``, which refuses.
 _set = object.__setattr__
+
+
+def _setters(cls: type) -> tuple:
+    """The setter of each of ``cls``'s slots, in ``__slots__`` order: like
+    ``_set``, but with no slot to find by name, so about a third faster."""
+    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
 
 
 class _Record:
@@ -314,10 +322,10 @@ class CatAtom(_Record):
     value: str
 
     def __init__(self, attr: str, entity: str, value: str):
-        _set(self, "attr", attr)
-        _set(self, "entity", entity)
-        _set(self, "value", value)
-        _set(self, "_entry", None)
+        _cat_attr(self, attr)
+        _cat_entity(self, entity)
+        _cat_value(self, value)
+        _cat_entry(self, None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CatAtom:
@@ -341,11 +349,11 @@ class NumAtom(_Record):
     def __init__(self, attr: str, entity: str, cmp: str, constant: Fraction):
         if cmp not in _CMP_SYMBOLS:
             raise ValueError(f"bad comparison operator {cmp!r}")
-        _set(self, "attr", attr)
-        _set(self, "entity", entity)
-        _set(self, "cmp", cmp)
-        _set(self, "constant", constant if isinstance(constant, Fraction) else Fraction(constant))
-        _set(self, "_entry", None)
+        _num_attr(self, attr)
+        _num_entity(self, entity)
+        _num_cmp(self, cmp)
+        _num_constant(self, constant if isinstance(constant, Fraction) else Fraction(constant))
+        _num_entry(self, None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not NumAtom:
@@ -359,6 +367,10 @@ class NumAtom(_Record):
 
     def __hash__(self) -> int:
         return hash((self.attr, self.entity, self.cmp, self.constant))
+
+
+_cat_attr, _cat_entity, _cat_value, _cat_entry = _setters(CatAtom)
+_num_attr, _num_entity, _num_cmp, _num_constant, _num_entry = _setters(NumAtom)
 
 
 def _preorder(formula: Formula) -> list:
@@ -416,7 +428,7 @@ class Not(_Connective):
     operand: Formula
 
     def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
+        _not_operand(self, operand)
 
 
 class And(_Connective):
@@ -425,8 +437,8 @@ class And(_Connective):
     right: Formula
 
     def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _and_left(self, left)
+        _and_right(self, right)
 
 
 class Or(_Connective):
@@ -435,8 +447,8 @@ class Or(_Connective):
     right: Formula
 
     def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _or_left(self, left)
+        _or_right(self, right)
 
 
 class Implies(_Connective):
@@ -445,9 +457,14 @@ class Implies(_Connective):
     consequent: Formula
 
     def __init__(self, antecedent: Formula, consequent: Formula):
-        _set(self, "antecedent", antecedent)
-        _set(self, "consequent", consequent)
+        _implies_antecedent(self, antecedent)
+        _implies_consequent(self, consequent)
 
+
+(_not_operand,) = _setters(Not)
+_and_left, _and_right = _setters(And)
+_or_left, _or_right = _setters(Or)
+_implies_antecedent, _implies_consequent = _setters(Implies)
 
 Formula = Union[TrueConst, FalseConst, CatAtom, NumAtom, Not, And, Or, Implies]
 
@@ -721,7 +738,7 @@ _GAP = r"[ \t\r\n]*"
 # One token per match, its kind the name of the group that matched.
 # ``finditer`` skips the whitespace between tokens; any other character that
 # starts no token is a ``bad`` token, and the empty match at the end of the
-# text is the ``end`` token.  Alone it serves only the readers of text the
+# text is the ``end`` token.  It serves only the readers of text the
 # whole-line and whole-atom expressions reject, which are error paths, so it
 # is compiled on first use (``re`` keeps the compiled pattern), not at import.
 _TOKENS = (
@@ -731,15 +748,19 @@ _TOKENS = (
     r"|(?P<bad>[^ \t\r\n])|(?P<end>\Z)"
 )
 
-# Formula text also reads each whole atom, ``Attr(entity) cmp value`` with
-# whitespace allowed between the parts, as one ``atom`` token whose groups
-# 2 to 5 hold the parts.  ``true`` and ``false`` are never attributes.  Each
+# One ``findall`` reads formula text as tuples of seven groups, each tuple
+# one token and each group empty but the token's own: an operator, a whole
+# atom's four parts (``true`` and ``false`` are never attributes), any other
+# token, or a character that starts no token; ``_END`` follows the last.  A
 # match also reads the blanks before its token, so the alternatives are not
-# tried at every blank; a token's text and place are its named group's.
+# tried at every blank.  Only an error looks for its token's place, by
+# ``finditer`` of the same pattern.
 _FORMULA_RE = re.compile(
-    rf"{_GAP}(?:(?P<atom>(?!(?:true|false){_GAP}\()({_NAME}){_GAP}\({_GAP}({_NAME}){_GAP}\)"
-    rf"{_GAP}(<=|>=|[=<>]){_GAP}({_NUMBER}|{_NAME}))|{_TOKENS})"
+    rf"{_GAP}(?:(?P<op>->|[&|!()])|(?!(?:true|false){_GAP}\()(?P<attr>{_NAME}){_GAP}\({_GAP}"
+    rf"(?P<entity>{_NAME}){_GAP}\){_GAP}(?P<cmp><=|>=|[=<>]){_GAP}(?P<value>{_NUMBER}|{_NAME})"
+    rf"|(?P<token>{_NUMBER}|{_NAME}|<=|>=|[=<>{{}},:])|(?P<bad>[^ \t\r\n]))"
 )
+_END = ("",) * 7
 
 # A whole schema line that is blank, a comment, or one well-formed
 # declaration with an optional comment: group 1 names an ``attr`` and
@@ -757,8 +778,7 @@ def _where(text: str, pos: int, line: int = 1) -> tuple[int, int]:
 
 
 def _got(tok: re.Match) -> str:
-    kind = tok.lastgroup
-    return _got_kind(kind, tok.group(2 if kind == "atom" else kind))
+    return _got_kind(tok.lastgroup, tok.group())
 
 
 def _got_kind(kind: str, text: str) -> str:
@@ -773,7 +793,7 @@ def _check(tok: re.Match, kind: str, what: str, text: str, line: int = 1) -> re.
     return tok
 
 
-def _raise_bad_token(tokens: list[re.Match], text: str, line: int = 1) -> None:
+def _raise_bad_token(tokens: Iterable[re.Match], text: str, line: int = 1) -> None:
     """Raise a ParseError at the first ``bad`` token, if there is one.
 
     The parsers call this when they fail, so that a character that starts
@@ -888,7 +908,7 @@ def _read_decl(
 
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 # Binary operators: precedence and node class.
-_BINARY = {"implies": (1, Implies), "or": (2, Or), "and": (3, And)}
+_BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
 # Stack frames that no operator folds: the bottom of the stack and an open
 # parenthesis, and a '!' waiting for its operand.
 _STOP = (0, None, None)
@@ -897,15 +917,16 @@ _NEG = (0, Not, None)
 
 def parse_formula(text: str, schema: Schema) -> Formula:
     """Parse formula text, checking every atom against ``schema``."""
-    tokens = list(_FORMULA_RE.finditer(text))
+    tokens = _FORMULA_RE.findall(text)
+    tokens.append(_END)
     try:
         return _parse(text, tokens, schema)
     except SourceError:
-        _raise_bad_token(tokens, text)
+        _raise_bad_token(_FORMULA_RE.finditer(text), text)
         raise
 
 
-def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
+def _parse(text: str, tokens: list[tuple[str, ...]], schema: Schema) -> Formula:
     # Precedence climbing with an explicit stack of frames (precedence,
     # node class, left operand): each binary operator folds the frames of
     # operators at least as tight before it is pushed.
@@ -917,9 +938,8 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
         # An operand: '!'s and '('s, then an atom or a constant.
         tok = tokens[i]
         i += 1
-        kind = tok.lastgroup
-        if kind == "atom":
-            key = tok.group(2, 3, 4, 5)
+        if tok[1]:
+            key = tok[1:5]
             f = atoms.get(key)
             if f is None:
                 # The value is a name, which starts with a letter or '_', or a number.
@@ -930,25 +950,23 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                 # after a full cache is cleared.
                 if len(atoms) >= _ATOMS_KEPT:
                     atoms.clear()
-                f = atoms[key] = _atom(
-                    schema, text, *key, kind, (tok.start(2), tok.start(4), tok.start(5))
-                )
+                f = atoms[key] = _atom(schema, text, *key, kind, i - 1)
                 _set(f, "_entry", schema._positions)
-        elif kind == "not":
+        elif tok[0] == "!":
             stack.append(_NEG)
             continue
-        elif kind == "lpar":
+        elif tok[0] == "(":
             depth += 1
             stack.append(_STOP)
             continue
-        elif kind == "ident":
-            f = _CONSTANTS.get(tok.group(kind))
+        else:
+            f = _CONSTANTS.get(tok[5])
             if f is None:
+                if not tok[5][:1].isidentifier():
+                    raise _token_error("expected a formula, got {}", tok, text, i - 1)
                 # Any other name starts an atom the scanner could not read
                 # whole; reading it raises that atom's error.
-                f = _read_atom(text, tok.start(kind), schema)
-        else:
-            raise ParseError(f"expected a formula, got {_got(tok)}", *_where(text, tok.start(kind)))
+                f = _read_atom(text, _token_start(text, i - 1), schema)
         # After the operand: apply its '!'s, then close parentheses until a
         # binary operator, or the end, comes.
         while True:
@@ -957,8 +975,7 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                 f = Not(f)
             tok = tokens[i]
             i += 1
-            kind = tok.lastgroup
-            op = _BINARY.get(kind)
+            op = _BINARY.get(tok[0])
             if op is not None:
                 prec, node = op
                 # '&' and '|' fold their own kind too; '->' is right associative.
@@ -968,20 +985,35 @@ def _parse(text: str, tokens: list[re.Match], schema: Schema) -> Formula:
                     f = folded(left, f)
                 stack.append((prec, node, f))
                 break
-            if kind == "rpar" and depth:
+            if tok[0] == ")" and depth:
                 depth -= 1
             elif depth:
-                raise ParseError(f"expected ')', got {_got(tok)}", *_where(text, tok.start(kind)))
-            elif kind != "end":
-                raise ParseError(
-                    f"unexpected {_got(tok)} after formula", *_where(text, tok.start(kind))
-                )
+                raise _token_error("expected ')', got {}", tok, text, i - 1)
+            elif tok is not _END:
+                raise _token_error("unexpected {} after formula", tok, text, i - 1)
             while stack[-1][0]:
                 _, folded, left = stack.pop()
                 f = folded(left, f)
-            if kind == "end":
+            if tok is _END:
                 return f
             stack.pop()  # the '('
+
+
+def _token_start(text: str, n: int, group: str | None = None) -> int:
+    """The offset in ``text`` of token ``n``, from 0, or of its ``group``;
+    past the last token, the end.  A match is some blanks, then the token."""
+    for m in _FORMULA_RE.finditer(text):
+        if not n:
+            return m.start(group) if group else m.end() - len(m[0].lstrip(" \t\r\n"))
+        n -= 1
+    return len(text)
+
+
+def _token_error(message: str, tok: tuple[str, ...], text: str, n: int) -> ParseError:
+    """``message`` with ``tok``, token ``n`` of ``text``, named in it (an
+    atom by its attribute), placed where the token starts."""
+    got = "end of input" if tok is _END else repr(tok[0] or tok[1] or tok[5] or tok[6])
+    return ParseError(message.format(got), *_where(text, _token_start(text, n)))
 
 
 def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
@@ -994,7 +1026,7 @@ def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
     tokens = re.compile(_TOKENS).finditer(text, pos)
     attr = next(tokens).group()
     if not schema.is_categorical(attr) and not schema.is_numeric(attr):
-        raise _unknown(attr, text, pos)
+        raise UnknownAttribute(f"unknown attribute {attr!r}", *_where(text, pos))
     _check(next(tokens), "lpar", "'('", text)
     entity = _check(next(tokens), "ident", "entity name", text).group()
     _check(next(tokens), "rpar", "')'", text)
@@ -1006,8 +1038,13 @@ def _read_atom(text: str, pos: int, schema: Schema) -> CatAtom | NumAtom:
     )
 
 
-def _unknown(attr: str, text: str, pos: int) -> UnknownAttribute:
-    return UnknownAttribute(f"unknown attribute {attr!r}", *_where(text, pos))
+def _part_at(text: str, starts: int | tuple[int, int, int], part: int) -> tuple[int, int]:
+    """Line and column of an atom's attribute (part 0), operator (1) or
+    value (2): ``starts`` holds their offsets in ``text``, or is the number
+    of the scanner's atom token, whose groups hold them."""
+    if type(starts) is int:
+        return _where(text, _token_start(text, starts, ("attr", "cmp", "value")[part]))
+    return _where(text, starts[part])
 
 
 def _atom(
@@ -1018,54 +1055,58 @@ def _atom(
     op: str,
     value: str,
     kind: str,
-    starts: tuple[int, int, int],
+    starts: int | tuple[int, int, int],
 ) -> CatAtom | NumAtom:
     """Check an atom's parts against ``schema`` and build the atom.
 
     ``kind`` is the value's token kind, ``number`` or ``ident`` or the kind
-    of whatever token stands in its place, and ``starts`` holds the offsets
-    in ``text`` of the attribute, the operator and the value, where errors
-    point.  The parts come from the scanner's atom token or from
-    ``_read_atom``'s walk.
+    of whatever token stands in its place.  Errors are placed by ``starts``,
+    the number of the scanner's atom token that held the parts, or the
+    offsets of the parts that ``_read_atom``'s walk found.
     """
-    attr_at, op_at, value_at = starts
     if attr in schema.categorical:
         if op != "=":
             raise NumericComparisonOnCategorical(
-                f"attribute {attr!r} is categorical; only '=' applies", *_where(text, op_at)
+                f"attribute {attr!r} is categorical; only '=' applies", *_part_at(text, starts, 1)
             )
         if kind == "number":
             raise NumericComparisonOnCategorical(
                 f"attribute {attr!r} is categorical; compared against a number",
-                *_where(text, value_at),
+                *_part_at(text, starts, 2),
             )
         if kind != "ident":
             raise ParseError(
-                f"expected domain value, got {_got_kind(kind, value)}", *_where(text, value_at)
+                f"expected domain value, got {_got_kind(kind, value)}", *_part_at(text, starts, 2)
             )
         if value not in schema._positions[attr]:
             raise ValueNotInDomain(
-                f"{value!r} is not in the domain of {attr!r}", *_where(text, value_at)
+                f"{value!r} is not in the domain of {attr!r}", *_part_at(text, starts, 2)
             )
         return CatAtom(sys.intern(attr), sys.intern(entity), sys.intern(value))
     if attr not in schema.numeric:
-        raise _unknown(attr, text, attr_at)
+        raise UnknownAttribute(f"unknown attribute {attr!r}", *_part_at(text, starts, 0))
     if kind == "ident":
         raise CategoricalComparisonOnNumeric(
-            f"attribute {attr!r} is numeric; compared against {value!r}", *_where(text, value_at)
+            f"attribute {attr!r} is numeric; compared against {value!r}",
+            *_part_at(text, starts, 2),
         )
     if kind != "number":
         raise ParseError(
-            f"expected numeric constant, got {_got_kind(kind, value)}", *_where(text, value_at)
+            f"expected numeric constant, got {_got_kind(kind, value)}", *_part_at(text, starts, 2)
         )
     try:
-        constant = Fraction(value)
+        # int() reads integers and ratios faster than Fraction(str) does.
+        if "/" in value:
+            numerator, denominator = value.split("/")
+            constant = Fraction(int(numerator), int(denominator))
+        else:
+            constant = Fraction(value if "." in value else int(value))
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {value!r}", *_where(text, value_at)) from None
+        raise ParseError(f"zero denominator in {value!r}", *_part_at(text, starts, 2)) from None
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits().
         raise ParseError(
             f"numeric constant of {len(value)} characters has too many digits",
-            *_where(text, value_at),
+            *_part_at(text, starts, 2),
         ) from None
     return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)

@@ -191,32 +191,35 @@ def ingest_corpus(
 def _parse_record(doc: object, schema: Schema, line_no: int) -> CorpusRecord:
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
-
-    def text_field(name: str) -> str:
-        if name not in doc:
-            raise ValueError(f"missing field {name!r}")
-        value = doc[name]
-        if not isinstance(value, str):
-            raise ValueError(f"field {name!r} must be a string")
-        return value
-
-    def formula_field(name: str) -> Formula:
-        try:
-            return parse_formula(text_field(name), schema)
-        except SourceError as exc:
-            raise ValueError(f"field {name!r}: {exc}") from exc
-
-    record_id = text_field("id")
-    input_mr = formula_field("input")
-    output_mr = formula_field("output")
+    record_id = _text_field(doc, "id")
+    input_mr = _formula_field(doc, "input", schema)
+    output_mr = _formula_field(doc, "output", schema)
     gold = None
     if "gold" in doc:
-        gold_name = text_field("gold")
-        try:
-            gold = Verdict(gold_name)
-        except ValueError:
-            raise ValueError(f"unknown verdict name {gold_name!r}") from None
+        gold_name = _text_field(doc, "gold")
+        gold = _VERDICTS.get(gold_name)
+        if gold is None:
+            raise ValueError(f"unknown verdict name {gold_name!r}")
     return CorpusRecord(record_id, input_mr, output_mr, line_no, gold)
+
+
+_VERDICTS = {v.value: v for v in Verdict}
+
+
+def _text_field(doc: dict, name: str) -> str:
+    if name not in doc:
+        raise ValueError(f"missing field {name!r}")
+    value = doc[name]
+    if not isinstance(value, str):
+        raise ValueError(f"field {name!r} must be a string")
+    return value
+
+
+def _formula_field(doc: dict, name: str, schema: Schema) -> Formula:
+    try:
+        return parse_formula(_text_field(doc, name), schema)
+    except SourceError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,9 @@ FORMULA_ERRORS = [
     ("trailing-paren", "Alpha(e)=V1)", ParseError, "1:12: unexpected ')' after formula"),
     ("trailing-constant", "true false", ParseError, "1:6: unexpected 'false' after formula"),
     ("trailing-number", "Level(e) < 3-4", ParseError, "1:13: unexpected '-4' after formula"),
+    ("trailing-integer", "Alpha(e)=V1 55", ParseError, "1:13: unexpected '55' after formula"),
+    ("trailing-brace", "Alpha(e)=V1 }", ParseError, "1:13: unexpected '}' after formula"),
+    ("unknown-before-trailing", "A(x)=V1 55", UnknownAttribute, "1:1: unknown attribute 'A'"),
     # an unclosed parenthesis
     ("close-end", "(Alpha(e)=V1", ParseError, "1:13: expected ')', got end of input"),
     ("close-atom", "(Alpha(e)=V1 Beta(e)=V2)", ParseError, "1:14: expected ')', got 'Beta'"),
@@ -352,6 +355,14 @@ FORMULA_ERRORS = [
     ("lone-not", "!", ParseError, "1:2: expected a formula, got end of input"),
     ("empty-parens", "()", ParseError, "1:2: expected a formula, got ')'"),
     ("after-implies", "Alpha(e)=V1 -> ", ParseError, "1:16: expected a formula, got end of input"),
+    # tokens that are neither operators nor atoms, where a formula must start
+    ("leading-integer", "55", ParseError, "1:1: expected a formula, got '55'"),
+    ("leading-brace", "{", ParseError, "1:1: expected a formula, got '{'"),
+    ("leading-colon", ":", ParseError, "1:1: expected a formula, got ':'"),
+    ("leading-cmp", "<=", ParseError, "1:1: expected a formula, got '<='"),
+    ("not-cmp", "!<=", ParseError, "1:2: expected a formula, got '<='"),
+    ("paren-colon", "(:", ParseError, "1:2: expected a formula, got ':'"),
+    ("after-and-integer", "Alpha(e)=V1 & 55", ParseError, "1:15: expected a formula, got '55'"),
 ]
 
 
@@ -658,6 +669,97 @@ def test_atoms_read_alike_on_a_cache_miss_a_hit_and_the_token_walk(text):
     assert miss == hit == walked
     if not isinstance(miss, tuple):
         assert parse_formula(text, warm) is hit
+
+
+# The formula scanner as it was when it gave one match object per token,
+# the token's kind the name of its group, kept as the reference for
+# ``mr._FORMULA_RE``.  Each reference kind maps to the group of the new
+# pattern that holds the token: ``atom`` (groups 2-5), ``op`` (group 1),
+# ``token`` (group 6) or ``bad`` (group 7).
+_REF_GAP, _REF_NAME, _REF_NUMBER = r"[ \t\r\n]*", r"[A-Za-z_][A-Za-z0-9_]*", r"-?\d+(?:\.\d+|/\d+)?"
+REFERENCE_SCANNER = re.compile(
+    rf"{_REF_GAP}(?:(?P<atom>(?!(?:true|false){_REF_GAP}\()({_REF_NAME}){_REF_GAP}\({_REF_GAP}"
+    rf"({_REF_NAME}){_REF_GAP}\){_REF_GAP}(<=|>=|[=<>]){_REF_GAP}({_REF_NUMBER}|{_REF_NAME}))"
+    rf"|(?P<number>{_REF_NUMBER})|(?P<ident>{_REF_NAME})"
+    r"|(?P<implies>->)|(?P<cmp><=|>=|[=<>])|(?P<and>&)|(?P<or>\|)|(?P<not>!)"
+    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<comma>,)|(?P<colon>:)"
+    r"|(?P<bad>[^ \t\r\n])|(?P<end>\Z))"
+)
+REFERENCE_GROUP = {
+    "atom": "atom", "bad": "bad",
+    **dict.fromkeys(("implies", "and", "or", "not", "lpar", "rpar"), "op"),
+    **dict.fromkeys(("number", "ident", "cmp", "lbrace", "rbrace", "comma", "colon"), "token"),
+}
+SCANNER_PIECES = [
+    "Alpha", "Level", "e", "_", "x1", "true", "false", "true(", "V1", "7", "22.5", "1/3", "-5", "-x",
+    "->", "-", "&", "|", "!", "(", ")", "<", "<=", ">", ">=", "=", "{", "}", ",", ":", ".", "/",
+    " ", "\t", "\n", "\r", "\x0c", "é", "٣", "$", "Alpha(e)=V1", "Level (e)\n<= ٣/٤",
+]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(SCANNER_PIECES), max_size=14).map("".join))
+def test_the_scanner_splits_text_as_the_reference_does(text):
+    """``findall`` gives the reference's tokens, kind by kind and text by
+    text, and the error path's re-scan finds each one where the reference
+    match put it, the end included, and an atom's operator and value too."""
+    want = []
+    for m in REFERENCE_SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
+            assert m.start("end") == len(text)
+            break
+        if kind == "atom":
+            want.append(("atom", m.group(2, 3, 4, 5), (m.start(2), m.start(4), m.start(5))))
+        else:
+            want.append((REFERENCE_GROUP[kind], m.group(kind), m.start(kind)))
+    got = []
+    for n, tok in enumerate(mr._FORMULA_RE.findall(text)):
+        if tok[1]:
+            starts = tuple(mr._token_start(text, n, group) for group in ("attr", "cmp", "value"))
+            got.append(("atom", tok[1:5], starts))
+        else:
+            kind = "op" if tok[0] else "token" if tok[5] else "bad"
+            got.append((kind, tok[0] or tok[5] or tok[6], mr._token_start(text, n)))
+    assert got == want
+    assert mr._token_start(text, len(got)) == len(text)
+
+
+@pytest.mark.parametrize("numeral", ["42", "-7", "3/6", "-3/4", "2.50", "٣", "٣/٤"])
+def test_numerals_read_alike_on_a_cache_miss_and_a_hit(numeral):
+    schema = Schema(ERR_SCHEMA.categorical, ERR_SCHEMA.numeric)
+    miss = parse_formula(f"Level(e) = {numeral}", schema)
+    assert miss.constant == Fraction(numeral)
+    assert type(miss.constant) is Fraction
+    assert parse_formula(f"Level(e)={numeral}", schema) is miss
+
+
+LONG = sys.get_int_max_str_digits() + 1
+
+
+@pytest.mark.parametrize(
+    "numeral, message",
+    [
+        ("1/0", "1:12: zero denominator in '1/0'"),
+        ("٣/0", "1:12: zero denominator in '٣/0'"),
+        ("7" * LONG, f"1:12: numeric constant of {LONG} characters has too many digits"),
+        ("-" + "7" * LONG, f"1:12: numeric constant of {LONG + 1} characters has too many digits"),
+        ("1/" + "7" * LONG, f"1:12: numeric constant of {LONG + 2} characters has too many digits"),
+        ("7" * LONG + "/3", f"1:12: numeric constant of {LONG + 2} characters has too many digits"),
+    ],
+    ids=["zero", "zero-arabic-indic", "long", "long-negative", "long-denominator", "long-numerator"],
+)
+def test_numerals_fail_alike_on_every_read(numeral, message):
+    """An error is never cached, so each read is a miss; the same text
+    raises the same error each time, and so does its token walk."""
+    schema = Schema(ERR_SCHEMA.categorical, ERR_SCHEMA.numeric)
+    for read in (
+        lambda: parse_formula(f"Level(e) = {numeral}", schema),
+        lambda: parse_formula(f"Level(e) = {numeral}", schema),
+        lambda: mr._read_atom(f"Level(e) = {numeral}", 0, schema),
+    ):
+        assert _outcome(read) == (ParseError, message)
+    assert schema._atoms == {}
 
 
 def test_num_atom_coerces_int_constant():
