@@ -50,6 +50,7 @@ from .mr import (
     _NAME,
     _NUMBER,
     _Record,
+    _numeral,
     _set,
     FALSE,
     CatAtom,
@@ -399,12 +400,13 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
         # Fraction("1e999999999") would not finish; numerals have no exponent.
         if not is_numeral(text):
             raise ScenarioError(f"{path}: JSON number {text} has an exponent")
-        return Fraction(text)
+        return _numeral(text)
 
     try:
         doc = json.loads(read_source(path), parse_float=numeral)
     except ValueError as exc:
-        # A JSONDecodeError, or an integer longer than int() converts.
+        # A JSONDecodeError, an integer longer than int() converts, or a
+        # decimal with more digits than _numeral reads.
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         # The decoder recurses once per nested array or object.
@@ -456,8 +458,8 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
                     " written like 3, 22.5 or \"45/2\""
                 )
             try:
-                world_num[attr, entity] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
+                world_num[attr, entity] = _numeral(value) if isinstance(value, str) else Fraction(value)
+            except ValueError as exc:
                 raise ScenarioError(
                     f"{path}: world value for {raw_key}: {exc}"
                 ) from exc

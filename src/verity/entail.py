@@ -32,12 +32,14 @@ is that cell's first model in product order, while the cost follows how
 soon the formulas are decided rather than the size of the product or of
 a key's domain.  A budget of search nodes bounds the cost.
 
-Each question is compiled in one walk.  An atom that is the schema's own
-node is not validated again, since making it validated it, and its key
-and constant, or its domain's size and tables, are read from the entry
-the first walk that met it stored in the atom (see ``mr.CatAtom``).  The
+Each question is compiled in one walk.  An atom is checked against a
+schema once, by the schema's parser when it made the atom, else by the
+first walk under that schema that meets it; the check stores the atom's
+entry (see ``mr.CatAtom``), from which every later walk reads its key
+and constant, or its domain's size, value bit and truth tables.  The
 truth tables of categorical atoms are made once per schema and
-(attribute, value) and shared by every entity.
+(attribute, value), by the first decision that tables such an atom, and
+shared by every entity.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Optional, Sequence
 
 from .mr import (
     _Record,
+    _entry_of,
     _set,
     FALSE,
     TRUE,
@@ -133,36 +136,21 @@ _SPLITS = {"<": (0, True), "<=": (1, True), ">=": (0, False), ">": (1, False)}
 # witness names every key the formulas mention, but they add no table.
 
 
-def _cat_tables(schema: Schema, attr: str, value: str) -> tuple[int, tuple[tuple, tuple]]:
-    """The bit of ``value`` in ``attr``'s domain and the truth tables,
-    plain and negated, of every atom ``attr(e)=value``, made once per
-    schema and kept in it.  Every entity shares them, so they are tuples,
-    never changed."""
-    pos = schema._positions[attr][value]
-    n = len(schema.categorical[attr])
-    plain = [False] * n + [None]  # the last entry: the key is unassigned
-    negated = [True] * n + [None]
-    plain[pos], negated[pos] = True, False
-    entry = schema._tables[attr, value] = (1 << pos, (tuple(plain), tuple(negated)))
-    return entry
-
-
 def _compile(schema: Schema, formulas: Sequence[Formula]):
     """Compile ``formulas`` in one walk, with an explicit stack, into a
     program that gives their Kleene values under a partial assignment.
     Each atom is checked, keyed and tabled where the walk meets it, left
-    to right.  An atom that is the schema's own node was validated when it
-    was made; the first walk that meets it stores in its ``_entry`` slot
-    the schema's ``_positions``, its key and its domain's size and tables,
-    or its constant's numerator and denominator, and later walks read them
-    from there.  Any other atom is validated and keyed here.  Categorical
-    tables are made once per schema (see ``_cat_tables``) and shared by
-    every entity; a numeric atom's table depends on the question's
-    constants, so it is tabled on every call.  A node that a constant
-    decides holds no atom or child: what the walk made under it leaves the
-    program, and its operands still unread are read under no node, where
-    an atom is checked and keyed as anywhere else but adds no table to the
-    program and names no value to try.
+    to right.  An atom whose entry was made under another schema, or that
+    has none, is validated here, and its entry is made and stored; every
+    atom's key and constant, or domain size, value bit and truth tables,
+    are then read from its entry.  A categorical atom's tables are made in
+    its entry's cell, which every entity shares, the first time a node
+    tables an atom over that (attribute, value); a numeric atom's table
+    depends on the question's constants, so it is tabled on every call.  A
+    node that a constant decides holds no atom or child: what the walk made
+    under it leaves the program, and its operands still unread are read
+    under no node, where an atom is checked and keyed as anywhere else but
+    adds no table to the program and names no value to try.
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -186,8 +174,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     mention, plus the first one they do not, if any.  Neither the masks nor
     the uses count an atom that a constant took out of the program.
     """
-    positions = schema._positions  # marks the schema's own atoms
-    cat_tables = schema._tables
+    positions = schema._positions  # starts each entry made under the schema
     cat_slots: dict[Key, int] = {}
     num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
     sizes: list[int] = []
@@ -210,20 +197,14 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                 f = f.operand
                 neg = not neg
             kind = type(f)
-            if kind is CatAtom:
-                # The schema's own node for the atom's text was validated
-                # when it was read, and its entry holds what follows from
-                # it; any other atom, even an equal one, is validated here.
+            if kind is CatAtom or kind is NumAtom:
                 entry = f._entry
-                if type(entry) is tuple and entry[0] is positions:
-                    _, key, size, bit, pair = entry
-                else:
-                    if entry is not positions:
-                        validate_atom(schema, f)
-                    key, size = (f.attr, f.entity), len(schema.categorical[f.attr])
-                    bit, pair = cat_tables.get((f.attr, f.value)) or _cat_tables(schema, f.attr, f.value)
-                    if entry is positions:
-                        _set(f, "_entry", (positions, key, size, bit, pair))
+                if entry is None or entry[0] is not positions:
+                    validate_atom(schema, f)
+                    entry = _entry_of(schema, f)
+                    _set(f, "_entry", entry)
+            if kind is CatAtom:
+                _, key, size, bit, cell = entry
                 slot = cat_slots.get(key)
                 if slot is None:
                     slot = cat_slots[key] = len(sizes)
@@ -231,22 +212,20 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     masks.append(0)
                     uses.append(0)
                 if node is not None:
+                    if cell[0] is None:
+                        # Tuples, which every entity shares and no question changes.
+                        plain = [False] * size + [None]  # the last entry: the key is unassigned
+                        negated = [True] * size + [None]
+                        index = bit.bit_length() - 1
+                        plain[index], negated[index] = True, False
+                        cell[:] = tuple(plain), tuple(negated)
                     masks[slot] |= bit
                     uses[slot] += 1
                     atoms = node[2]
                     cats.append((atoms, slot, bit))
-                    atoms.append((slot, pair[neg]))
+                    atoms.append((slot, cell[neg]))
             elif kind is NumAtom:
-                entry = f._entry
-                if type(entry) is tuple and entry[0] is positions:
-                    _, key, n, d = entry
-                else:
-                    if entry is not positions:
-                        validate_atom(schema, f)
-                    c = f.constant
-                    key, n, d = (f.attr, f.entity), c.numerator, c.denominator
-                    if entry is positions:
-                        _set(f, "_entry", (positions, key, n, d))
+                _, key, n, d = entry
                 got = num_slots.get(key)
                 if got is None:
                     got = num_slots[key] = (len(sizes), {})

@@ -134,7 +134,8 @@ class _Record:
     """The base of this package's immutable value classes.
 
     A subclass names its value fields in ``_fields``, which are also its
-    ``__match_args__``, and sets them in its own ``__init__`` with ``_set``.
+    ``__match_args__``, and sets them in its own ``__init__``: a formula
+    class through its slots' setters (see ``_setters``), any other with ``_set``.
     Records compare, hash and ``repr`` by those fields as a frozen dataclass
     would, refuse to have a field assigned or deleted, and copy and pickle by
     calling their class on their fields again.  ``__replace__`` (which
@@ -199,20 +200,20 @@ class Schema(_Record):
     __match_args__ = _fields = ("categorical", "numeric")
     # Besides the fields, three caches, each keyed by value:
     # - ``_positions``: each categorical attribute's values, each mapped to
-    #   its position in the domain.  It also marks the schema's own atoms,
-    #   those its parser made.
+    #   its position in the domain.  An atom's entry starts with the
+    #   ``_positions`` of the schema it was checked against (see ``CatAtom``).
     # - ``_atoms``: the schema's own atoms, every atom parsed under it, keyed
     #   by the text of its parts (attribute, entity, operator, value); only
     #   valid atoms are kept, and at most ``_ATOMS_KEPT`` of them.
-    # - ``_tables``: for each (attribute, value) of a categorical atom decided
-    #   under this schema, the value's bit and the atom's truth tables, plain
-    #   and negated, that ``entail._compile`` made; every entity shares them.
+    # - ``_tables``: for each (attribute, value) of a categorical atom checked
+    #   against this schema, a cell every entity's entry shares: empty until
+    #   ``entail._compile`` first tables such an atom, then its truth tables.
     __slots__ = (*_fields, "_positions", "_atoms", "_tables")
     categorical: Mapping[str, tuple[str, ...]]
     numeric: frozenset[str]
     _positions: dict[str, dict[str, int]]
     _atoms: dict[tuple[str, str, str, str], CatAtom | NumAtom]
-    _tables: dict[tuple[str, str], tuple[int, tuple[tuple, tuple]]]
+    _tables: dict[tuple[str, str], list]
 
     def __init__(self, categorical: Mapping[str, tuple[str, ...]], numeric: frozenset[str]):
         categorical = {a: tuple(vs) for a, vs in categorical.items()}
@@ -307,9 +308,9 @@ class FalseConst(_Record):
 # Atoms compare and hash by hand: bdi scans look them up in dicts and lists
 # of norms, and a hand-written test is faster than ``_Record``'s.  Besides
 # its fields, an atom has one private slot, ``_entry``, that no comparison,
-# hash, ``repr``, copy or pickle reads: None, the ``_positions`` of the
-# schema whose parser made it, or a tuple that starts with them and holds
-# what ``entail._compile`` read of the atom.
+# hash, ``repr``, copy or pickle reads: None, or what ``_entry_of`` made of
+# it under the schema it was last checked against, which a question under
+# that schema reads instead of checking the atom again.
 
 
 class CatAtom(_Record):
@@ -371,6 +372,18 @@ class NumAtom(_Record):
 
 _cat_attr, _cat_entity, _cat_value, _cat_entry = _setters(CatAtom)
 _num_attr, _num_entity, _num_cmp, _num_constant, _num_entry = _setters(NumAtom)
+
+
+def _entry_of(schema: Schema, atom: CatAtom | NumAtom) -> tuple:
+    """What a question reads of ``atom``, valid under ``schema``: the
+    schema's ``_positions``, the atom's key, then its domain's size, value
+    bit and tables' cell, or its constant's numerator and denominator."""
+    key = (atom.attr, atom.entity)
+    if type(atom) is NumAtom:
+        return schema._positions, key, atom.constant.numerator, atom.constant.denominator
+    positions = schema._positions[atom.attr]
+    cell = schema._tables.setdefault((atom.attr, atom.value), [None, None])
+    return schema._positions, key, len(positions), 1 << positions[atom.value], cell
 
 
 def _preorder(formula: Formula) -> list:
@@ -945,13 +958,13 @@ def _parse(text: str, tokens: list[tuple[str, ...]], schema: Schema) -> Formula:
                 # The value is a name, which starts with a letter or '_', or a number.
                 value = key[3]
                 kind = "ident" if value[0] == "_" or value[0].isalpha() else "number"
-                # The schema's own node for this text from now on.  Its mark
-                # holds no atom, so the two make no cycle, and it stays on
-                # after a full cache is cleared.
+                # The schema's own node for this text from now on, checked
+                # here, so a question reads its entry.  The entry holds no
+                # atom, so the two make no cycle.
                 if len(atoms) >= _ATOMS_KEPT:
                     atoms.clear()
                 f = atoms[key] = _atom(schema, text, *key, kind, i - 1)
-                _set(f, "_entry", schema._positions)
+                _set(f, "_entry", _entry_of(schema, f))
         elif tok[0] == "!":
             stack.append(_NEG)
             continue
@@ -1095,18 +1108,23 @@ def _atom(
             f"expected numeric constant, got {_got_kind(kind, value)}", *_part_at(text, starts, 2)
         )
     try:
+        constant = _numeral(value)
+    except ValueError as exc:
+        raise ParseError(str(exc), *_part_at(text, starts, 2)) from None
+    return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)
+
+
+def _numeral(text: str) -> Fraction:
+    """The value of ``text``, which ``_NUMBER`` matches whole; a ValueError
+    words why it has none."""
+    try:
         # int() reads integers and ratios faster than Fraction(str) does.
-        if "/" in value:
-            numerator, denominator = value.split("/")
-            constant = Fraction(int(numerator), int(denominator))
-        else:
-            constant = Fraction(value if "." in value else int(value))
+        if "/" in text:
+            numerator, denominator = text.split("/")
+            return Fraction(int(numerator), int(denominator))
+        return Fraction(text if "." in text else int(text))
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {value!r}", *_part_at(text, starts, 2)) from None
+        raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         # int() refuses more digits than sys.get_int_max_str_digits().
-        raise ParseError(
-            f"numeric constant of {len(value)} characters has too many digits",
-            *_part_at(text, starts, 2),
-        ) from None
-    return NumAtom(sys.intern(attr), sys.intern(entity), op, constant)
+        raise ValueError(f"numeric constant of {len(text)} characters has too many digits") from None

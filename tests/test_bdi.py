@@ -10,6 +10,7 @@ import copy
 import json
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -970,12 +971,13 @@ def test_default_candidates_are_parsed_nodes_only_where_the_schema_parsed_them()
 def test_exactly_the_schemas_own_atoms_carry_its_mark():
     """After a corpus is parsed and a scenario's candidates are made,
     exactly the atoms the schema parsed are its own: they fill its parser
-    cache and carry its mark, its ``_positions``, as their whole entry.
-    A candidate is marked only if it is one of them, before a scan and
-    after.  A question's walk then fills the entry of each own atom it
-    meets: the mark, the key and the domain's size and the schema's tables
-    for the atom's (attribute, value), or the constant's numerator and
-    denominator."""
+    cache and carry a complete entry that starts with its mark, its
+    ``_positions``: the key, then the domain's size, the value's bit and
+    the schema's cell for the (attribute, value)'s tables, which no
+    decision has filled yet, or the constant's numerator and denominator.
+    A candidate has an entry only if it is one of them.  A scan adds
+    nothing to the cache; each candidate a question of it reads takes the
+    schema's entry, and the tables of what it decided fill their cells."""
     lying, _ = load_scenario(fixture_path("lying.scenario.json"))
     schema, world = lying.schema, lying.world
     # A key no formula mentions, whose candidates the schema has not seen.
@@ -985,30 +987,38 @@ def test_exactly_the_schemas_own_atoms_carry_its_mark():
     assert len(records) == 9 and len(errors) == 1
     pool = default_candidates(scenario)
     mark, atoms = schema._positions, list(schema._atoms.values())
-    assert all(a._entry is mark for a in atoms)
+
+    def complete(a):
+        entry = a._entry
+        assert entry[0] is mark and entry[1] == (a.attr, a.entity)
+        if type(a) is CatAtom:
+            values = schema.categorical[a.attr]
+            assert entry[2:4] == (len(values), 1 << values.index(a.value))
+            assert entry[4] is schema._tables[a.attr, a.value]
+            return entry[4]
+        assert entry[2:] == (a.constant.numerator, a.constant.denominator)
+
+    assert {type(a) for a in atoms} == {CatAtom, NumAtom}
+    assert all(complete(a) in (None, [None, None]) for a in atoms)
     parsed = [a for r in records for f in (r.input, r.output) for a in iter_atoms(f)]
     parsed += [a for f in (scenario.communicated, scenario.hearer_beliefs, *scenario.expectation_norms) for a in iter_atoms(f)]
     ids = [id(a) for a in atoms]
     assert {id(a) for a in parsed} == set(ids)
     own = [id(a) for a in pool if id(a) in ids]
-    assert [id(a) for a in pool if a._entry is mark] == own
-    assert [print_formula(a) for a in pool if id(a) in own] == ["Hurricane(today)=Yes", "Hurricane(today)=No"]
-    assert {(a.attr, a.entity) for a in pool if type(a) is CatAtom} == {("Hurricane", "today"), ("Hurricane", "tomorrow")}
-    assert any(type(a) is NumAtom for a in pool)
-    scan_misleading(scenario, pool)
-    assert [id(a) for a in schema._atoms.values()] == ids
     assert [id(a) for a in pool if a._entry is not None] == own
-    compiled = [a for a in atoms if a._entry is not mark]
-    assert {(a.entity, a.value) for a in compiled if type(a) is CatAtom} >= {("today", "Yes"), ("today", "No")}
-    assert any(type(a) is NumAtom for a in compiled)
-    for a in compiled:
-        entry = a._entry
-        assert entry[0] is mark and entry[1] == (a.attr, a.entity)
-        if type(a) is CatAtom:
-            bit, pair = schema._tables[a.attr, a.value]
-            assert entry[2:4] == (2, bit) and entry[4] is pair
-        else:
-            assert entry[2:] == (a.constant.numerator, a.constant.denominator)
+    assert [print_formula(a) for a in pool if id(a) in own] == ["Hurricane(today)=Yes", "Hurricane(today)=No"]
+    assert {(a.attr, a.entity) for a in pool if type(a) is CatAtom} == {("Hurricane", "tomorrow"), ("Hurricane", "today")}
+    assert any(type(a) is NumAtom for a in pool)
+    counted, calls = _counting(partial(entails, schema))
+    scan_misleading(scenario, pool, entails_fn=counted)
+    assert [id(a) for a in schema._atoms.values()] == ids
+    asked = {id(a) for question in calls for f in question for a in iter_atoms(f)}
+    read = [a for a in pool if id(a) in asked]
+    assert [id(a) for a in pool if a._entry is not None] == [id(a) for a in pool if id(a) in own or id(a) in asked]
+    assert {type(a) for a in read} == {CatAtom, NumAtom} and len(read) > len(own)
+    cells = [complete(a) for a in read]
+    filled = [cell for cell in cells if cell is not None and cell[0] is not None]
+    assert filled and all(len(table) == 3 for cell in filled for table in cell)
 
 
 def test_whose_atoms_the_candidates_are_changes_no_scan():
@@ -1024,14 +1034,15 @@ def test_whose_atoms_the_candidates_are_changes_no_scan():
         assert runs[1] == runs[0] and runs[2] == runs[0], name
 
 
-def test_a_default_candidate_no_formula_wrote_is_validated_on_every_question(monkeypatch):
+def test_a_default_candidate_no_formula_wrote_is_validated_once_per_scan(monkeypatch):
     """A default candidate whose text the schema never parsed is validated
-    each time a question reads it, like any atom built through the API;
-    an atom the schema parsed never is."""
-    validated, pools = [], []
+    once in the scan that made it, by the first question that reads it,
+    like any atom built through the API; an atom the schema parsed, or one
+    that a question under the schema checked before the scan, never is."""
+    validated, pools, scans = [], [], [[]]
 
     def spy(schema, atom):
-        validated.append(id(atom))
+        validated.append((len(scans[-1]) - 1, id(atom)))  # the question, from 0
         validate_atom(schema, atom)
 
     def kept(scenario):
@@ -1042,12 +1053,25 @@ def test_a_default_candidate_no_formula_wrote_is_validated_on_every_question(mon
     monkeypatch.setattr(verity.bdi, "default_candidates", kept)
     most = Counter()
     for name, scenario, _ in _scan_cases():
-        own = {id(a) for a in scenario.schema._atoms.values()}
+        schema = scenario.schema
+        own = {id(a) for a in schema._atoms.values()}
+        given = (scenario.communicated, scenario.hearer_beliefs, *scenario.expectation_norms)
+        checked = {
+            id(a)
+            for a in (*schema._atoms.values(), *(a for f in given for a in iter_atoms(f)))
+            if a._entry is not None and a._entry[0] is schema._positions
+        }
+        assert own <= checked
         validated.clear()
-        counted, calls = _counting(partial(entails, scenario.schema))
+        counted, calls = _counting(partial(entails, schema))
+        scans.append(calls)
         scan_misleading(scenario, None, entails_fn=counted)
-        reads = Counter(id(a) for question in calls for f in question for a in iter_atoms(f))
-        assert Counter(validated) == {i: n for i, n in reads.items() if i not in own}, name
+        reads, first = Counter(), {}
+        for n, question in enumerate(calls):
+            for a in (a for f in question for a in iter_atoms(f)):
+                reads[id(a)] += 1
+                first.setdefault(id(a), n)
+        assert sorted(validated) == sorted((n, i) for i, n in first.items() if i not in checked), name
         for c in pools[-1]:
             if id(c) not in own:
                 most[type(c)] = max(most[type(c)], reads[id(c)])
@@ -1144,6 +1168,9 @@ def _write_scenario(tmp_path, doc, schema_text="attr Hurricane : { Yes, No }\n")
     return path
 
 
+# A numeral one digit longer than int() reads.
+LONG = sys.get_int_max_str_digits() + 1
+
 GOOD_DOC = {
     "schema": "w.schema",
     "communicated": "true",
@@ -1204,7 +1231,16 @@ def test_load_scenario_reads_world_numerals(tmp_path, value, expected):
         ),
         pytest.param(
             dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "1/0"}),
-            r"world value for Temperature\(d\): Fraction\(1, 0\)", id="zero-denominator",
+            r"world value for Temperature\(d\): zero denominator in '1/0'", id="zero-denominator",
+        ),
+        pytest.param(
+            dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "-3/0"}),
+            r"world value for Temperature\(d\): zero denominator in '-3/0'", id="zero-denominator-neg",
+        ),
+        pytest.param(
+            dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "7" * LONG}),
+            rf"world value for Temperature\(d\): numeric constant of {LONG} characters has too many digits",
+            id="long-string",
         ),
         pytest.param(
             dict(GOOD_DOC, norms=[True]), "field 'norms' must be a list of strings", id="norms-bool"

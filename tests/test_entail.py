@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 import itertools
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randgen import random_formula, random_schema
+from randgen import AST_SCHEMA, random_ast, random_formula, random_schema
 from verity import (
     FALSE,
     TRUE,
@@ -483,6 +485,55 @@ def test_own_and_foreign_atoms_compile_alike(case):
         assert _compile(schema, (x, y)) == expected
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_every_atom_is_checked_once_per_schema_that_asks_it(seed, ast):
+    """Each pair, the true/false pairs first, is asked twice over as parsed,
+    as a deep copy, whose atoms are no schema's, and as parsed under an
+    equal second schema, and gets the cells, answers and witnesses that a
+    fresh schema gives.  The schema asked never validates its own atoms,
+    and any other atom once, unless it asked it before; an atom asked
+    under another schema is validated once there, and once again when the
+    first asks it next."""
+    rng = random.Random(seed)
+    base = AST_SCHEMA if ast else random_schema(rng)
+    a, b = (random_ast(rng) if ast else random_formula(rng, base) for _ in range(2))
+    home, other = (Schema(base.categorical, base.numeric) for _ in range(2))
+    validated = Counter()
+
+    def spy(schema, atom):
+        validated[id(atom), id(schema)] += 1
+        validate_atom(schema, atom)
+
+    def answers(schema, x, y):
+        return pair_cells(schema, x, y), satisfiable(schema, x), entails(schema, x, y)
+
+    def asked_twice(schema, pair, expected):
+        validated.clear()
+        for _ in range(2):
+            assert answers(schema, *pair) == expected
+        return {atom_id for atom_id, schema_id in validated if schema_id == id(schema)}
+
+    earlier = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entail, "validate_atom", spy)
+        for x, y in ((Or(TRUE, a), And(b, FALSE)), (a, TRUE), (FALSE, b), (a, b)):
+            expected = answers(Schema(base.categorical, base.numeric), x, y)
+            parsed = tuple(parse_formula(print_formula(f), home) for f in (x, y))
+            copied = copy.deepcopy(parsed)
+            foreign = tuple(parse_formula(print_formula(f), other) for f in (x, y))
+            assert parsed == copied == foreign == (x, y)
+            own, fresh, theirs = ({id(atom) for f in pair for atom in iter_atoms(f)} for pair in (parsed, copied, foreign))
+            assert asked_twice(home, parsed, expected) == set()
+            assert asked_twice(home, copied, expected) == fresh
+            # Atoms the second schema parsed for an earlier pair were asked then.
+            assert asked_twice(home, foreign, expected) == theirs - earlier
+            earlier |= theirs
+            assert set(validated.values()) <= {1}
+            for schema in (other, home):
+                assert asked_twice(schema, parsed, expected) == own
+                assert set(validated.values()) <= {1}
+
+
 def test_categorical_tables_are_shared_by_every_entity():
     """Each (attribute, value) has one pair of truth tables per schema,
     whatever the number of entities its atoms are about, and the tables
@@ -525,36 +576,42 @@ def test_a_constant_costs_the_same_after_many_questions():
     assert best(warm) < 20 * best(Schema(domains, frozenset()))
 
 
-def test_an_api_built_atom_is_validated_on_every_question(monkeypatch):
+def test_an_api_built_atom_is_validated_on_its_first_question_only(monkeypatch):
     """An atom equal to one the schema parsed, but not its node, is
-    validated on each question, categorical or numeric, and the parsed
-    nodes never again."""
+    validated by the first question that reads it, categorical or numeric,
+    and never again; the parsed nodes, which the parser checked, never
+    are."""
     schema = parse_schema("attr Food : { Italian, Norwegian }\nnum Temperature")
     parsed = parse_formula("Food(x)=Italian & Temperature(d) > 1/2", schema)
-    built = And(CatAtom("Food", "x", "Italian"), NumAtom("Temperature", "d", ">", Fraction(1, 2)))
-    assert built == parsed
+
+    def built():
+        return And(CatAtom("Food", "x", "Italian"), NumAtom("Temperature", "d", ">", Fraction(1, 2)))
+
+    assert built() == parsed
     validated = []
 
     def spy(schema, atom):
         validated.append(id(atom))
         validate_atom(schema, atom)
 
-    monkeypatch.setattr(entail, "validate_atom", spy)
-    for f in (parsed, built):
-        validated.clear()
+    def twice(f, holds):
+        runs = []
         for _ in range(2):
-            assert satisfiable(schema, f)
-        expected = [] if f is parsed else [id(f.left), id(f.right)]
-        assert validated == expected * 2
+            validated.clear()
+            assert satisfiable(schema, f).holds is holds
+            runs.append(validated[:])
+        return runs
+
+    monkeypatch.setattr(entail, "validate_atom", spy)
+    api = built()
+    assert twice(parsed, True) == [[], []]
+    assert twice(api, True) == [[id(api.left), id(api.right)], []]
     # The same holds for atoms read after a constant decided their node.
     decided = parse_formula("false & Food(x)=Italian & Temperature(d) > 1/2", schema)
     assert decided.left.right is parsed.left and decided.right is parsed.right
-    decided_built = And(And(FALSE, built.left), built.right)
-    for f, expected in ((decided, []), (decided_built, [id(built.left), id(built.right)])):
-        validated.clear()
-        for _ in range(2):
-            assert not satisfiable(schema, f)
-        assert validated == expected * 2
+    api = built()
+    assert twice(decided, False) == [[], []]
+    assert twice(And(And(FALSE, api.left), api.right), False) == [[id(api.left), id(api.right)], []]
 
 
 @pytest.mark.parametrize(
@@ -579,14 +636,6 @@ def test_api_built_atoms_are_validated_left_to_right(ask):
             ask(RESTAURANT, f)
 
 
-def _owner(atom):
-    """The mark of the schema whose own node ``atom`` is, its
-    ``_positions``, or None: the whole entry until a question compiled the
-    atom, then the entry's first item."""
-    entry = atom._entry
-    return entry[0] if type(entry) is tuple else entry
-
-
 @pytest.mark.parametrize(
     "ask",
     [
@@ -596,14 +645,18 @@ def _owner(atom):
     ],
     ids=["satisfiable", "pair_cells", "oracle_cells"],
 )
-def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(ask):
-    """A schema marks only its own atoms: an atom that another schema
-    parsed is validated against the schema asked, even after that schema
-    parsed and asked the same texts that are valid under it, and it keeps
-    the mark of the schema that parsed it."""
+def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(ask, monkeypatch):
+    """An atom that another schema parsed is validated against the schema
+    asked, on every question that it fails, even after that schema parsed
+    and asked the same texts that are valid under it, and it keeps the
+    entry of the schema that parsed it.  An atom valid under both takes the
+    entry of each schema that asks it in turn, so the next question under
+    the schema that parsed it validates it once again, and later ones do
+    not."""
     home = parse_schema("attr Food : { Italian, Sushi }\nattr Sky : { Clear }\nnum Temp\nnum Level")
     asked = parse_schema("attr Food : { Italian }\nattr Temp : { Hot }\nnum Sky")
     ok = parse_formula("Food(x)=Italian", home)
+    assert ok._entry[0] is home._positions
     assert satisfiable(asked, parse_formula("Food(x)=Italian & Sky(t) > 1/2", asked))
     ask(asked, ok)  # valid under both
     for text, error in (
@@ -615,10 +668,23 @@ def test_an_atom_parsed_under_another_schema_is_checked_against_the_asking_one(a
         atom = parse_formula(text, home)
         assert satisfiable(home, atom)
         for f in (atom, And(ok, atom)):
-            with pytest.raises(error):
-                ask(asked, f)
-        assert _owner(atom) is home._positions
-    assert _owner(ok) is home._positions
+            for _ in range(2):
+                with pytest.raises(error):
+                    ask(asked, f)
+        assert atom._entry[0] is home._positions
+    assert satisfiable(asked, ok)
+    assert ok._entry[0] is asked._positions
+    validated = []
+
+    def spy(schema, atom):
+        validated.append((schema, atom))
+        validate_atom(schema, atom)
+
+    monkeypatch.setattr(entail, "validate_atom", spy)
+    for _ in range(2):
+        assert satisfiable(home, ok)
+    assert len(validated) == 1 and validated[0][0] is home and validated[0][1] is ok
+    assert ok._entry[0] is home._positions
 
 
 @pytest.mark.parametrize("constant_first", [False, True])
