@@ -396,17 +396,16 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
     path = Path(path)
     is_numeral = re.compile(_NUMERAL).match
 
-    def numeral(text: str) -> Fraction:
+    def numeral(text: str) -> tuple[str]:
         # Fraction("1e999999999") would not finish; numerals have no exponent.
         if not is_numeral(text):
             raise ScenarioError(f"{path}: JSON number {text} has an exponent")
-        return _numeral(text)
+        return (text,)  # a world value reads it as a string numeral; no other field takes it
 
     try:
         doc = json.loads(read_source(path), parse_float=numeral)
     except ValueError as exc:
-        # A JSONDecodeError, an integer longer than int() converts, or a
-        # decimal with more digits than _numeral reads.
+        # A JSONDecodeError, or an integer longer than int() converts.
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError:
         # The decoder recurses once per nested array or object.
@@ -448,9 +447,10 @@ def load_scenario(path: str | Path) -> tuple[Scenario, Optional[list[Formula]]]:
                 )
             world_cat[attr, entity] = value
         elif schema.is_numeric(attr):
+            value = value[0] if type(value) is tuple else value  # a JSON decimal's text
             if (
                 isinstance(value, bool)
-                or not isinstance(value, (int, str, Fraction))
+                or not isinstance(value, (int, str))
                 or (isinstance(value, str) and not is_numeral(value))
             ):
                 raise ScenarioError(

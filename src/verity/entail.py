@@ -36,7 +36,7 @@ Each question is compiled in one walk.  An atom is checked against a
 schema once, by the schema's parser when it made the atom, else by the
 first walk under that schema that meets it; the check stores the atom's
 entry (see ``mr.CatAtom``), from which every later walk reads its key
-and constant, or its domain's size, value bit and truth tables.  The
+and constant, or its domain's size, value position and truth tables.  The
 truth tables of categorical atoms are made once per schema and
 (attribute, value), by the first decision that tables such an atom, and
 shared by every entity.
@@ -142,7 +142,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     Each atom is checked, keyed and tabled where the walk meets it, left
     to right.  An atom whose entry was made under another schema, or that
     has none, is validated here, and its entry is made and stored; every
-    atom's key and constant, or domain size, value bit and truth tables,
+    atom's key and constant, or domain size, value position and truth tables,
     are then read from its entry.  A categorical atom's tables are made in
     its entry's cell, which every entity shares, the first time a node
     tables an atom over that (attribute, value); a numeric atom's table
@@ -150,7 +150,9 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     node that a constant decides holds no atom or child: what the walk made
     under it leaves the program, and its operands still unread are read
     under no node, where an atom is checked and keyed as anywhere else but
-    adds no table to the program and names no value to try.
+    adds no table to the program and names no value to try.  Each node,
+    roots too, marks how many atoms had been read in nodes when it was
+    made, and a constant cuts the atoms read since its node's mark.
 
     Keys take slots in the order they are first met.  An assignment is a
     list of value indices, one per slot; the index ``sizes[k]`` means
@@ -168,28 +170,27 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     those keys' order, which is product order; the slots' sizes; the values
     to try; the program; where each formula's value is among the values one
     run of the program yields, counted from the end; and each slot's uses,
-    the number of the program's atoms over its key, counted as the walk
-    tables them.  The values to try are a bit mask per slot: every sample
-    of a numeric key; the values the program's atoms over a categorical key
-    mention, plus the first one they do not, if any.  Neither the masks nor
-    the uses count an atom that a constant took out of the program.
+    the number of the program's atoms over its key.  The values to try are
+    a bit mask per slot: every sample of a numeric key; the values the
+    program's atoms over a categorical key mention, plus the first one they
+    do not, if any.  Both are counted once, after the walk, from the atoms
+    left in the program, so neither counts one that a constant took out.
     """
     positions = schema._positions  # starts each entry made under the schema
     cat_slots: dict[Key, int] = {}
     num_slots: dict[Key, tuple[int, dict[tuple[int, int], Fraction]]] = {}  # slot, constants
     sizes: list[int] = []
-    masks: list[int] = []
-    uses: list[int] = []  # each slot's count of atoms in the program
     numeric = []  # (tables, position, slot, (numerator, denominator), cmp, negated)
-    cats = []  # (tables, slot, bit) of each categorical atom in a node
+    cats = []  # (slot, value position) of each categorical atom in a node
     program: list = []  # in preorder until the end
-    stale = False  # whether masks hold bits of atoms a constant took out
+    marks = []  # each program node's (len(cats), len(numeric)) when it was made
     roots = []
     for formula in formulas:
         node = [False, True, [], []]  # every root is an & node
         pos = len(program)
         roots.append(-1 - pos)  # where the reversed program puts it
         program.append(node)
+        marks.append((len(cats), len(numeric)))
         f, neg = formula, False
         stack = []  # the right operands still to read, each with its node
         while True:
@@ -204,38 +205,29 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     entry = _entry_of(schema, f)
                     _set(f, "_entry", entry)
             if kind is CatAtom:
-                _, key, size, bit, cell = entry
+                _, key, size, index, cell = entry
                 slot = cat_slots.get(key)
                 if slot is None:
                     slot = cat_slots[key] = len(sizes)
                     sizes.append(size)
-                    masks.append(0)
-                    uses.append(0)
                 if node is not None:
                     if cell[0] is None:
                         # Tuples, which every entity shares and no question changes.
                         plain = [False] * size + [None]  # the last entry: the key is unassigned
                         negated = [True] * size + [None]
-                        index = bit.bit_length() - 1
                         plain[index], negated[index] = True, False
                         cell[:] = tuple(plain), tuple(negated)
-                    masks[slot] |= bit
-                    uses[slot] += 1
-                    atoms = node[2]
-                    cats.append((atoms, slot, bit))
-                    atoms.append((slot, cell[neg]))
+                    cats.append((slot, index))
+                    node[2].append((slot, cell[neg]))
             elif kind is NumAtom:
                 _, key, n, d = entry
                 got = num_slots.get(key)
                 if got is None:
                     got = num_slots[key] = (len(sizes), {})
                     sizes.append(0)
-                    masks.append(-1)  # every sample is tried
-                    uses.append(0)
                 nd = (n, d)
                 got[1][nd] = f.constant
                 if node is not None:
-                    uses[got[0]] += 1
                     numeric.append((node[2], len(node[2]), got[0], nd, f.cmp, neg))
                     node[2].append(None)
             elif kind is And or kind is Or or kind is Implies:
@@ -245,6 +237,7 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
                     pos = len(program)
                     node = [not is_and, is_and, [], []]
                     program.append(node)
+                    marks.append((len(cats), len(numeric)))
                 # The left operand is read next, the right one later.
                 if kind is Implies:
                     # a -> b is !a | b
@@ -257,11 +250,11 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
             elif kind is TrueConst or kind is FalseConst:
                 # the constant's value is (kind is TrueConst) != neg
                 if node is not None and ((kind is TrueConst) != neg) is node[0]:
-                    # The nodes made under this one since it was made leave
+                    # What was made under this node since it was made leaves
                     # the program, and its operands still on the stack,
                     # which are on top, are read under no node.
-                    stale = stale or bool(node[2]) or len(program) > pos + 1
-                    del program[pos + 1:]
+                    c, n = marks[pos]
+                    del program[pos + 1:], marks[pos + 1:], cats[c:], numeric[n:]
                     program[pos] = (node[0], node[0], (), ())
                     i = len(stack)
                     while i and stack[i - 1][2] is node:
@@ -276,6 +269,8 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
     cat_keys = sorted(cat_slots)
     num_keys = sorted(num_slots)
     order = [cat_slots[k] for k in cat_keys]
+    masks = [0] * len(sizes)
+    uses = [0] * len(sizes)
     constants = []  # each numeric key's constants, ascending
     ranks = {}  # each numeric slot's (numerator, denominator) -> rank
     for k in num_keys:
@@ -286,21 +281,12 @@ def _compile(schema: Schema, formulas: Sequence[Formula]):
         constants.append([cs[nd] for nd in pairs])
         ranks[slot] = {nd: r for r, nd in enumerate(pairs)}
         sizes[slot] = 2 * len(pairs) + 1
-    if stale:
-        # Atoms that a constant took out of the program were tabled and
-        # counted first: only those left in it name the values to try and
-        # count as uses.
-        live = {id(tables) for _, _, tables, _ in program}
-        numeric = [entry for entry in numeric if id(entry[0]) in live]
-        masks = [min(m, 0) for m in masks]
-        uses = [0] * len(uses)
-        for tables, slot, bit in cats:
-            if id(tables) in live:
-                masks[slot] |= bit
-                uses[slot] += 1
-        for entry in numeric:
-            uses[entry[2]] += 1
+        masks[slot] = -1  # every sample is tried
+    for slot, index in cats:
+        masks[slot] |= 1 << index
+        uses[slot] += 1
     for tables, i, slot, nd, cmp, neg in numeric:
+        uses[slot] += 1
         n = sizes[slot]
         sample = 2 * ranks[slot][nd] + 1
         if cmp == "=":
@@ -456,11 +442,11 @@ def is_tautology(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> bool:
     """True iff ``f`` holds in every model: the cell ``true & !f`` is empty."""
-    return _search(schema, TRUE, f, limit, _A_NOT_B, _A_NOT_B)[1] is None
+    return not _search(schema, TRUE, f, limit, _A_NOT_B, _A_NOT_B, True)[0]
 
 
 def is_contradiction(
     schema: Schema, f: Formula, *, limit: int = DEFAULT_ASSIGNMENT_LIMIT
 ) -> bool:
-    """True iff ``f`` holds in no model."""
-    return not satisfiable(schema, f, limit=limit).holds
+    """True iff ``f`` holds in no model: the cell ``f & !false`` is empty."""
+    return not _search(schema, f, FALSE, limit, _A_NOT_B, _A_NOT_B, True)[0]

@@ -377,13 +377,13 @@ _num_attr, _num_entity, _num_cmp, _num_constant, _num_entry = _setters(NumAtom)
 def _entry_of(schema: Schema, atom: CatAtom | NumAtom) -> tuple:
     """What a question reads of ``atom``, valid under ``schema``: the
     schema's ``_positions``, the atom's key, then its domain's size, value
-    bit and tables' cell, or its constant's numerator and denominator."""
+    position and tables' cell, or its constant's numerator and denominator."""
     key = (atom.attr, atom.entity)
     if type(atom) is NumAtom:
         return schema._positions, key, atom.constant.numerator, atom.constant.denominator
     positions = schema._positions[atom.attr]
     cell = schema._tables.setdefault((atom.attr, atom.value), [None, None])
-    return schema._positions, key, len(positions), 1 << positions[atom.value], cell
+    return schema._positions, key, len(positions), positions[atom.value], cell
 
 
 def _preorder(formula: Formula) -> list:

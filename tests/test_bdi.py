@@ -972,7 +972,7 @@ def test_exactly_the_schemas_own_atoms_carry_its_mark():
     """After a corpus is parsed and a scenario's candidates are made,
     exactly the atoms the schema parsed are its own: they fill its parser
     cache and carry a complete entry that starts with its mark, its
-    ``_positions``: the key, then the domain's size, the value's bit and
+    ``_positions``: the key, then the domain's size, the value's position and
     the schema's cell for the (attribute, value)'s tables, which no
     decision has filled yet, or the constant's numerator and denominator.
     A candidate has an entry only if it is one of them.  A scan adds
@@ -993,7 +993,7 @@ def test_exactly_the_schemas_own_atoms_carry_its_mark():
         assert entry[0] is mark and entry[1] == (a.attr, a.entity)
         if type(a) is CatAtom:
             values = schema.categorical[a.attr]
-            assert entry[2:4] == (len(values), 1 << values.index(a.value))
+            assert entry[2:4] == (len(values), values.index(a.value))
             assert entry[4] is schema._tables[a.attr, a.value]
             return entry[4]
         assert entry[2:] == (a.constant.numerator, a.constant.denominator)
@@ -1241,6 +1241,12 @@ def test_load_scenario_reads_world_numerals(tmp_path, value, expected):
             dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": "7" * LONG}),
             rf"world value for Temperature\(d\): numeric constant of {LONG} characters has too many digits",
             id="long-string",
+        ),
+        pytest.param(
+            json.dumps(dict(GOOD_DOC, schema=str(fixture_path("temperature.schema")), world={"Temperature(d)": 0}))
+            .replace('"Temperature(d)": 0', '"Temperature(d)": %s.5' % ("7" * LONG)),
+            rf"world value for Temperature\(d\): numeric constant of {LONG + 2} characters has too many digits",
+            id="long-decimal",
         ),
         pytest.param(
             dict(GOOD_DOC, norms=[True]), "field 'norms' must be a list of strings", id="norms-bool"

@@ -710,17 +710,23 @@ def test_a_node_decided_by_a_constant_names_no_values(constant_first):
 
 
 def test_a_constant_after_a_subtree_takes_its_values_out():
-    """A constant that decides a node after one node under it was compiled
-    takes that node's values out of the masks: Food(x) tries Italian, which
-    the right side mentions, and Norwegian, the first value nothing left
-    in the program mentions, but not Japanese."""
+    """A constant that decides a node after atoms under it were compiled
+    takes their values out of the masks, and only theirs.  In the first
+    case Food(x) tries Italian, which b mentions, and Norwegian, the first
+    value nothing left in the program mentions, but not Japanese.  In the
+    second the constant decides b's root, which cuts only what was read
+    under that root: Japanese, which a mentions, stays, and Italian is the
+    first value nothing left mentions."""
     schema = Schema({"Food": ("Italian", "Norwegian", "Japanese")}, frozenset())
-    a = parse_formula("(Food(x)=Japanese | Food(x)=Norwegian) & false", schema)
-    b = parse_formula("Food(x)=Italian", schema)
-    _, _, _, masks, program, _, uses = _compile(schema, (a, b))
-    assert masks == [0b011]
-    assert uses == [1]  # nor do they count as uses of Food(x)
-    assert len(program) == 2  # the decided root of a, and b
+    for a, b, mask in [
+        ("(Food(x)=Japanese | Food(x)=Norwegian) & false", "Food(x)=Italian", 0b011),
+        ("Food(x)=Japanese", "Food(x)=Norwegian & false", 0b101),
+    ]:
+        a, b = parse_formula(a, schema), parse_formula(b, schema)
+        _, _, _, masks, program, _, uses = _compile(schema, (a, b))
+        assert masks == [mask]
+        assert uses == [1]  # nor do they count as uses of Food(x)
+        assert len(program) == 2  # a decided root and the other formula's
 
 
 def test_a_decided_operand_is_validated_as_a_live_one():
@@ -795,6 +801,7 @@ def test_classify_and_pair_cells_make_no_sample_points(monkeypatch):
         decide(schema, a, b)
         assert classify(schema, a, b) is oracle_classify(schema, a, b)
         is_tautology(schema, a)
+        is_contradiction(schema, b)
     assert numeric > 100
 
 
@@ -917,6 +924,22 @@ def test_a_cell_search_branches_first_on_the_key_read_most():
         decide(ALPHA_GAMMA, a, b, limit=4)
     assert (exc_info.value.required, exc_info.value.limit) == (5, 4)
     assert _budget(lambda limit: _search(ALPHA_GAMMA, a, b, limit, 0b1111, 0b0111)) == 7
+
+
+def test_tautology_and_contradiction_are_cell_questions():
+    """Neither question returns a witness, so each branches on Gamma(e),
+    read twice, before Alpha(e), read once: the root; Gamma(e)=G0, the
+    first value no atom mentions, where the sought cell is out of reach;
+    and Gamma(e)=G2, where it is out of reach too.  That is 3 nodes, where
+    product order takes 5: it branches on Alpha(e) first."""
+    f = _f("Alpha(e)=A1 & Gamma(e)=G2 -> Gamma(e)=G2", ALPHA_GAMMA)
+    assert is_tautology(ALPHA_GAMMA, f)
+    assert _budget(lambda limit: is_tautology(ALPHA_GAMMA, f, limit=limit)) == 3
+    g = _f("Alpha(e)=A1 & Gamma(e)=G2 & !(Gamma(e)=G2)", ALPHA_GAMMA)
+    assert is_contradiction(ALPHA_GAMMA, g)
+    assert _budget(lambda limit: is_contradiction(ALPHA_GAMMA, g, limit=limit)) == 3
+    assert _budget(lambda limit: _search(ALPHA_GAMMA, TRUE, f, limit, 0b0010, 0b0010)) == 5
+    assert _budget(lambda limit: _search(ALPHA_GAMMA, g, FALSE, limit, 0b0010, 0b0010)) == 5
 
 
 def test_witnesses_keep_product_order_where_the_most_read_key_finds_another():

@@ -476,7 +476,9 @@ def test_a_long_domain_is_not_scanned_for_each_atom():
     start = time.perf_counter()
     validate_formula(schema, formula)
     assert time.perf_counter() - start < 0.5
-    assert [a.value for a in iter_atoms(formula)] == values[-1000:]
+    atoms = list(iter_atoms(formula))
+    assert [a.value for a in atoms] == values[-1000:]
+    assert atoms[900].value == "V99900" and atoms[900]._entry[3] == 99900  # its position
 
 
 _blanks = st.text(alphabet=" \t", max_size=3)
