@@ -30,16 +30,20 @@ text again with ``finditer`` of the same expression to find where its token
 starts, so a formula that parses pays for no offsets.
 
 One explicit-stack walk, ``_preorder``, lists a formula's nodes; equality,
-hashing, ``repr``, ``print_formula``, ``iter_atoms`` and the oracle's
-compiler all read that list, so no formula is too deep for them.  Two walks
-keep their own stacks, because reading ``_preorder`` was measured to be
-slower.  ``evaluate`` short-circuits; read from ``_preorder`` backwards it
-gave the same results on 20,000 random cases, but bdi scans, which call it
-about 300 times each, ran 29% slower (4-14% with a fast path for atoms).
-The other is ``entail._compile``'s, on the decision path, which checks,
-keys and tables each atom where it meets it; when that walk was a pass of
-its own, reading ``_preorder`` instead saved no lines, ran 1.5 times slower
-and made random-mix ``classify`` 4-7% slower.
+hashing, ``repr``, ``print_formula`` and ``iter_atoms`` all read that list,
+so no formula is too deep for them.  Three walks keep their own stacks,
+because reading ``_preorder`` was measured to be slower.  ``evaluate``
+short-circuits; read from ``_preorder`` backwards it gave the same results
+on 20,000 random cases, but bdi scans, which call it about 300 times each,
+ran 29% slower (4-14% with a fast path for atoms).  ``entail._compile``'s,
+on the decision path, checks, keys and tables each atom where it meets it;
+when that walk was a pass of its own, reading ``_preorder`` instead saved
+no lines, ran 1.5 times slower and made random-mix ``classify`` 4-7%
+slower.  The oracle's compiler, ``oracle._code``, checks and numbers each
+atom where it meets it; reading ``_preorder`` took 20-30% longer per pair
+on the benchmark's oracle corpora, and since that list is made whole
+before any atom is checked, a node that is no formula raised TypeError
+even where a bad atom to its left raises its own error in ``entail``.
 
 Schemas are line oriented: ``attr Name : { A, B, C }`` declares a
 categorical attribute, ``num Name`` a numeric one, ``#`` starts a comment.

@@ -9,11 +9,11 @@ constants' denominators), which makes every point an integer, so atoms
 compare integers, not Fractions.  Each formula is compiled into its truth
 table over that product: a Python int with one bit per model, built from
 its atoms' tables with bitwise operations.  The oracle has its own grid,
-its own comparisons and its own evaluator, which runs each formula's
-``_preorder`` list backwards.
-It shares only the parser, the formula classes with their ``_preorder``
-walk, and ``validate_atom`` with the engine, which decides through
-``entail``'s own walk, so agreement between the two is informative.  Its
+its own comparisons, its own compiler, which walks each formula once with
+a stack of its own, and its own evaluator.  It shares only the parser, the
+formula classes and ``validate_atom`` with the engine, which decides
+through ``entail``'s own walk; it reads no atom's ``_entry`` and none of
+the schema's tables, so agreement between the two is informative.  Its
 cost follows the size of the product, not how hard the formula is, so it
 is meant for tests and the CLI's ``--oracle`` mode.
 
@@ -58,7 +58,6 @@ from .mr import (
     Or,
     Schema,
     TrueConst,
-    _preorder,
     evaluate,
     format_model,
     print_formula,
@@ -85,7 +84,6 @@ _BLOCK_MODELS = 1 << 16
 # Code for ``_run``: a non-negative int pushes that atom's table; the rest
 # are these operators.
 _TRUE, _FALSE, _NOT, _AND, _OR, _IMPLIES = range(-1, -7, -1)
-_OPCODES = {Not: _NOT, And: _AND, Or: _OR, Implies: _IMPLIES}
 _CONSTANTS = {TrueConst: _TRUE, FalseConst: _FALSE}
 
 
@@ -116,14 +114,17 @@ def _grid(constants: Collection[tuple[int, int]]) -> tuple[int, tuple[int, ...]]
 def _code(
     schema: Schema, formula: Formula, slots: dict[int, int], atoms: list[CatAtom | NumAtom]
 ) -> list[int]:
-    """``formula``'s ``_preorder`` list as code, reversed, so that every
-    connective follows its operands and has its first operand on top of
-    the stack.  Each atom is validated the first time it is met, left to
-    right, and gets the next free number: its position in ``atoms``.
-    ``slots`` maps each atom object's ``id`` to that number; hashing a
-    NumAtom would hash its Fraction."""
+    """``formula`` as code, from one walk with an explicit stack: its nodes
+    in preorder, reversed, so that every connective follows its operands
+    and has its first operand on top of the stack.  Nodes are checked where
+    the walk meets them, left to right, as in ``entail``'s walk; each atom
+    is validated the first time it is met and gets the next free number,
+    its position in ``atoms``.  ``slots`` maps each atom object's ``id`` to
+    that number; hashing a NumAtom would hash its Fraction."""
     code: list[int] = []
-    for f in _preorder(formula):
+    stack = [formula]
+    while stack:
+        f = stack.pop()
         kind = type(f)
         if kind is CatAtom or kind is NumAtom:
             slot = slots.get(id(f))
@@ -132,10 +133,17 @@ def _code(
                 slot = slots[id(f)] = len(atoms)
                 atoms.append(f)
             code.append(slot)
+        elif kind is And or kind is Or:
+            code.append(_AND if kind is And else _OR)
+            stack += f.right, f.left
+        elif kind is Not:
+            code.append(_NOT)
+            stack.append(f.operand)
+        elif kind is Implies:
+            code.append(_IMPLIES)
+            stack += f.consequent, f.antecedent
         elif kind in _CONSTANTS:
             code.append(_CONSTANTS[kind])
-        elif kind is type and f in _OPCODES:
-            code.append(_OPCODES[f])
         else:
             raise TypeError(f"not a formula: {f!r}")
     code.reverse()
@@ -198,6 +206,14 @@ def _truth_tables(
         split -= 1
         span *= sizes[split]
     full = (1 << span) - 1
+    # A table key's value is one digit of a model's bit index: a run of
+    # ``stride`` models per value; ``repeat`` copies one period's pattern.
+    layout = {}  # key index -> (stride, run, repeat), for each table key
+    stride = 1
+    for i in reversed(range(split, len(sizes))):
+        period = stride * sizes[i]
+        layout[i] = stride, (1 << stride) - 1, full // ((1 << period) - 1)
+        stride = period
 
     tables = [0] * len(atoms)
     leading = []  # (slot, key index, truth per value) of atoms over enumerated keys
@@ -208,21 +224,21 @@ def _truth_tables(
             scaled = c.numerator * (scale // c.denominator)
             compare = _COMPARE[atom.cmp]
             truth = [compare(v, scaled) for v in values[i]]
+        elif i >= split:  # one value's run
+            stride, run, repeat = layout[i]
+            tables[slot] = (run << values[i].index(atom.value) * stride) * repeat
+            continue
         else:
             truth = [v == atom.value for v in values[i]]
         if i < split:
             leading.append((slot, i, truth))
             continue
-        # The key's value is one digit of a model's bit index: a run of
-        # ``stride`` models per value, repeated every ``period`` models.
-        stride = math.prod(sizes[i + 1:])
-        period = stride * sizes[i]
-        run = (1 << stride) - 1
+        stride, run, repeat = layout[i]
         pattern = 0
         for v, holds in enumerate(truth):
             if holds:
                 pattern |= run << (v * stride)
-        tables[slot] = pattern * (full // ((1 << period) - 1))
+        tables[slot] = pattern * repeat
 
     for choice in itertools.product(*map(range, sizes[:split])):
         for slot, i, truth in leading:

@@ -732,9 +732,8 @@ def test_a_constant_after_a_subtree_takes_its_values_out():
 def test_a_decided_operand_is_validated_as_a_live_one():
     """An operand that a constant leaves unread is walked like any other,
     so its invalid atom raises the error it raises undecided, even where a
-    node that is no formula sits to its right.  (The oracle reads a
-    formula's whole preorder before its atoms, so it raises TypeError for
-    both.)"""
+    node that is no formula sits to its right.  (The oracle's walk checks
+    the nodes in the same order, so it raises the same error.)"""
     g = And(CatAtom("Food", "x", "Sushi"), Not)
     for f in (g, And(FALSE, g)):
         with pytest.raises(ValueNotInDomain):

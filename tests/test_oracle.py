@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +27,12 @@ from verity import (
     UnknownAttribute,
     ValueNotInDomain,
     Verdict,
+    entails,
     evaluate,
     iter_atoms,
     oracle,
     parse_formula,
+    print_formula,
 )
 from verity.cli import main
 
@@ -202,6 +205,37 @@ def test_products_past_the_block_size_are_split(n_keys, blocks):
     assert [bin(t).count("1") for _, (t,) in passes] == [1] + [0] * (blocks - 1)
 
 
+def test_tables_joined_block_by_block_are_the_enumeration():
+    """Each formula's tables, joined block by block in product order, are
+    its bitset over the plain enumeration, bit for bit, whatever the block
+    bound: at the small ones most pairs enumerate some keys, numeric ones
+    among them."""
+    rng = random.Random(37)
+    for bound in (1, 8, 64, oracle._BLOCK_MODELS):
+        split = numeric = 0
+        with mock.patch.object(oracle, "_BLOCK_MODELS", bound):
+            for _ in range(300):
+                schema = random_schema(rng)
+                a, b = random_formula(rng, schema), random_formula(rng, schema)
+                models = list(_product(schema, [a, b]))
+                joined, offset = [0, 0], 0
+                for full, tables in oracle._truth_tables(schema, (a, b)):
+                    for k, table in enumerate(tables):
+                        joined[k] |= table << offset
+                    offset += full.bit_length()
+                assert offset == len(models)
+                for k, f in enumerate((a, b)):
+                    assert joined[k] == sum(evaluate(m, f) << n for n, m in enumerate(models))
+                assert oracle.oracle_cells(schema, a, b) == _cells(schema, a, b)
+                if len(models) > bound:
+                    split += 1
+                    numeric += bool(models[0].numeric)
+        if bound < oracle._BLOCK_MODELS:
+            # A numeric key's grid has at least 15 points, so under a bound
+            # below 15 it is always enumerated.
+            assert split and (bound >= 15 or numeric)
+
+
 EIGHT_SLOT_INPUT = (
     "Name(x)=Venue34 & EatType(x)=Pub & Food(x)=FastFood & PriceRange(x)=MoreThan30"
     " & CustomerRating(x)=FiveOfFive & Area(x)=Riverside & FamilyFriendly(x)=No"
@@ -306,3 +340,93 @@ def test_atoms_are_validated_left_to_right():
         ):
             with pytest.raises(TypeError, match="^not a formula: "):
                 oracle.oracle_satisfiable(SCHEMA, f)
+
+
+def test_the_engine_and_the_oracle_raise_the_same_error():
+    """Both walks check the nodes left to right and raise at the first bad
+    one, so a bad atom left of a node that is no formula raises its own
+    error, not TypeError."""
+    g = And(CatAtom("Food", "x", "Sushi"), Not)
+    for ask in (entails, oracle.oracle_entails):
+        with pytest.raises(ValueNotInDomain):
+            ask(SCHEMA, g, TRUE)
+    rng = random.Random(5)
+    for _ in range(1000):
+        schema = random_schema(rng)
+        a, b = (_corrupted(rng, schema, random_formula(rng, schema)) for _ in range(2))
+        assert _error(entails, schema, a, b) is _error(oracle.oracle_entails, schema, a, b)
+
+
+def _error(ask, schema, a, b):
+    try:
+        ask(schema, a, b)
+    except Exception as e:  # any class: the two sides' classes are compared
+        return type(e)
+    raise AssertionError("a corrupted pair was decided")
+
+
+def _corrupted(rng, schema, f):
+    """``f`` with two of its leaves (one, if it has one) replaced by nodes
+    that fail in different ways."""
+    leaves = len(list(_leaves(f)))
+    bad = set(rng.sample(range(leaves), min(2, leaves)))
+    attr = sorted(schema.categorical)[0]
+    pool = [
+        CatAtom(attr, "e", "Nope"),  # ValueNotInDomain
+        CatAtom("Delta", "e", "V1"),  # UnknownAttribute
+        NumAtom(attr, "e", "<", 1),  # NumericComparisonOnCategorical
+        CatAtom("Level", "e", "V1"),  # CategoricalComparisonOnNumeric, or UnknownAttribute
+        CatAtom(attr, "1e", "V1"),  # InvalidEntity
+        Not,  # TypeError, as are the two below
+        "junk",
+        None,
+    ]
+    count = itertools.count()
+
+    def rebuild(g):
+        if isinstance(g, (Not, And, Or, Implies)):
+            return type(g)(*(rebuild(getattr(g, name)) for name in g._fields))
+        return rng.choice(pool) if next(count) in bad else g
+
+    return rebuild(f)
+
+
+def _leaves(f):
+    if isinstance(f, (Not, And, Or, Implies)):
+        for name in f._fields:
+            yield from _leaves(getattr(f, name))
+    else:
+        yield f
+
+
+# ---------------------------------------------------------------------------
+# The oracle reads nothing the engine keeps on atoms or schemas
+
+
+def test_the_oracle_reads_no_entry_and_no_engine_table():
+    """With every parsed atom's entry replaced by junk, the oracle's cells
+    are still the enumeration's, it validates each distinct atom object
+    once per question, and it leaves the schema's tables as they were."""
+    rng = random.Random(23)
+    seen = []
+
+    def validate(schema, atom):
+        seen.append(id(atom))
+        real(schema, atom)
+
+    real = oracle.validate_atom
+    with mock.patch.object(oracle, "validate_atom", validate):
+        for _ in range(400):
+            schema = random_schema(rng)
+            a, b = (
+                parse_formula(print_formula(random_formula(rng, schema)), schema) for _ in range(2)
+            )
+            entails(schema, a, b)  # fills the schema's tables
+            atoms = {id(atom): atom for f in (a, b) for atom in iter_atoms(f)}
+            for atom in atoms.values():
+                object.__setattr__(atom, "_entry", ("bogus", None, -1, -1, [None, None]))
+            tables = {k: list(v) for k, v in schema._tables.items()}
+            seen.clear()
+            assert oracle.oracle_cells(schema, a, b) == _cells(schema, a, b)
+            assert sorted(seen) == sorted(atoms)
+            assert {k: list(v) for k, v in schema._tables.items()} == tables
