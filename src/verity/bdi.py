@@ -30,7 +30,9 @@ a key (Lang, Liberatore & Marquis 2003), so moving the key to a value that
 falsifies the atom keeps a model of K.  For H |= p -> r the model is one
 of H & p: the world when it satisfies H, which answers every pair "no",
 otherwise the countermodel of the first H |= p -> r answered "no" for that
-p; it answers "no" when it falsifies r.
+p; it answers "no" when it falsifies r.  Every such r is false in the
+world, and the countermodel differs from the world only on the keys it
+moved, so only the conclusions that read a moved key are evaluated in it.
 """
 
 from __future__ import annotations
@@ -266,7 +268,15 @@ def scan_misleading(
         raise ResourceLimit(len(pool) ** 2, DEFAULT_PAIR_LIMIT, "candidate pairs")
     for f in (k, *scenario.expectation_norms, *(pool if candidates else ())):
         validate_formula(schema, f)
-    true = [evaluate(world, c) for c in pool]
+    cat = world.categorical
+    # A categorical atom over a key the world assigns is read by its key;
+    # anything else, a key the world lacks included, is evaluated.
+    true = [
+        cat[c.attr, c.entity] == c.value
+        if type(c) is CatAtom and (c.attr, c.entity) in cat
+        else evaluate(world, c)
+        for c in pool
+    ]
     k_model = world if evaluate(world, k) else None
     # A world that satisfies K falsifies every false candidate.
     told: list[Optional[bool]] = (
@@ -303,22 +313,40 @@ def scan_misleading(
         if premises and not evaluate(world, h)
         else []
     )
+    # Each conclusion is false in the world, and so in any model that agrees
+    # with the world on the keys it reads.
+    reads = [
+        ((r.attr, r.entity),) if type(r) is CatAtom or type(r) is NumAtom else _keys(r)
+        for r in conclusions
+    ]
     for p in premises:
-        model = None
-        for r in conclusions:
-            if model is not None and not evaluate(model, r):
+        model = moved = None
+        for r, keys in zip(conclusions, reads):
+            if model is not None and (moved.isdisjoint(keys) or not evaluate(model, r)):
                 continue
             result = fn(h, Implies(p, r))
             if result:
                 findings.append(MisleadingFinding(FindingKind.HALF_TRUTH, p, r))
             elif model is None:
                 model = _model_of(scenario, result, h, p)
+                if model is not None:
+                    moved = _moved(world, model)
     findings.sort(key=MisleadingFinding.render)
     return findings
 
 
 def _keys(f: Formula) -> set[Key]:
     return {(a.attr, a.entity) for a in iter_atoms(f)}
+
+
+def _moved(world: Model, model: Model) -> set[Key]:
+    """The keys on which ``model`` does not hold the world's value."""
+    return {
+        key
+        for part, own in ((model.categorical, world.categorical), (model.numeric, world.numeric))
+        for key, value in part.items()
+        if key not in own or own[key] != value
+    }
 
 
 def _refutes(schema: Schema, model: Model, keys: set[Key], c: Formula, left: Formula) -> bool:
@@ -362,7 +390,7 @@ def _model_of(scenario: Scenario, result: object, *formulas: Formula) -> Optiona
             {**world.categorical, **witness.categorical},
             {**world.numeric, **witness.numeric},
         )
-        validate_model(scenario.schema, model)
+        validate_model(scenario.schema, witness)
         if not all(isinstance(v, Rational) for v in witness.numeric.values()):
             return None
     except (MrError, TypeError, ValueError):

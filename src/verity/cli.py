@@ -55,7 +55,8 @@ ENV_LIMIT = "VERITY_LIMIT"
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole parser, and each command's own parser by name."""
     # Built once per process: parsing does not change the parser, and each
     # build is a cyclic object graph that only the cyclic collector frees.
     # Each subcommand takes only the flags its handler reads.
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scenario", metavar="SCENARIO", help="scenario file")
     p.set_defaults(func=_cmd_bdi)
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_limit(args: argparse.Namespace) -> int:
@@ -271,8 +272,19 @@ def _to_devnull(stream: TextIO) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        # The whole parser hands every argument after a command to that
+        # command's parser, so a line that starts with one is read by it
+        # alone.  Arguments it leaves over are reported by the whole parser,
+        # under its own usage line, so such a line is read again by it.
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if command is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -524,9 +524,14 @@ def iter_atoms(formula: Formula) -> Iterator[CatAtom | NumAtom]:
 
 
 def validate_formula(schema: Schema, formula: Formula) -> None:
-    """Raise if any atom of ``formula`` is inconsistent with ``schema``."""
+    """Raise if any atom of ``formula`` is inconsistent with ``schema``.
+    An atom whose entry was made under ``schema`` was checked then, and is
+    not checked again."""
+    positions = schema._positions
     for atom in iter_atoms(formula):
-        validate_atom(schema, atom)
+        entry = atom._entry
+        if entry is None or entry[0] is not positions:
+            validate_atom(schema, atom)
 
 
 def validate_atom(schema: Schema, atom: CatAtom | NumAtom) -> None:
@@ -553,13 +558,18 @@ def validate_atom(schema: Schema, atom: CatAtom | NumAtom) -> None:
 
 
 def validate_model(schema: Schema, model: Model) -> None:
-    """Raise if ``model`` assigns outside ``schema``'s attributes or domains:
-    ``validate_atom`` checks each entry as an atom over its key, and reads
-    only the attribute of a numeric one."""
+    """Raise if ``model`` assigns outside ``schema``'s attributes or domains,
+    as ``validate_atom`` would for each entry as an atom over its key; of a
+    numeric entry only the key is read.  An entry that fails is handed to
+    ``validate_atom``, so the error is the one it raises."""
+    positions, numeric = schema._positions, schema.numeric
     for (attr, entity), value in model.categorical.items():
-        validate_atom(schema, CatAtom(attr, entity, value))
+        domain = positions.get(attr)
+        if domain is None or not _is_name(entity) or value not in domain:
+            validate_atom(schema, CatAtom(attr, entity, value))
     for attr, entity in model.numeric:
-        validate_atom(schema, NumAtom(attr, entity, "=", 0))
+        if attr not in numeric or not _is_name(entity):
+            validate_atom(schema, NumAtom(attr, entity, "=", 0))
 
 
 def evaluate(model: Model, formula: Formula) -> bool:

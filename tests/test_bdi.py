@@ -843,6 +843,33 @@ def test_questions_asked_are_a_subsequence_of_the_old_rules(monkeypatch):
     assert fewer > 20
 
 
+def test_the_moved_key_filter_asks_the_same_questions(monkeypatch):
+    # A conclusion that reads no key a countermodel of H & p moved is false
+    # in it, as in the world, so skipping its evaluation changes nothing:
+    # with every key the countermodel assigns counted as moved, each scan
+    # asks the same questions in the same order and finds the same.
+    runs = {}
+    for rule in ("moved", "every"):
+        if rule == "every":
+            monkeypatch.setattr(
+                verity.bdi, "_moved", lambda world, model: {*model.categorical, *model.numeric}
+            )
+        for name, scenario, candidates in _scan_cases():
+            fn, calls = _counting(partial(entails, scenario.schema))
+            findings = scan_misleading(scenario, candidates, entails_fn=fn)
+            runs[rule, name] = calls, findings
+    half_truth_questions = 0
+    for name, _, _ in _scan_cases():
+        (asked, found), (every_asked, every_found) = runs["moved", name], runs["every", name]
+        assert len(asked) == len(every_asked), name
+        for i, (question, every_question) in enumerate(zip(asked, every_asked)):
+            assert question == every_question, (name, i)
+        assert found == every_found, name
+        half_truth_questions += sum(type(b) is Implies for _, b in asked)
+    # Not vacuous: the scans ask about half truths.
+    assert half_truth_questions > 20
+
+
 def test_a_world_that_satisfies_h_asks_about_no_false_conclusion():
     # The world falsifies K, so only questions tell what K communicates.  It
     # satisfies H, so no half truth can lead to a false r, and no K |= r is

@@ -272,6 +272,8 @@ def test_report_oracle_checks_each_decided_record(capsys, monkeypatch, limit, de
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    # Left-over arguments are reported by the whole parser, under its own
+    # usage line, whichever parser read the command's arguments.
     operands = {
         "classify": ("-s", RESTAURANT, "true", "true"),
         "check": ("sat", "-s", RESTAURANT, "true"),
@@ -280,7 +282,24 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
     }[command]
     code, out, err = run(capsys, command, flag, *operands)
     assert (code, out) == (2, "")
-    assert "unrecognized arguments" in err
+    assert err == f"usage: verity [-h] COMMAND ...\nverity: error: unrecognized arguments: {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "args, surplus",
+    [
+        (("classify", "-s", RESTAURANT, "true", "true", "x"), "x"),
+        # FORMULA takes one or more, so only an operand after an option is left over.
+        (("check", "sat", "true", "-s", RESTAURANT, "x"), "x"),
+        (("report", "-s", RESTAURANT, CORPUS, "x"), "x"),
+        (("bdi", "a", "b"), "b"),
+    ],
+    ids=["classify", "check", "report", "bdi"],
+)
+def test_subcommands_reject_a_surplus_operand(capsys, args, surplus):
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == f"usage: verity [-h] COMMAND ...\nverity: error: unrecognized arguments: {surplus}\n"
 
 
 def test_report_jobs_is_gone(capsys):

@@ -813,6 +813,42 @@ def test_validate_model_checks_assignments():
         validate_model(SCHEMA, Model({("Temp", "d"): "Italian"}, {}))
 
 
+def _raised(check, *args):
+    """The class and message of what ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - any error must be the same
+        return type(exc), str(exc)
+    return None
+
+
+def _validate_entries_as_atoms(schema, model):
+    for (attr, entity), value in model.categorical.items():
+        validate_atom(schema, CatAtom(attr, entity, value))
+    for attr, entity in model.numeric:
+        validate_atom(schema, NumAtom(attr, entity, "=", 0))
+
+
+# Good entries, and each kind of bad one: an unknown attribute, an entity
+# that is not a name, a value outside the domain, a numeric key on a
+# categorical attribute and the reverse, and an unhashable value.
+_ATTRS = st.sampled_from(["Food", "Type", "Temp", "Pressure"])
+_ENTITIES = st.sampled_from(["x", "y2", "_z", "2x", "", "é", "a b", 7])
+_CAT_VALUES = st.sampled_from(["Italian", "Pub", "Sushi", "", ["Italian"], {"Pub": 1}])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.dictionaries(st.tuples(_ATTRS, _ENTITIES), _CAT_VALUES, max_size=4),
+    st.dictionaries(st.tuples(_ATTRS, _ENTITIES), st.just(Fraction(1)), max_size=4),
+)
+def test_validate_model_raises_what_validating_each_entry_as_an_atom_raises(categorical, numeric):
+    model = Model(categorical, numeric)
+    assert _raised(validate_model, SCHEMA, model) == _raised(
+        _validate_entries_as_atoms, SCHEMA, model
+    )
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
